@@ -36,21 +36,15 @@ AllocationBatchResult runItem(const AllocationBatchItem &Item,
 
 std::vector<AllocationBatchResult>
 ccra::runAllocationBatch(const std::vector<AllocationBatchItem> &Items,
-                         ThreadPool *Pool,
-                         const BatchItemCallback &OnItemDone) {
+                         ThreadPool *Pool) {
   std::vector<AllocationBatchResult> Results(Items.size());
   if (!Pool || Items.size() <= 1) {
-    for (std::size_t I = 0; I < Items.size(); ++I) {
+    for (std::size_t I = 0; I < Items.size(); ++I)
       Results[I] = runItem(Items[I], Pool);
-      if (OnItemDone)
-        OnItemDone(I, Results[I]);
-    }
     return Results;
   }
   Pool->parallelForEach(Items.size(), [&](std::size_t I) {
     Results[I] = runItem(Items[I], Pool);
-    if (OnItemDone)
-      OnItemDone(I, Results[I]);
   });
   return Results;
 }

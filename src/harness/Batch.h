@@ -3,13 +3,12 @@
 /// \file
 /// The serving counterpart of the experiment grid: a *batch* is a set of
 /// independent allocation requests (each with its own module, register
-/// configuration, options, and frequency mode) coalesced into one grid run
-/// over a shared ThreadPool. The allocation service's batch former drains
-/// its bounded request queue into one of these per engine pass; every item
-/// allocates its module in place (the service parses a private module per
-/// request, so there is nothing to clone) and the per-item results are
-/// bit-identical to running the same request alone — the same contract the
-/// experiment grid documents.
+/// configuration, options, and frequency mode), optionally fanned out over
+/// a shared ThreadPool. The allocation service's workers run each request
+/// as a batch of one; every item allocates its module in place (the
+/// service parses a private module per request, so there is nothing to
+/// clone) and the per-item results are bit-identical to running the same
+/// request alone — the same contract the experiment grid documents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +21,6 @@
 #include "support/Telemetry.h"
 #include "target/MachineDescription.h"
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace ccra {
@@ -44,27 +41,16 @@ struct AllocationBatchResult {
   TelemetrySnapshot Telemetry; ///< this item's engine telemetry
 };
 
-/// Called once per finished item, with the item's index and its result,
-/// on whichever thread ran the item and as soon as it completes — items
-/// finishing early are observable before the batch drains. Callbacks for
-/// different items may run concurrently; the callee synchronizes anything
-/// shared. The allocation service uses this to flush each response (and
-/// publish its cache entry) without waiting for the slowest item of the
-/// batch.
-using BatchItemCallback =
-    std::function<void(std::size_t, AllocationBatchResult &)>;
-
 /// Runs every item of \p Items, fanning the batch across \p Pool when one
 /// is given (items run concurrently, and each item's engine additionally
 /// fans its functions out on the same pool when its Options.Jobs asks for
 /// parallelism — nested batches, never nested pools). Output order matches
 /// input order and each result is bit-identical to a serial run of the
-/// same item. An item whose engine throws never reaches \p OnItemDone; the
-/// first such exception is rethrown after the batch drains.
+/// same item. The first exception an item's engine throws is rethrown
+/// after the batch drains.
 std::vector<AllocationBatchResult>
 runAllocationBatch(const std::vector<AllocationBatchItem> &Items,
-                   ThreadPool *Pool,
-                   const BatchItemCallback &OnItemDone = {});
+                   ThreadPool *Pool);
 
 } // namespace ccra
 

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The content-addressed allocation cache fronting the serving tier's
-/// batch former. Allocation in this codebase is deterministic — the oracle
+/// workers. Allocation in this codebase is deterministic — the oracle
 /// lattice proves bit-identity across every engine configuration — so a
 /// response is a pure function of (module text, behavior-affecting
 /// options, register config, frequency mode). That whole tuple, flattened

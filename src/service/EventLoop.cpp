@@ -76,21 +76,6 @@ void EventLoop::postResponse(std::uint64_t ConnId, Frame Response) {
     Wake.signal();
 }
 
-void EventLoop::postResponseDeferred(std::uint64_t ConnId, Frame Response) {
-  std::lock_guard<std::mutex> Lock(CompletionMutex);
-  Completions.emplace_back(ConnId, std::move(Response));
-}
-
-void EventLoop::flushPosted() {
-  bool Pending;
-  {
-    std::lock_guard<std::mutex> Lock(CompletionMutex);
-    Pending = !Completions.empty();
-  }
-  if (Pending && !WakePending.exchange(true))
-    Wake.signal();
-}
-
 void EventLoop::run() {
   std::vector<EpollEvent> Events;
   for (;;) {
@@ -448,7 +433,7 @@ void EventLoop::beginDrain() {
   for (std::uint64_t Id : Victims)
     closeConn(Id);
   // All admissions happen on this thread, so after this callback returns
-  // no new work can ever reach the shard queues: the batchers' exit
+  // no new work can ever reach the shard queues: the workers' exit
   // condition (admissions closed + empty queue) is now monotone.
   if (OnDrainStarted)
     OnDrainStarted();

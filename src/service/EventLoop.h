@@ -21,9 +21,9 @@
 /// - The **server** (via FrameHandler, called on the loop thread) owns
 ///   payloads and policy: parse, cache lookup, admission to the shard
 ///   queues, SHED, drain refusal. A handler that admits work returns
-///   InFlight; the shard's batch former later hands the finished frame
-///   back with postResponse(), the loop's cross-thread completion path
-///   (mutex queue + eventfd doorbell).
+///   InFlight; a shard worker later hands the finished frame back with
+///   postResponse(), the loop's cross-thread completion path (mutex queue
+///   + eventfd doorbell).
 ///
 /// One request per connection is in flight at a time, exactly like the
 /// thread-per-connection server this replaces: while a connection is
@@ -125,17 +125,6 @@ public:
   /// the caller must not care (the old server's write-to-dead-peer EPIPE,
   /// one layer earlier).
   void postResponse(std::uint64_t ConnId, Frame Response);
-
-  /// Like postResponse, but leaves the doorbell unrung: the frame sits in
-  /// the completion queue until flushPosted() (or any other wakeup). Batch
-  /// publishers use this so a batch rings the loop once instead of once
-  /// per item — on a single-core host every ring preempts the publishing
-  /// worker for a full scheduling round trip.
-  void postResponseDeferred(std::uint64_t ConnId, Frame Response);
-
-  /// Rings the doorbell if deferred completions are queued. Thread-safe;
-  /// a spurious flush is a no-op.
-  void flushPosted();
 
   /// Gauge: connections currently in the table (loop-thread maintained,
   /// sampled by STATS from other threads).

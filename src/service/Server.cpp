@@ -19,7 +19,7 @@ using namespace ccra;
 
 namespace {
 
-/// How often parked batch formers re-check the drain flag. Short enough
+/// How often parked workers re-check the drain flag. Short enough
 /// that SIGTERM drains promptly, long enough to stay off the profiles.
 constexpr int PollIntervalMs = 100;
 /// Total budget for reading the rest of a frame once its first byte
@@ -73,17 +73,8 @@ bool AllocationServer::start(std::string *Err) {
   unsigned NumShards = std::max(1u, Config.Shards);
   PerShardCapacity = std::max(1u, Config.QueueCapacity / NumShards);
   Ring = ConsistentHashRing(NumShards);
-  // Split the engine pool budget evenly: each shard gets a PRIVATE pool
-  // (the scratch-arena slot discipline allows one outside submitter per
-  // pool, and each batcher is exactly that submitter for its shard).
-  unsigned TotalThreads = Config.PoolThreads ? Config.PoolThreads
-                                             : ThreadPool::defaultParallelism();
-  unsigned PerShardThreads = std::max(1u, TotalThreads / NumShards);
-  for (unsigned I = 0; I < NumShards; ++I) {
-    auto S = std::make_unique<Shard>();
-    S->Pool = std::make_unique<ThreadPool>(PerShardThreads);
-    Shards.push_back(std::move(S));
-  }
+  for (unsigned I = 0; I < NumShards; ++I)
+    Shards.push_back(std::make_unique<Shard>());
 
   if (!Loop.start(
           std::move(Listener), helloFrame(),
@@ -103,8 +94,12 @@ bool AllocationServer::start(std::string *Err) {
   }
 
   Started.store(true);
+  unsigned TotalThreads = Config.PoolThreads ? Config.PoolThreads
+                                             : ThreadPool::defaultParallelism();
+  unsigned PerShardThreads = std::max(1u, TotalThreads / NumShards);
   for (auto &S : Shards)
-    S->Batcher = std::thread([this, SP = S.get()] { batcherLoop(*SP); });
+    for (unsigned I = 0; I < PerShardThreads; ++I)
+      S->Workers.emplace_back([this, SP = S.get()] { workerLoop(*SP); });
   return true;
 }
 
@@ -124,16 +119,14 @@ void AllocationServer::requestDrain() {
 void AllocationServer::wait() {
   Loop.wait();
   for (auto &S : Shards)
-    if (S->Batcher.joinable())
-      S->Batcher.join();
-  for (auto &S : Shards)
-    S->Pool.reset();
+    for (std::thread &W : S->Workers)
+      if (W.joinable())
+        W.join();
 }
 
 TelemetrySnapshot AllocationServer::stats() const {
   TelemetrySnapshot S = Telem.snapshot();
   std::size_t TotalDepth = 0;
-  ThreadPool::Stats PoolTotal;
   for (std::size_t I = 0; I < Shards.size(); ++I) {
     const Shard &Sh = *Shards[I];
     std::size_t Depth;
@@ -146,19 +139,11 @@ TelemetrySnapshot AllocationServer::stats() const {
     S.Counters[Prefix + ".queue_depth"] = static_cast<double>(Depth);
     S.Counters[Prefix + ".dispatched"] =
         static_cast<double>(Sh.Dispatched.load());
-    if (Sh.Pool) {
-      ThreadPool::Stats PS = Sh.Pool->stats();
-      PoolTotal.Batches += PS.Batches;
-      PoolTotal.Tasks += PS.Tasks;
-    }
   }
   S.Counters["serve.queue_depth"] = static_cast<double>(TotalDepth);
   S.Counters[telemetry::ServeOpenConnections] =
       static_cast<double>(Loop.openConnections());
   S.Counters[telemetry::ShardCount] = static_cast<double>(Shards.size());
-  S.Counters[telemetry::SchedPoolBatches] =
-      static_cast<double>(PoolTotal.Batches);
-  S.Counters[telemetry::SchedPoolTasks] = static_cast<double>(PoolTotal.Tasks);
 
   AllocationCacheStats CS = Cache.stats();
   S.Counters[telemetry::CacheHits] = static_cast<double>(CS.Hits);
@@ -177,7 +162,6 @@ Frame AllocationServer::helloFrame() const {
   H.Protocol = WireVersion;
   H.MaxPayloadBytes = Config.MaxPayloadBytes;
   H.QueueCapacity = Config.QueueCapacity;
-  H.MaxBatch = Config.MaxBatch;
   H.ProtocolMinor = WireMinorVersion;
   H.CacheEnabled = Cache.enabled();
   H.Shards = std::max(1u, Config.Shards);
@@ -209,10 +193,10 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   auto Pending = std::make_unique<PendingRequest>();
   Pending->Arrival = std::chrono::steady_clock::now();
   Pending->ConnId = ConnId;
-  bool ParseOk =
-      In.Type == FrameType::AllocRequestV2
-          ? parseAllocRequestV2(In.Payload, Pending->Request, &Err)
-          : parseAllocRequest(In.Payload, Pending->Request, &Err);
+  Pending->Binary = In.Type == FrameType::AllocRequestV2;
+  bool ParseOk = Pending->Binary
+                     ? parseAllocRequestV2(In.Payload, Pending->Request, &Err)
+                     : parseAllocRequest(In.Payload, Pending->Request, &Err);
   if (!ParseOk) {
     Telem.addCount(telemetry::ServeMalformed);
     return reply(errorFrame("malformed", Err));
@@ -225,9 +209,9 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   }
 
   // Cache front: a hit replays the stored response byte-identically and
-  // skips parse, IR verification, queueing, and the engine entirely. Safe
-  // before verification — an entry only exists because the same
-  // byte-identical request once parsed, verified, and allocated.
+  // skips module parse, IR verification, queueing, and the engine
+  // entirely. Safe without verification — an entry only exists because
+  // the same byte-identical request once parsed, verified, and allocated.
   if (Cache.enabled()) {
     Pending->CacheKey = allocationCacheKey(Pending->Request);
     AllocResponse Cached;
@@ -240,41 +224,11 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
     }
   }
 
-  if (In.Type == FrameType::AllocRequestV2) {
-    // Binary modules decode straight into IR — the whole point of the
-    // codec is that a cache miss costs a bounds-checked byte walk, not a
-    // text parse. The verifier still runs: decode guarantees structural
-    // sanity, not semantic admissibility.
-    Pending->M = decodeModuleBinary(Pending->Request.ModuleBinary, &Err);
-    std::vector<std::string> VerifyErrors;
-    if (Pending->M && !verifyModule(*Pending->M, &VerifyErrors)) {
-      for (const std::string &E : VerifyErrors)
-        Err += E + "\n";
-      Pending->M.reset();
-    }
-    if (!Pending->M) {
-      Telem.addCount(telemetry::ServeMalformed);
-      return reply(errorFrame("malformed", "bad module:\n" + Err));
-    }
-  } else {
-    ParseResult PR = parseModule(Pending->Request.ModuleText);
-    std::vector<std::string> VerifyErrors;
-    if (!PR.ok() || !verifyModule(*PR.M, &VerifyErrors)) {
-      Telem.addCount(telemetry::ServeMalformed);
-      std::string Detail;
-      for (const std::string &E : PR.ok() ? VerifyErrors : PR.Errors)
-        Detail += E + "\n";
-      return reply(errorFrame("malformed", "bad module:\n" + Detail));
-    }
-    Pending->M = std::move(PR.M);
-  }
-
   // Consistent-hash dispatch on the module bytes alone (not the full
-  // cache key): every configuration of a hot module lands on the same
-  // shard, whose warm pool just allocated it.
-  const std::string &ShardKey = Pending->Request.ModuleBinary.empty()
-                                    ? Pending->Request.ModuleText
-                                    : Pending->Request.ModuleBinary;
+  // cache key): every configuration of a hot module lands on one shard.
+  const std::string &ShardKey = Pending->Binary
+                                    ? Pending->Request.ModuleBinary
+                                    : Pending->Request.ModuleText;
   Shard &Sh = *Shards[Ring.shardFor(fnv1a64(ShardKey))];
   Sh.Dispatched.fetch_add(1, std::memory_order_relaxed);
 
@@ -298,22 +252,30 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
                   std::to_string(PerShardCapacity) + "); retry later";
     return reply(std::move(Out));
   }
-  Sh.QueueReady.notify_all();
+  Sh.QueueReady.notify_one();
 
-  // The batch former always answers every queued item, so an InFlight
+  // A worker always answers every queued request, so an InFlight
   // connection is never stranded: the response arrives via postResponse
   // and the loop resumes (or, during drain, closes) the connection.
   return {FrameAction::InFlight, Frame()};
 }
 
-void AllocationServer::batcherLoop(Shard &S) {
+void AllocationServer::workerLoop(Shard &S) {
   for (;;) {
-    std::vector<std::unique_ptr<PendingRequest>> Taken;
+    std::unique_ptr<PendingRequest> Taken;
     {
       std::unique_lock<std::mutex> Lock(S.QueueMutex);
       S.QueueReady.wait_for(
           Lock, std::chrono::milliseconds(PollIntervalMs),
-          [&] { return !S.Queue.empty() || Draining.load(); });
+          [&] { return !S.Queue.empty() || AdmissionsClosed.load(); });
+      if (Hooks.BeforeBatch && !S.Queue.empty()) {
+        // Tests stall here (queue untouched) to expire deadlines or pile
+        // up overflow deterministically. Another worker may empty the
+        // queue meanwhile, so it is re-checked below.
+        Lock.unlock();
+        Hooks.BeforeBatch();
+        Lock.lock();
+      }
       if (S.Queue.empty()) {
         // AdmissionsClosed is set on the loop thread after its drain
         // processing, and every enqueue happens on that same thread —
@@ -322,82 +284,98 @@ void AllocationServer::batcherLoop(Shard &S) {
           return;
         continue;
       }
-      if (Hooks.BeforeBatch) {
-        // Tests stall here (queue untouched) to expire deadlines or pile
-        // up overflow deterministically.
-        Lock.unlock();
-        Hooks.BeforeBatch();
-        Lock.lock();
-      }
-      std::size_t Take = std::min<std::size_t>(S.Queue.size(), Config.MaxBatch);
-      for (std::size_t I = 0; I < Take; ++I) {
-        Taken.push_back(std::move(S.Queue.front()));
-        S.Queue.pop_front();
-      }
+      Taken = std::move(S.Queue.front());
+      S.Queue.pop_front();
     }
-    runBatch(S, std::move(Taken));
+    try {
+      serve(*Taken);
+    } catch (const std::exception &E) {
+      // Graceful degradation: a request whose parse, engine or response
+      // build threw answers "internal" instead of taking the daemon down.
+      // serve() posts only as its last step, so nothing was posted yet.
+      Loop.postResponse(Taken->ConnId, errorFrame("internal", E.what()));
+    }
   }
 }
 
-void AllocationServer::runBatch(
-    Shard &S, std::vector<std::unique_ptr<PendingRequest>> Taken) {
+void AllocationServer::serve(PendingRequest &P) {
   // Admission checks first: expired deadlines and injected worker faults
   // are answered without occupying the engine.
-  std::vector<PendingRequest *> Runnable;
-  auto Now = std::chrono::steady_clock::now();
-  for (auto &P : Taken) {
-    if (P->Request.DeadlineMs > 0 &&
-        Now - P->Arrival >= std::chrono::milliseconds(P->Request.DeadlineMs)) {
-      Telem.addCount(telemetry::ServeDeadlineMissed);
-      Loop.postResponse(P->ConnId,
-                        errorFrame("deadline",
-                                   "request expired after " +
-                                       std::to_string(P->Request.DeadlineMs) +
-                                       " ms in queue"));
-      continue;
-    }
-    if (Hooks.FailRequest && Hooks.FailRequest(P->Request)) {
-      Telem.addCount(telemetry::ServeWorkerFaults);
-      Loop.postResponse(
-          P->ConnId,
-          errorFrame("fault", "worker failed while allocating this request"));
-      continue;
-    }
-    Runnable.push_back(P.get());
-  }
-  if (Runnable.empty())
+  if (P.Request.DeadlineMs > 0 &&
+      std::chrono::steady_clock::now() - P.Arrival >=
+          std::chrono::milliseconds(P.Request.DeadlineMs)) {
+    Telem.addCount(telemetry::ServeDeadlineMissed);
+    Loop.postResponse(P.ConnId,
+                      errorFrame("deadline",
+                                 "request expired after " +
+                                     std::to_string(P.Request.DeadlineMs) +
+                                     " ms in queue"));
     return;
+  }
+  if (Hooks.FailRequest && Hooks.FailRequest(P.Request)) {
+    Telem.addCount(telemetry::ServeWorkerFaults);
+    Loop.postResponse(
+        P.ConnId,
+        errorFrame("fault", "worker failed while allocating this request"));
+    return;
+  }
 
+  // Module admission. Binary modules decode straight into IR (a
+  // bounds-checked byte walk, not a text parse); the verifier runs on
+  // both: decode guarantees structural sanity, not semantic admissibility.
+  std::unique_ptr<Module> M;
+  std::string Detail;
+  {
+    Telemetry::ScopedTimer Admit(&Telem, telemetry::ServeAdmitPhase);
+    std::vector<std::string> Errors;
+    if (P.Binary) {
+      std::string Err;
+      M = decodeModuleBinary(P.Request.ModuleBinary, &Err);
+      if (!M)
+        Errors.push_back(Err);
+    } else {
+      ParseResult PR = parseModule(P.Request.ModuleText);
+      if (PR.ok())
+        M = std::move(PR.M);
+      else
+        Errors = std::move(PR.Errors);
+    }
+    if (M && !verifyModule(*M, &Errors))
+      M.reset();
+    for (const std::string &E : Errors)
+      Detail += E + "\n";
+  }
+  if (!M) {
+    Telem.addCount(telemetry::ServeMalformed);
+    Loop.postResponse(P.ConnId,
+                      errorFrame("malformed", "bad module:\n" + Detail));
+    return;
+  }
+
+  // One batch per request, so serve.batch stays a per-request time of the
+  // engine plus the response path.
   Telem.addCount(telemetry::ServeBatches);
-  Telem.addCount(telemetry::ServeBatchedRequests,
-                 static_cast<double>(Runnable.size()));
-  Telem.noteMax(telemetry::ServePeakBatch,
-                static_cast<double>(Runnable.size()));
+  Telem.addCount(telemetry::ServeBatchedRequests);
+  Frame Out;
+  {
+    Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
+    std::vector<AllocationBatchResult> Results = runAllocationBatch(
+        {{M.get(), P.Request.Config, P.Request.Options, P.Request.Mode}},
+        nullptr);
+    AllocationBatchResult &R = Results.front();
 
-  std::vector<AllocationBatchItem> Items;
-  Items.reserve(Runnable.size());
-  for (PendingRequest *P : Runnable)
-    Items.push_back({P->M.get(), P->Request.Config, P->Request.Options,
-                     P->Request.Mode});
-
-  // Per-item completion: build the response from per-function IR slices
-  // (the exact pieces the cache stores, so a later hit reassembles
-  // byte-identical output), publish it to the cache, and post it to the
-  // event loop — which starts writing while the rest of the batch is
-  // still allocating. Runs on pool worker threads; Telem, Cache, and
-  // postResponse are internally locked, Answered entries are disjoint.
-  std::vector<char> Answered(Runnable.size(), 0);
-  auto Publish = [&](std::size_t I, AllocationBatchResult &R) {
-    PendingRequest *P = Runnable[I];
+    // Build the response from per-function IR slices (the exact pieces
+    // the cache stores, so a later hit reassembles byte-identical output)
+    // and publish it to the cache.
     AllocResponse Resp;
     Resp.Totals = R.Result.Totals;
-    std::string IrHeader = "module " + P->M->getName() + "\n";
+    std::string IrHeader = "module " + M->getName() + "\n";
     std::vector<AllocationCache::FunctionRecord> Records;
     {
       Telemetry::ScopedTimer Render(&Telem, telemetry::ServeRenderPhase);
-      Records.reserve(P->M->functions().size());
+      Records.reserve(M->functions().size());
       std::size_t IrBytes = IrHeader.size();
-      for (const auto &F : P->M->functions()) {
+      for (const auto &F : M->functions()) {
         AllocationCache::FunctionRecord Rec;
         printFunction(*F, Rec.Ir);
         Rec.Ir += '\n';
@@ -422,8 +400,8 @@ void AllocationServer::runBatch(
         Resp.AllocatedIr += Rec.Ir;
     }
 
-    if (!P->CacheKey.empty())
-      Cache.insert(P->CacheKey, IrHeader, Resp.Totals, R.Telemetry,
+    if (!P.CacheKey.empty())
+      Cache.insert(P.CacheKey, IrHeader, Resp.Totals, R.Telemetry,
                    std::move(Records));
 
     Telem.merge(R.Telemetry);
@@ -431,32 +409,13 @@ void AllocationServer::runBatch(
     // Last consumer of the item's telemetry: move it into the response
     // instead of copying the ~50-entry maps a third time.
     Resp.Telemetry = std::move(R.Telemetry);
-    Frame Out;
     Out.Type = FrameType::AllocResponse;
     {
       Telemetry::ScopedTimer Encode(&Telem, telemetry::ServeEncodePhase);
       Out.Payload = encodeAllocResponse(Resp);
     }
-    // Deferred: the batch rings the loop once after the last item. Ringing
-    // per item makes the loop thread runnable at every write(2), and on a
-    // single-core host the kernel preempts this worker for a scheduling
-    // round trip per response.
-    Loop.postResponseDeferred(P->ConnId, std::move(Out));
-    Answered[I] = 1;
-  };
-
-  try {
-    Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
-    runAllocationBatch(Items, S.Pool.get(), Publish);
-  } catch (const std::exception &E) {
-    // Graceful degradation: items whose engine (or response build) threw
-    // answer "internal" instead of taking the daemon down; items that
-    // already flushed keep their real responses, and subsequent batches
-    // run normally.
-    for (std::size_t I = 0; I < Runnable.size(); ++I)
-      if (!Answered[I])
-        Loop.postResponse(Runnable[I]->ConnId,
-                          errorFrame("internal", E.what()));
   }
-  Loop.flushPosted();
+  // Posted before the module and results are freed, so the release cost
+  // stays off the response's latency.
+  Loop.postResponse(P.ConnId, std::move(Out));
 }

@@ -10,13 +10,13 @@
 ///
 ///   event loop (ONE thread, epoll) ──> content-addressed cache
 ///     accepts, reassembles frames,       │hit          │miss
-///     parses, admits ◄── responses ◄─────┘   consistent-hash ring
+///     parses request headers ◄── responses ◄┘  consistent-hash ring
 ///     SHED / errors written in line              │
 ///                                     shard 0 .. shard N-1, each:
 ///                                       bounded queue
-///                                       batch former thread
-///                                       runAllocationBatch over a
-///                                       private thread pool
+///                                       PoolThreads / N workers, each
+///                                       pulling ONE request: parse,
+///                                       verify, allocate, publish
 ///
 /// - **Connections.** service/EventLoop.h multiplexes every client over
 ///   one epoll thread: connection count is decoupled from thread count,
@@ -24,33 +24,32 @@
 ///   stacks (the C10k soak in bench/perf_service.cpp holds exactly that).
 ///   Frame reassembly, write buffering, and both deadline classes (the
 ///   mid-frame budget and the slow-client write budget) live there.
-/// - **Admission.** The loop's frame handler parses requests (textual v1
-///   or binary v2; service/BinaryCodec.h), consults the cache, and either
-///   answers in line (hit, malformed, SHED, draining) or enqueues and
-///   marks the connection in-flight. Parse and IR verification happen on
-///   the loop thread so the queues only ever hold admissible work — the
-///   binary codec exists to keep that stage cheap (no text parse; the
-///   module stays encoded until a cache miss proves decoding necessary).
+/// - **Admission.** The loop's frame handler parses the request header
+///   (textual v1 or binary v2; service/BinaryCodec.h), computes the cache
+///   key, and either answers in line (hit, malformed header, SHED,
+///   draining) or enqueues and marks the connection in-flight. The module
+///   itself is NOT parsed on the loop: the loop is the one serial stage
+///   every request crosses, so module parse and IR verification run on
+///   the worker that allocates it. A malformed module is answered
+///   Error("malformed") by that worker and keeps its connection, and a
+///   hostile 16 MiB module stalls one worker, not every connection.
 /// - **Caching.** Allocation is deterministic (the oracle lattice proves
 ///   bit-identity across every engine configuration), so each response is
 ///   a pure function of (module bytes, canonical options, config, mode).
 ///   Repeat requests are served straight from the AllocationCache — no
 ///   parse, no IR verify, no engine run, byte-identical to a cold run.
 /// - **Sharding.** Cold requests dispatch to one of Config.Shards worker
-///   shards through a consistent-hash ring over the module-bytes hash, so
-///   a hot module keeps hitting the same warm shard while distinct
-///   modules spread across cores. Shards live in this process: see
-///   DESIGN.md ("Threads, not processes") — each owns a PRIVATE thread
-///   pool because the pool's scratch-arena slot discipline allows one
-///   outside submitter per pool, and determinism means shards can share
-///   the one cache with no coherence protocol.
+///   shards through a consistent-hash ring over the module-bytes hash.
+///   Shards live in this process and share the one cache with no
+///   coherence protocol, since responses are deterministic.
+/// - **Workers.** Each shard's workers pull one request at a time, so no
+///   queued request waits behind a slow neighbour while a worker is idle
+///   (per-request cost varies ~20x across modules). Requests run at
+///   Jobs=1 (canonicalKey() does not carry Jobs), so the engine uses a
+///   call-local scratch arena and needs no thread pool.
 /// - **Backpressure.** Each shard's queue is bounded (QueueCapacity split
 ///   evenly); when full an arriving request is answered immediately with
 ///   an explicit SHED frame instead of being buffered without limit.
-/// - **Batching.** Each shard's batch former takes whatever is queued (up
-///   to MaxBatch) and runs it as ONE engine grid pass over the shard's
-///   pool; responses flush per item as they finish, not when the batch
-///   drains.
 /// - **Deadlines.** A request may carry `deadline-ms`; if it is still
 ///   queued when the deadline expires it is answered with an Error frame
 ///   ("deadline") instead of occupying the engine.
@@ -58,15 +57,15 @@
 ///   SIGTERM to it) stops accepting, drops connections owed nothing,
 ///   finishes in-flight work, flushes those responses, then closes
 ///   everything; wait() returns once the server is fully quiesced.
-///   Batchers exit once the loop confirms admissions are closed and their
-///   queues are empty — all enqueues happen on the loop thread, so that
+///   Workers exit once the loop confirms admissions are closed and their
+///   queue is empty — all enqueues happen on the loop thread, so that
 ///   confirmation is a simple happens-before, not a count of connections.
 ///
 /// A STATS request returns the server-wide telemetry: "serve."
 /// operational counters, the "cache." and "shard." namespaces of the
 /// cache-and-shard tier, plus the merged engine telemetry of everything
 /// allocated. ServerTestHooks mirrors the fuzz subsystem's InjectedFault:
-/// tests force queue overflow, mid-request worker failure, and batcher
+/// tests force queue overflow, mid-request worker failure, and worker
 /// stalls without needing to win races.
 ///
 //===----------------------------------------------------------------------===//
@@ -94,19 +93,15 @@
 
 namespace ccra {
 
-class Module;
-class ThreadPool;
-
 struct ServerConfig {
   /// Exactly one transport: a Unix-domain socket path, or (when UnixPath
   /// is empty) loopback TCP on TcpPort (0 = ephemeral; boundPort()).
   std::string UnixPath;
   int TcpPort = 0;
 
-  unsigned PoolThreads = 0;  ///< total engine pool width (0 = hardware),
+  unsigned PoolThreads = 0;  ///< total worker threads (0 = hardware),
                              ///< split evenly across shards
   unsigned QueueCapacity = 64; ///< total; split evenly across shards
-  unsigned MaxBatch = 8;
   std::size_t MaxPayloadBytes = 16u << 20;
   int WriteTimeoutMs = 5000; ///< slow-client response write budget
   int AcceptBacklog = 64;
@@ -121,11 +116,11 @@ struct ServerConfig {
 struct ServerTestHooks {
   /// Treat the queue as full for this enqueue → SHED response.
   std::function<bool()> ForceQueueOverflow;
-  /// Fail this request mid-worker → Error("fault") response; the rest of
-  /// its batch completes normally.
+  /// Fail this request mid-worker → Error("fault") response; every other
+  /// request is served normally.
   std::function<bool(const AllocRequest &)> FailRequest;
-  /// Called by every batch former before it drains its queue (tests stall
-  /// here to make deadlines expire deterministically).
+  /// Called by a worker that found its queue non-empty, before it pops a
+  /// request (tests stall here to make deadlines expire deterministically).
   std::function<void()> BeforeBatch;
 };
 
@@ -138,7 +133,7 @@ public:
   AllocationServer(const AllocationServer &) = delete;
   AllocationServer &operator=(const AllocationServer &) = delete;
 
-  /// Binds the transport and starts the event loop and batcher threads.
+  /// Binds the transport and starts the event loop and worker threads.
   /// Returns false with a diagnostic on bind failure.
   bool start(std::string *Err);
 
@@ -164,40 +159,36 @@ public:
 private:
   struct PendingRequest {
     AllocRequest Request;
-    /// Parsed + IR-verified on the loop thread, so the queue only ever
-    /// holds admissible work and malformed modules are rejected without
-    /// occupying the batch former.
-    std::unique_ptr<Module> M;
+    /// Arrived as AllocRequestV2: the module is Request.ModuleBinary.
+    bool Binary = false;
     /// allocationCacheKey of the request; empty when the cache is off.
     /// Computed once at admission, reused for the publish.
     std::string CacheKey;
     std::chrono::steady_clock::time_point Arrival;
-    /// The event-loop connection awaiting this response; the batch former
+    /// The event-loop connection awaiting this response; the worker
     /// answers with Loop.postResponse(ConnId, ...).
     std::uint64_t ConnId = 0;
   };
 
-  /// One worker shard: a bounded queue, a batch former, and a PRIVATE
-  /// thread pool (the pool's per-worker scratch arenas tolerate exactly
-  /// one non-worker submitter, so batchers cannot share a pool).
+  /// One worker shard: a bounded queue and the workers that drain it.
   struct Shard {
     mutable std::mutex QueueMutex;
     std::condition_variable QueueReady;
     std::deque<std::unique_ptr<PendingRequest>> Queue;
-    std::unique_ptr<ThreadPool> Pool;
-    std::thread Batcher;
+    std::vector<std::thread> Workers;
     std::atomic<std::uint64_t> Dispatched{0};
   };
 
   /// The event loop's frame handler: everything between a reassembled
   /// frame and a queued PendingRequest (runs on the loop thread).
   FrameDisposition handleFrame(std::uint64_t ConnId, Frame &In);
-  void batcherLoop(Shard &S);
-  /// Forms one batch from \p Taken and answers every item (per item, as
-  /// each finishes), publishing successful results to the cache.
-  void runBatch(Shard &S, std::vector<std::unique_ptr<PendingRequest>> Taken);
+  void workerLoop(Shard &S);
+  /// Answers \p P: admission checks, module parse and verify, allocation,
+  /// cache publish, response. Every path posts exactly one response, as
+  /// its last step; an exception means nothing was posted.
+  void serve(PendingRequest &P);
   Frame helloFrame() const;
-  /// Wakes every shard's batcher (drain signal).
+  /// Wakes every shard's workers (drain signal).
   void notifyAllShards();
 
   ServerConfig Config;
@@ -215,7 +206,7 @@ private:
   std::atomic<bool> Draining{false};
   /// Set on the loop thread once drain processing is done — after which
   /// no enqueue can ever happen again (they all run on that thread).
-  /// Batchers exit when this is set and their queue is empty.
+  /// Workers exit when this is set and their queue is empty.
   std::atomic<bool> AdmissionsClosed{false};
 };
 

@@ -223,7 +223,6 @@ std::string ccra::encodeHello(const HelloInfo &H) {
   Out += "protocol: " + std::to_string(H.Protocol) + "\n";
   Out += "max-payload: " + std::to_string(H.MaxPayloadBytes) + "\n";
   Out += "queue: " + std::to_string(H.QueueCapacity) + "\n";
-  Out += "batch: " + std::to_string(H.MaxBatch) + "\n";
   if (H.ProtocolMinor > 0) {
     // v1.1 capability fields; a v1.0 hello carries none of them and a
     // v1.0 parser skips them as unknown keys.
@@ -265,10 +264,6 @@ bool ccra::parseHello(const std::string &Payload, HelloInfo &Out,
       if (!parseUnsigned(Value, N))
         return fail(Err, "bad queue");
       Out.QueueCapacity = static_cast<unsigned>(N);
-    } else if (Key == "batch") {
-      if (!parseUnsigned(Value, N))
-        return fail(Err, "bad batch");
-      Out.MaxBatch = static_cast<unsigned>(N);
     } else if (Key == "minor") {
       if (!parseUnsigned(Value, N))
         return fail(Err, "bad minor");

@@ -139,7 +139,6 @@ struct HelloInfo {
   std::uint16_t Protocol = WireVersion;
   std::size_t MaxPayloadBytes = 0;
   unsigned QueueCapacity = 0;
-  unsigned MaxBatch = 0;
   /// v1.1 capability fields. Version-gated: emitted only when
   /// ProtocolMinor > 0, ignored (left at their v1.0 zero defaults) by old
   /// parsers, and defaulted to zero when a v1.0 server omits them — both

@@ -190,7 +190,6 @@ inline constexpr const char *ServeWriteTimeouts = "serve.write_timeouts";
 inline constexpr const char *ServeStatsRequests = "serve.stats_requests";
 /// High-water marks (same-recorder noteMax; operational, not merged).
 inline constexpr const char *ServePeakQueue = "serve.peak_queue_depth";
-inline constexpr const char *ServePeakBatch = "serve.peak_batch_size";
 inline constexpr const char *ServePeakConnections = "serve.peak_connections";
 /// Gauge sampled at STATS time: connections currently registered with the
 /// event loop. The companion to ServeConnections (a lifetime total).
@@ -223,13 +222,17 @@ inline constexpr const char *VerifyPhase = "verify";
 /// Simplification inside the color phase (the worklist / reference loop).
 inline constexpr const char *AllocSimplifyPhase = "alloc.simplify";
 inline constexpr const char *AllocateTotal = "allocate_total";
-/// Wall-clock the service's batch former spent inside engine grid runs.
+/// Wall-clock the service's workers spent allocating requests and
+/// building their responses (one "batch" per request).
 inline constexpr const char *ServeBatchPhase = "serve.batch";
-/// Response assembly inside a batch: per-function IR rendering plus the
+/// Module parse (or binary decode) plus IR verification on the worker,
+/// ahead of and outside serve.batch.
+inline constexpr const char *ServeAdmitPhase = "serve.admit";
+/// Response assembly inside serve.batch: per-function IR rendering plus the
 /// cache-record build (serve.render) and the wire payload encoding
-/// (serve.encode). Both are inside serve.batch; the difference between
-/// serve.batch and allocate_total + these two is the engine-setup cost
-/// (frequency analysis, engine construction, telemetry snapshots).
+/// (serve.encode). The difference between serve.batch and
+/// allocate_total + these two is the engine-setup cost (frequency
+/// analysis, engine construction, telemetry snapshots).
 inline constexpr const char *ServeRenderPhase = "serve.render";
 inline constexpr const char *ServeEncodePhase = "serve.encode";
 /// Frequency analysis ahead of allocation (harness/Batch.h items).

@@ -14,7 +14,8 @@
 //    next well-formed request on a fresh connection still succeeds;
 //  - operational behavior under test hooks (fuzz/Oracle.h's InjectedFault
 //    pattern): forced queue overflow sheds, an injected worker fault fails
-//    only the targeted request, stalled batching expires deadlines;
+//    only the targeted request, stalled workers expire deadlines, and a
+//    request parked in its worker blocks neither other workers nor hits;
 //  - graceful drain: queued work completes, responses flush, new requests
 //    are refused, wait() quiesces.
 //
@@ -34,7 +35,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
 #include <sys/socket.h>
 #include <thread>
@@ -263,7 +266,6 @@ TEST(WireCodec, HelloAndErrorRoundTrip) {
   H.ServerInfo = buildInfoString();
   H.MaxPayloadBytes = 16u << 20;
   H.QueueCapacity = 64;
-  H.MaxBatch = 8;
   HelloInfo BH;
   std::string Err;
   ASSERT_TRUE(parseHello(encodeHello(H), BH, &Err)) << Err;
@@ -271,7 +273,6 @@ TEST(WireCodec, HelloAndErrorRoundTrip) {
   EXPECT_EQ(H.Protocol, BH.Protocol);
   EXPECT_EQ(H.MaxPayloadBytes, BH.MaxPayloadBytes);
   EXPECT_EQ(H.QueueCapacity, BH.QueueCapacity);
-  EXPECT_EQ(H.MaxBatch, BH.MaxBatch);
 
   ErrorResponse E{"deadline", "expired after 5 ms\nwhile queued"};
   ErrorResponse BE;
@@ -285,13 +286,11 @@ TEST(WireCodec, HelloAndErrorRoundTrip) {
 TEST(Service, HelloCarriesBuildInfoAndLimits) {
   ServerConfig Config;
   Config.QueueCapacity = 5;
-  Config.MaxBatch = 3;
   LiveServer S(Config);
   ServiceClient C = S.connect();
   EXPECT_EQ(buildInfoString(), C.hello().ServerInfo);
   EXPECT_EQ(WireVersion, C.hello().Protocol);
   EXPECT_EQ(5u, C.hello().QueueCapacity);
-  EXPECT_EQ(3u, C.hello().MaxBatch);
 }
 
 TEST(Service, AllocationIsBitIdenticalToInProcess) {
@@ -512,6 +511,94 @@ TEST(Service, StalledBatcherExpiresDeadlines) {
   // Without a deadline the same stalled server still answers.
   Request.DeadlineMs = 0;
   EXPECT_EQ(RpcStatus::Ok, C.allocate(Request, Response, ServerError));
+}
+
+TEST(Service, ParkedRequestBlocksNeitherOtherWorkersNorHits) {
+  // Request A parks inside its worker until released. With two workers,
+  // a second cold request and a cache hit must both be answered while A
+  // is still parked, and A must then complete bit-identical. Every read is
+  // bounded by the client timeout, so head-of-line blocking fails the test
+  // instead of hanging it.
+  struct Latch {
+    std::mutex M;
+    std::condition_variable CV;
+    bool Parked = false;
+    bool Released = false;
+    void release() {
+      std::lock_guard<std::mutex> Lock(M);
+      Released = true;
+      CV.notify_all();
+    }
+  } L;
+  ServerTestHooks Hooks;
+  Hooks.FailRequest = [&](const AllocRequest &R) {
+    if (R.ModuleText.find("module li") != std::string::npos) {
+      std::unique_lock<std::mutex> Lock(L.M);
+      L.Parked = true;
+      L.CV.notify_all();
+      L.CV.wait(Lock, [&] { return L.Released; });
+    }
+    return false;
+  };
+  ServerConfig Config;
+  Config.PoolThreads = 2;
+  LiveServer S(Config, Hooks);
+  // Declared after the server so it is destroyed first: a failing
+  // assertion still releases A before the server drains.
+  struct ReleaseOnExit {
+    Latch &L;
+    ~ReleaseOnExit() { L.release(); }
+  } Guard{L};
+  constexpr int TimeoutMs = 5000;
+
+  ServiceClient CA = S.connect();
+  CA.setTimeoutMs(TimeoutMs);
+  AllocRequest A = proxyRequest("li");
+  Frame FA;
+  FA.Type = FrameType::AllocRequest;
+  FA.Payload = encodeAllocRequest(A);
+  std::string Bytes, Err;
+  encodeFrame(FA, Bytes);
+  ASSERT_TRUE(CA.sendRawBytes(Bytes, &Err)) << Err;
+  {
+    std::unique_lock<std::mutex> Lock(L.M);
+    ASSERT_TRUE(L.CV.wait_for(Lock, std::chrono::milliseconds(TimeoutMs),
+                              [&] { return L.Parked; }))
+        << "request A never reached a worker";
+  }
+
+  AllocRequest B = proxyRequest("eqntott");
+  std::string ExpectedIr;
+  CostBreakdown ExpectedTotals;
+  expectedAllocation(B.ModuleText, B, ExpectedIr, ExpectedTotals);
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  ServiceClient CB = S.connect();
+  CB.setTimeoutMs(TimeoutMs);
+  ASSERT_EQ(RpcStatus::Ok, CB.allocate(B, Response, ServerError, &Err))
+      << "cold request blocked behind the parked one: " << Err;
+  EXPECT_EQ(ExpectedIr, Response.AllocatedIr);
+
+  ServiceClient CH = S.connect();
+  CH.setTimeoutMs(TimeoutMs);
+  ASSERT_EQ(RpcStatus::Ok, CH.allocate(B, Response, ServerError, &Err))
+      << "cache hit blocked behind the parked one: " << Err;
+  EXPECT_EQ(ExpectedIr, Response.AllocatedIr);
+  TelemetrySnapshot Stats;
+  ASSERT_EQ(RpcStatus::Ok, CH.stats(Stats, ServerError));
+  EXPECT_EQ(1.0, Stats.count(telemetry::CacheHits));
+  // B's cold run and its hit; A is still parked.
+  EXPECT_EQ(2.0, Stats.count(telemetry::ServeResponsesOk));
+
+  L.release();
+  Frame In;
+  ASSERT_EQ(FrameReadStatus::Ok, CA.readResponse(In, &Err)) << Err;
+  ASSERT_EQ(FrameType::AllocResponse, In.Type) << In.Payload;
+  AllocResponse ResponseA;
+  ASSERT_TRUE(parseAllocResponse(In.Payload, ResponseA, &Err)) << Err;
+  expectedAllocation(A.ModuleText, A, ExpectedIr, ExpectedTotals);
+  EXPECT_EQ(ExpectedIr, ResponseA.AllocatedIr);
+  EXPECT_TRUE(ExpectedTotals == ResponseA.Totals);
 }
 
 // --- drain ---------------------------------------------------------------

@@ -3,21 +3,19 @@
 // The allocation engine as a long-lived daemon: binds a Unix-domain or
 // loopback-TCP socket, speaks the framed protocol of service/WireProtocol.h,
 // answers repeat requests from a content-addressed allocation cache,
-// consistent-hashes cold requests across in-process shards that batch them
-// into engine runs, sheds load when a shard's bounded queue overflows, and
-// drains gracefully on SIGTERM/SIGINT (stops accepting, finishes in-flight
-// work, flushes responses, exits 0).
+// consistent-hashes cold requests across in-process shards whose workers
+// each allocate one request at a time, sheds load when a shard's bounded
+// queue overflows, and drains gracefully on SIGTERM/SIGINT (stops
+// accepting, finishes in-flight work, flushes responses, exits 0).
 //
 //   ccra_serve [options]
 //     --unix=PATH        listen on a Unix-domain socket at PATH
 //     --port=N           listen on 127.0.0.1:N (default; 0 = ephemeral,
 //                        the chosen port is printed on stdout)
-//     --pool-threads=N   engine thread-pool width, split across shards
+//     --pool-threads=N   worker threads, split across shards
 //                        (default 0 = hardware)
 //     --queue=N          request queue capacity, split across shards
 //                        (default 64)
-//     --max-batch=N      max requests fused into one engine grid run
-//                        (default 8)
 //     --max-payload=N    per-frame payload limit in bytes (default 16 MiB)
 //     --write-timeout=MS slow-client response write budget (default 5000)
 //     --shards=N         in-process dispatch shards (default 1); requests
@@ -53,8 +51,7 @@ void onStopSignal(int) { StopRequested.store(true); }
 
 void printUsage() {
   std::cerr << "usage: ccra_serve [--unix=PATH | --port=N] [--pool-threads=N]\n"
-               "                  [--queue=N] [--max-batch=N] "
-               "[--max-payload=N]\n"
+               "                  [--queue=N] [--max-payload=N]\n"
                "                  [--write-timeout=MS] [--shards=N]\n"
                "                  [--cache-bytes=N] [--version]\n";
 }
@@ -89,11 +86,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--queue=", 0) == 0) {
       if (!parseUnsigned(Arg, 8, Config.QueueCapacity) ||
           Config.QueueCapacity == 0) {
-        printUsage();
-        return 2;
-      }
-    } else if (Arg.rfind("--max-batch=", 0) == 0) {
-      if (!parseUnsigned(Arg, 12, Config.MaxBatch) || Config.MaxBatch == 0) {
         printUsage();
         return 2;
       }

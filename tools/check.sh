@@ -17,7 +17,9 @@
 # produce a nonzero hit rate with every response still bit-identical),
 # then the soak (bench/perf_service) whose every valid response must be
 # bit-identical to in-process allocation and whose Zipf phase must clear
-# 100x the committed pre-cache baseline.
+# 100x the committed pre-cache baseline; and last, the smoke of the
+# benchmark declared in BENCHMARK.json (benchmark/run.sh --smoke: every
+# workload at 1/50 size, untraced and traced, every correctness check on).
 #
 # Usage: tools/check.sh [extra cmake args...]
 #   JOBS=N   parallel build jobs (default: nproc)
@@ -100,5 +102,8 @@ tools/bench_gate --baseline BENCH_service.json \
       --fresh build-release/BENCH_service.json
 tools/bench_gate --baseline BENCH_grid.json \
       --fresh build-release/BENCH_grid.json
+
+echo "== Benchmark smoke: BENCHMARK.json workloads at 1/50 size =="
+benchmark/run.sh --smoke
 
 echo "check.sh: all green"
