@@ -20,10 +20,10 @@
 // Phase 3 is the caching-tier gate: a Zipfian workload (skew 1.1 over the
 // proxy x config x mode case population) against a cache-enabled, sharded
 // server. Every response — cached or cold — is still checked bit-identical
-// to in-process allocation, and the phase must clear 100x the committed
-// pre-cache baseline (~64 req/s) with a nonzero hit rate. The mixed soak
-// above runs with the cache DISABLED so "rps_before" stays comparable to
-// that committed baseline.
+// to in-process allocation, and the phase must clear a fixed floor of
+// 6,400 req/s (100x CommittedBaselineRps) with a nonzero hit rate. The
+// mixed soak above runs with both caches DISABLED, so it measures the
+// engine path.
 //
 // Phase 3b repeats the Zipf discipline over REAL code: every program
 // under examples/corpus_c/ lowered by the C frontend, crossed with the
@@ -89,9 +89,11 @@ using namespace ccra;
 
 namespace {
 
-/// The committed pre-cache serving baseline this machine class measured
-/// (BENCH_service.json before the caching tier landed). The Zipf phase
-/// gates on 100x this number.
+/// The soak throughput BENCH_service.json recorded before the caching
+/// tier landed. The Zipf phase gates on 100x this number. The figure was
+/// timeout-bound (each torn-frame probe waited out a 2 s client timeout
+/// before probes half-closed), so it is kept only as the fixed unit of
+/// that floor, not as a measure of the cold path.
 constexpr double CommittedBaselineRps = 64.0;
 
 struct SoakOptions {
@@ -199,16 +201,28 @@ void soakWorker(int Port, const SoakOptions &Opts,
   for (unsigned I = Worker; I < Opts.Requests; I += Opts.Clients) {
     if (I % Opts.MalformedEvery == 0) {
       // Abuse burns a throwaway connection; the serving connection and
-      // everyone else must be unaffected.
+      // everyone else must be unaffected. The torn frame is followed by a
+      // half-close: the server sees EOF mid-frame, answers "malformed" and
+      // closes at once, so the probe asserts that close instead of waiting
+      // out a client timeout.
       ServiceClient Bad;
       if (Bad.connectTcp(Port, &Err)) {
         Bad.setTimeoutMs(2000);
-        std::string Bytes = (I % 2 == 0)
-                                ? std::string("\x00garbage, not a frame", 21)
-                                : tornFrame(I);
+        bool Torn = I % 2 == 1;
+        std::string Bytes = Torn ? tornFrame(I)
+                                 : std::string("\x00garbage, not a frame", 21);
         if (Bad.sendRawBytes(Bytes)) {
           Frame Resp;
-          Bad.readResponse(Resp);
+          if (Torn) {
+            Bad.shutdownWrite();
+            if (Bad.readResponse(Resp) != FrameReadStatus::Ok ||
+                Resp.Type != FrameType::Error ||
+                Bad.readResponse(Resp) != FrameReadStatus::Eof)
+              Fail("torn-frame probe " + std::to_string(I) +
+                   " was not answered and closed");
+          } else {
+            Bad.readResponse(Resp);
+          }
         }
         Bad.close();
         Tally.Malformed.fetch_add(1);
@@ -847,9 +861,8 @@ int main(int Argc, char **Argv) {
   Config.TcpPort = 0;
   Config.QueueCapacity = Opts.QueueCapacity;
   Config.PoolThreads = Opts.PoolThreads;
-  // The mixed soak measures the ENGINE path: cache off so "rps_before"
-  // stays comparable to the committed pre-cache baseline the Zipf phase
-  // gates against.
+  // The mixed soak measures the ENGINE path: both caches off, so every
+  // valid request is parsed, verified and allocated.
   Config.CacheBytes = 0;
   // SHED slices: every ShedEvery-th admission is forced to overflow, so
   // the soak exercises backpressure even when the queue keeps up.

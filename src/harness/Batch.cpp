@@ -2,8 +2,7 @@
 
 #include "harness/Batch.h"
 
-#include "core/EngineBuilder.h"
-#include "ir/Module.h"
+#include "harness/Experiment.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -16,18 +15,10 @@ AllocationBatchResult runItem(const AllocationBatchItem &Item,
                               ThreadPool *Pool) {
   assert(Item.Program && "batch item needs a program");
   AllocationBatchResult Out;
-
   Telemetry T;
-  FrequencyInfo Freq = [&] {
-    Telemetry::ScopedTimer Timer(&T, telemetry::FreqComputePhase);
-    return FrequencyInfo::compute(*Item.Program, Item.Mode);
-  }();
-  AllocationEngine Engine = EngineBuilder(Item.Config)
-                                .options(Item.Options)
-                                .telemetry(&T)
-                                .pool(Pool)
-                                .build();
-  Out.Result = Engine.allocateModule(*Item.Program, Freq);
+  Out.Result = SourceAllocation(*Item.Program)
+                   .run(Item.Config, Item.Options, Item.Mode,
+                        Item.Options.Jobs, T, Pool);
   Out.Telemetry = T.takeSnapshot();
   return Out;
 }

@@ -1,14 +1,14 @@
 //===- harness/Batch.h - Coalesced allocation batches -----------*- C++ -*-===//
 ///
 /// \file
-/// The serving counterpart of the experiment grid: a *batch* is a set of
-/// independent allocation requests (each with its own module, register
-/// configuration, options, and frequency mode), optionally fanned out over
-/// a shared ThreadPool. The allocation service's workers run each request
-/// as a batch of one; every item allocates its module in place (the
-/// service parses a private module per request, so there is nothing to
-/// clone) and the per-item results are bit-identical to running the same
-/// request alone — the same contract the experiment grid documents.
+/// A *batch* is a set of independent allocation requests (each with its
+/// own module, register configuration, options, and frequency mode),
+/// optionally fanned out over a shared ThreadPool. Every item allocates
+/// its module in place through SourceAllocation (harness/Experiment.h),
+/// with no shared analyses, and the per-item results are bit-identical to
+/// running the same request alone. The allocation service no longer uses
+/// batches (its workers run SourceAllocation against the module tier);
+/// the benchmark's in-process replay of a served request still does.
 ///
 //===----------------------------------------------------------------------===//
 

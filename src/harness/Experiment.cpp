@@ -14,52 +14,65 @@
 
 using namespace ccra;
 
+SourceAllocation::SourceAllocation(const Module &Source,
+                                   ModuleAnalysisCache *Cache)
+    : Source(&Source), Cache(Cache), Clone(cloneModule(Source)),
+      Work(Clone.get()) {}
+
+SourceAllocation::SourceAllocation(Module &InPlace)
+    : Source(&InPlace), Work(&InPlace) {}
+
+ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
+                                             const AllocatorOptions &Options,
+                                             FrequencyMode Mode, unsigned Jobs,
+                                             Telemetry &T, ThreadPool *Pool) {
+  // With a cache the analyses run (at most) once per source module across
+  // every allocation of it: frequencies transfer to the clone by position
+  // (same doubles), baseline liveness seeds round 1 by block-id identity.
+  if (Cache) {
+    bool Hit = false;
+    const FrequencyInfo &Shared = Cache->frequencies(*Source, Mode, &Hit);
+    ++(Hit ? CacheHits : CacheMisses);
+    Freq = Shared.remappedTo(*Source, *Work);
+  } else {
+    Telemetry::ScopedTimer Timer(&T, telemetry::FreqComputePhase);
+    Freq = FrequencyInfo::compute(*Work, Mode);
+  }
+
+  AnalysisSeeds Seeds;
+  const AnalysisSeeds *SeedsPtr = nullptr;
+  if (Cache && Options.IncrementalLiveness) {
+    const auto &Fns = Source->functions();
+    for (unsigned I = 0; I < Fns.size(); ++I) {
+      if (Fns[I]->isDeclaration())
+        continue;
+      bool Hit = false;
+      Seeds.BaselineLiveness.push_back(
+          &Cache->baselineLiveness(*Source, I, &Hit));
+      ++(Hit ? CacheHits : CacheMisses);
+    }
+    SeedsPtr = &Seeds;
+  }
+
+  AllocationEngine Engine = EngineBuilder(Config)
+                                .options(Options)
+                                .jobs(Jobs)
+                                .telemetry(&T)
+                                .pool(Pool)
+                                .build();
+  return Engine.allocateModule(*Work, Freq, SeedsPtr);
+}
+
 ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
                                   ModuleAnalysisCache *Cache,
                                   ThreadPool *Pool) {
   assert(Spec.Program && "experiment needs a program");
   ExperimentRun Run;
 
-  std::unique_ptr<Module> Clone = cloneModule(*Spec.Program);
-
-  // With a cache the analyses run (at most) once per source module across
-  // the whole grid: frequencies transfer to the clone by position (same
-  // doubles), baseline liveness seeds round 1 by block-id identity.
-  std::uint64_t CacheHits = 0, CacheMisses = 0;
-  FrequencyInfo Freq;
-  if (Cache) {
-    bool Hit = false;
-    const FrequencyInfo &Shared =
-        Cache->frequencies(*Spec.Program, Spec.Mode, &Hit);
-    ++(Hit ? CacheHits : CacheMisses);
-    Freq = Shared.remappedTo(*Spec.Program, *Clone);
-  } else {
-    Freq = FrequencyInfo::compute(*Clone, Spec.Mode);
-  }
-
-  AnalysisSeeds Seeds;
-  const AnalysisSeeds *SeedsPtr = nullptr;
-  if (Cache && Spec.Options.IncrementalLiveness) {
-    const auto &Fns = Spec.Program->functions();
-    for (unsigned I = 0; I < Fns.size(); ++I) {
-      if (Fns[I]->isDeclaration())
-        continue;
-      bool Hit = false;
-      Seeds.BaselineLiveness.push_back(
-          &Cache->baselineLiveness(*Spec.Program, I, &Hit));
-      ++(Hit ? CacheHits : CacheMisses);
-    }
-    SeedsPtr = &Seeds;
-  }
-
+  SourceAllocation Job(*Spec.Program, Cache);
   Telemetry T;
-  AllocationEngine Engine = EngineBuilder(Spec.Config)
-                                .options(Spec.Options)
-                                .jobs(Spec.Jobs)
-                                .telemetry(&T)
-                                .pool(Pool)
-                                .build();
-  ModuleAllocationResult Alloc = Engine.allocateModule(*Clone, Freq, SeedsPtr);
+  ModuleAllocationResult Alloc =
+      Job.run(Spec.Config, Spec.Options, Spec.Mode, Spec.Jobs, T, Pool);
 
   Run.Result.Costs = Alloc.Totals;
   for (const auto &[F, FA] : Alloc.PerFunction) {
@@ -70,13 +83,13 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
     Run.Result.CalleeRegsPaid += FA.CalleeRegsPaid;
     Run.Result.MaxRounds = std::max(Run.Result.MaxRounds, FA.Rounds);
   }
-  Run.Result.Cycles = estimateDynamicCycles(*Clone, Freq);
+  Run.Result.Cycles = estimateDynamicCycles(Job.module(), Job.frequencies());
 
   if (Cache) {
     T.addCount(telemetry::SchedAnalysisCacheHits,
-               static_cast<double>(CacheHits));
+               static_cast<double>(Job.cacheHits()));
     T.addCount(telemetry::SchedAnalysisCacheMisses,
-               static_cast<double>(CacheMisses));
+               static_cast<double>(Job.cacheMisses()));
   }
   T.addCount(telemetry::Experiments);
   Run.Telemetry = T.snapshot();

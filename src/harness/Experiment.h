@@ -4,7 +4,9 @@
 /// Runs one point of the paper's evaluation grid — (workload, register
 /// configuration, allocator, frequency source) — on a clone of the
 /// workload, and the Table 4 execution-time model. Every bench binary is a
-/// thin loop over this.
+/// thin loop over this. The step inside a grid point (clone, shared
+/// analyses, engine) is SourceAllocation, which the allocation service's
+/// workers run too.
 ///
 /// A grid point is described by an ExperimentSpec and produces an
 /// ExperimentRun: the cost/statistics summary plus the telemetry the
@@ -27,11 +29,13 @@
 #include "support/Telemetry.h"
 #include "target/MachineDescription.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace ccra {
 
+class Module;
 class ModuleAnalysisCache;
 class ThreadPool;
 
@@ -64,6 +68,53 @@ struct ExperimentSpec {
 struct ExperimentRun {
   ExperimentResult Result;
   TelemetrySnapshot Telemetry;
+};
+
+/// One allocation of a module: the step the experiment grid and the
+/// allocation service share. Construction picks the module the engine
+/// mutates (a private clone of a shared source, or a caller's module
+/// allocated in place); run() gets its frequencies and round-1 liveness
+/// seeds, builds the engine and allocates.
+class SourceAllocation {
+public:
+  /// Allocates a clone of \p Source, which is never modified. \p Cache,
+  /// when given, is keyed by \p Source: it supplies the frequencies
+  /// (rekeyed onto the clone) and, under IncrementalLiveness, the
+  /// baseline-liveness seeds. Pure compute-sharing: results are
+  /// bit-identical with or without it.
+  SourceAllocation(const Module &Source, ModuleAnalysisCache *Cache);
+  /// Allocates \p InPlace itself: no clone, no shared analyses.
+  explicit SourceAllocation(Module &InPlace);
+
+  SourceAllocation(const SourceAllocation &) = delete;
+  SourceAllocation &operator=(const SourceAllocation &) = delete;
+
+  /// Allocates the module once, recording the engine's telemetry into
+  /// \p T (plus freq_compute when frequencies are computed here, without
+  /// a cache). \p Pool, when given, carries the Jobs fan-out instead of a
+  /// private pool.
+  ModuleAllocationResult run(const RegisterConfig &Config,
+                             const AllocatorOptions &Options,
+                             FrequencyMode Mode, unsigned Jobs, Telemetry &T,
+                             ThreadPool *Pool = nullptr);
+
+  /// The allocated module and its frequencies (complete after run()).
+  Module &module() { return *Work; }
+  const FrequencyInfo &frequencies() const { return Freq; }
+  /// How many of run()'s analysis-cache lookups hit, and how many
+  /// computed their analysis. Scheduling-dependent, so the grid reports
+  /// them under "sched."; the service leaves them out of its responses,
+  /// whose telemetry every response-cache hit copies and encodes again.
+  std::uint64_t cacheHits() const { return CacheHits; }
+  std::uint64_t cacheMisses() const { return CacheMisses; }
+
+private:
+  const Module *Source;
+  ModuleAnalysisCache *Cache = nullptr;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
+  std::unique_ptr<Module> Clone;
+  Module *Work;
+  FrequencyInfo Freq;
 };
 
 /// Runs one grid point. Results are identical for any Spec.Jobs setting.

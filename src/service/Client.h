@@ -68,6 +68,10 @@ public:
 
   /// Test hook: writes \p Bytes verbatim (torn/garbage frames).
   bool sendRawBytes(const std::string &Bytes, std::string *Err = nullptr);
+  /// Test hook: half-closes the connection after raw bytes, so the
+  /// server sees EOF (a torn frame) at once instead of at its mid-frame
+  /// timeout; the answer can still be read.
+  bool shutdownWrite() { return Conn.shutdownWrite(); }
   /// Test hook: reads one frame; returns the raw read status.
   FrameReadStatus readResponse(Frame &Out, std::string *Err = nullptr);
 

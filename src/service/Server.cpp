@@ -2,7 +2,7 @@
 
 #include "service/Server.h"
 
-#include "harness/Batch.h"
+#include "harness/Experiment.h"
 #include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
@@ -14,6 +14,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace ccra;
 
@@ -46,7 +47,8 @@ AllocationServer::AllocationServer(ServerConfig Config, ServerTestHooks Hooks)
                            this->Config.WriteTimeoutMs, FrameReadTimeoutMs,
                            PollIntervalMs},
            &Telem),
-      Cache(this->Config.CacheBytes) {}
+      Cache(this->Config.CacheBytes - this->Config.CacheBytes / 8),
+      Tier(this->Config.CacheBytes / 8) {}
 
 AllocationServer::~AllocationServer() {
   requestDrain();
@@ -153,6 +155,14 @@ TelemetrySnapshot AllocationServer::stats() const {
   S.Counters[telemetry::CacheInsertions] =
       static_cast<double>(CS.Insertions);
   S.Counters[telemetry::CacheModules] = static_cast<double>(CS.Modules);
+
+  ModuleTierStats TS = Tier.stats();
+  S.Counters[telemetry::CacheModuleHits] = static_cast<double>(TS.Hits);
+  S.Counters[telemetry::CacheModuleMisses] = static_cast<double>(TS.Misses);
+  S.Counters[telemetry::CacheModuleEvictions] =
+      static_cast<double>(TS.Evictions);
+  S.Counters[telemetry::CacheModuleEntries] = static_cast<double>(TS.Entries);
+  S.Counters[telemetry::CacheModuleBytes] = static_cast<double>(TS.Bytes);
   return S;
 }
 
@@ -229,7 +239,8 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   const std::string &ShardKey = Pending->Binary
                                     ? Pending->Request.ModuleBinary
                                     : Pending->Request.ModuleText;
-  Shard &Sh = *Shards[Ring.shardFor(fnv1a64(ShardKey))];
+  Pending->ModuleHash = fnv1a64(ShardKey);
+  Shard &Sh = *Shards[Ring.shardFor(Pending->ModuleHash)];
   Sh.Dispatched.fetch_add(1, std::memory_order_relaxed);
 
   // Admission control: bounded per-shard queue, explicit SHED on overflow.
@@ -320,32 +331,50 @@ void AllocationServer::serve(PendingRequest &P) {
     return;
   }
 
-  // Module admission. Binary modules decode straight into IR (a
-  // bounds-checked byte walk, not a text parse); the verifier runs on
-  // both: decode guarantees structural sanity, not semantic admissibility.
-  std::unique_ptr<Module> M;
+  // Module admission. A module the tier holds is cloned: no parse, no
+  // verify, and its frequencies and baseline liveness come from the
+  // entry's analysis cache. Otherwise binary modules decode straight into
+  // IR (a bounds-checked byte walk, not a text parse) and the verifier runs
+  // on both: decode guarantees structural sanity, not semantic
+  // admissibility. A verified module the tier does not retain (over the
+  // per-entry cap, or the tier is off) is allocated in place by this
+  // worker, its sole owner.
+  std::shared_ptr<ModuleTier::Entry> Entry;
+  std::unique_ptr<Module> Owned;
+  std::optional<SourceAllocation> Job;
   std::string Detail;
   {
     Telemetry::ScopedTimer Admit(&Telem, telemetry::ServeAdmitPhase);
-    std::vector<std::string> Errors;
-    if (P.Binary) {
-      std::string Err;
-      M = decodeModuleBinary(P.Request.ModuleBinary, &Err);
-      if (!M)
-        Errors.push_back(Err);
-    } else {
-      ParseResult PR = parseModule(P.Request.ModuleText);
-      if (PR.ok())
-        M = std::move(PR.M);
-      else
-        Errors = std::move(PR.Errors);
+    const std::string &Bytes =
+        P.Binary ? P.Request.ModuleBinary : P.Request.ModuleText;
+    Entry = Tier.lookup(P.ModuleHash, P.Binary, Bytes);
+    if (!Entry) {
+      std::vector<std::string> Errors;
+      if (P.Binary) {
+        std::string Err;
+        Owned = decodeModuleBinary(Bytes, &Err);
+        if (!Owned)
+          Errors.push_back(Err);
+      } else {
+        ParseResult PR = parseModule(Bytes);
+        if (PR.ok())
+          Owned = std::move(PR.M);
+        else
+          Errors = std::move(PR.Errors);
+      }
+      if (Owned && !verifyModule(*Owned, &Errors))
+        Owned.reset();
+      for (const std::string &E : Errors)
+        Detail += E + "\n";
+      if (Owned && Tier.admits(P.Binary, Bytes.size()))
+        Entry = Tier.insert(P.ModuleHash, P.Binary, Bytes, std::move(Owned));
     }
-    if (M && !verifyModule(*M, &Errors))
-      M.reset();
-    for (const std::string &E : Errors)
-      Detail += E + "\n";
+    if (Entry)
+      Job.emplace(*Entry->Program, &Entry->Analyses);
+    else if (Owned)
+      Job.emplace(*Owned);
   }
-  if (!M) {
+  if (!Job) {
     Telem.addCount(telemetry::ServeMalformed);
     Loop.postResponse(P.ConnId,
                       errorFrame("malformed", "bad module:\n" + Detail));
@@ -359,16 +388,18 @@ void AllocationServer::serve(PendingRequest &P) {
   Frame Out;
   {
     Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
-    std::vector<AllocationBatchResult> Results = runAllocationBatch(
-        {{M.get(), P.Request.Config, P.Request.Options, P.Request.Mode}},
-        nullptr);
-    AllocationBatchResult &R = Results.front();
+    Telemetry EngineTelem;
+    ModuleAllocationResult Result =
+        Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
+                 P.Request.Options.Jobs, EngineTelem);
+    TelemetrySnapshot ItemTelem = EngineTelem.takeSnapshot();
+    Module *M = &Job->module();
 
     // Build the response from per-function IR slices (the exact pieces
     // the cache stores, so a later hit reassembles byte-identical output)
     // and publish it to the cache.
     AllocResponse Resp;
-    Resp.Totals = R.Result.Totals;
+    Resp.Totals = Result.Totals;
     std::string IrHeader = "module " + M->getName() + "\n";
     std::vector<AllocationCache::FunctionRecord> Records;
     {
@@ -381,8 +412,8 @@ void AllocationServer::serve(PendingRequest &P) {
         Rec.Ir += '\n';
         IrBytes += Rec.Ir.size();
         if (!F->isDeclaration()) {
-          auto It = R.Result.PerFunction.find(F.get());
-          if (It != R.Result.PerFunction.end()) {
+          auto It = Result.PerFunction.find(F.get());
+          if (It != Result.PerFunction.end()) {
             const FunctionAllocation &FA = It->second;
             Rec.HasSummary = true;
             Rec.Summary = {F->getName(),       FA.Costs,
@@ -401,21 +432,21 @@ void AllocationServer::serve(PendingRequest &P) {
     }
 
     if (!P.CacheKey.empty())
-      Cache.insert(P.CacheKey, IrHeader, Resp.Totals, R.Telemetry,
+      Cache.insert(P.CacheKey, IrHeader, Resp.Totals, ItemTelem,
                    std::move(Records));
 
-    Telem.merge(R.Telemetry);
+    Telem.merge(ItemTelem);
     Telem.addCount(telemetry::ServeResponsesOk);
     // Last consumer of the item's telemetry: move it into the response
     // instead of copying the ~50-entry maps a third time.
-    Resp.Telemetry = std::move(R.Telemetry);
+    Resp.Telemetry = std::move(ItemTelem);
     Out.Type = FrameType::AllocResponse;
     {
       Telemetry::ScopedTimer Encode(&Telem, telemetry::ServeEncodePhase);
       Out.Payload = encodeAllocResponse(Resp);
     }
   }
-  // Posted before the module and results are freed, so the release cost
-  // stays off the response's latency.
+  // Posted before the module (or clone) and results are freed, so the
+  // release cost stays off the response's latency.
   Loop.postResponse(P.ConnId, std::move(Out));
 }

@@ -15,8 +15,11 @@
 ///                                     shard 0 .. shard N-1, each:
 ///                                       bounded queue
 ///                                       PoolThreads / N workers, each
-///                                       pulling ONE request: parse,
-///                                       verify, allocate, publish
+///                                       pulling ONE request:
+///                                         module tier ─hit─> clone
+///                                           │miss
+///                                         parse, verify, (retain)
+///                                       allocate, publish
 ///
 /// - **Connections.** service/EventLoop.h multiplexes every client over
 ///   one epoll thread: connection count is decoupled from thread count,
@@ -38,14 +41,25 @@
 ///   a pure function of (module bytes, canonical options, config, mode).
 ///   Repeat requests are served straight from the AllocationCache — no
 ///   parse, no IR verify, no engine run, byte-identical to a cold run.
+/// - **Module tier.** Behind the response cache, service/ModuleTier.h
+///   keeps recently seen modules parsed and verified, each with its own
+///   analysis cache. A response miss on a module the tier holds skips
+///   parse, verify, frequency analysis and baseline liveness: the worker
+///   allocates a clone through harness/Experiment.h SourceAllocation, the
+///   same step an experiment-grid point runs. A module the tier does not
+///   retain (over its per-entry cap, or the tier is off) is allocated in
+///   place by its worker, its sole owner. The tier gets an eighth of
+///   CacheBytes, the response cache the rest.
 /// - **Sharding.** Cold requests dispatch to one of Config.Shards worker
 ///   shards through a consistent-hash ring over the module-bytes hash.
 ///   Shards live in this process and share the one cache with no
 ///   coherence protocol, since responses are deterministic.
 /// - **Workers.** Each shard's workers pull one request at a time, so no
 ///   queued request waits behind a slow neighbour while a worker is idle
-///   (per-request cost varies ~20x across modules). Requests run at
-///   Jobs=1 (canonicalKey() does not carry Jobs), so the engine uses a
+///   (per-request cost varies ~20x across modules). Admission (tier
+///   lookup, clone or parse and verify) is timed as serve.admit; the
+///   allocation through the response encode as serve.batch. Requests run
+///   at Jobs=1 (canonicalKey() does not carry Jobs), so the engine uses a
 ///   call-local scratch arena and needs no thread pool.
 /// - **Backpressure.** Each shard's queue is bounded (QueueCapacity split
 ///   evenly); when full an arriving request is answered immediately with
@@ -62,11 +76,12 @@
 ///   confirmation is a simple happens-before, not a count of connections.
 ///
 /// A STATS request returns the server-wide telemetry: "serve."
-/// operational counters, the "cache." and "shard." namespaces of the
-/// cache-and-shard tier, plus the merged engine telemetry of everything
-/// allocated. ServerTestHooks mirrors the fuzz subsystem's InjectedFault:
-/// tests force queue overflow, mid-request worker failure, and worker
-/// stalls without needing to win races.
+/// operational counters, the "cache." (response cache and, as
+/// "cache.module_*", the module tier) and "shard." namespaces, plus the
+/// merged engine telemetry of everything allocated. ServerTestHooks
+/// mirrors the fuzz subsystem's InjectedFault: tests force queue overflow,
+/// mid-request worker failure, and worker stalls without needing to win
+/// races.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +90,7 @@
 
 #include "service/AllocationCache.h"
 #include "service/EventLoop.h"
+#include "service/ModuleTier.h"
 #include "service/Sharding.h"
 #include "service/WireProtocol.h"
 #include "support/Telemetry.h"
@@ -108,7 +124,8 @@ struct ServerConfig {
 
   /// Worker shards behind the consistent-hash dispatcher.
   unsigned Shards = 1;
-  /// Content-addressed allocation cache budget; 0 disables the cache.
+  /// Budget of both caches: the module tier gets an eighth, the response
+  /// cache the rest; 0 disables both.
   std::size_t CacheBytes = 64u << 20;
 };
 
@@ -151,9 +168,9 @@ public:
   /// TCP only: the port actually bound (for TcpPort = 0).
   int boundPort() const { return BoundPort; }
 
-  /// Server-wide telemetry: "serve." counters, the "cache." / "shard."
-  /// namespaces, and merged engine telemetry. What a STATS request
-  /// returns.
+  /// Server-wide telemetry: "serve." counters, the "cache." (both tiers)
+  /// and "shard." namespaces, and merged engine telemetry. What a STATS
+  /// request returns.
   TelemetrySnapshot stats() const;
 
 private:
@@ -164,6 +181,9 @@ private:
     /// allocationCacheKey of the request; empty when the cache is off.
     /// Computed once at admission, reused for the publish.
     std::string CacheKey;
+    /// fnv1a64 of the module bytes, computed once for shard dispatch and
+    /// reused as the module tier's hash.
+    std::uint64_t ModuleHash = 0;
     std::chrono::steady_clock::time_point Arrival;
     /// The event-loop connection awaiting this response; the worker
     /// answers with Loop.postResponse(ConnId, ...).
@@ -183,9 +203,10 @@ private:
   /// frame and a queued PendingRequest (runs on the loop thread).
   FrameDisposition handleFrame(std::uint64_t ConnId, Frame &In);
   void workerLoop(Shard &S);
-  /// Answers \p P: admission checks, module parse and verify, allocation,
-  /// cache publish, response. Every path posts exactly one response, as
-  /// its last step; an exception means nothing was posted.
+  /// Answers \p P: admission checks, module-tier lookup (or parse and
+  /// verify), allocation, cache publish, response. Every path posts
+  /// exactly one response, as its last step; an exception means nothing
+  /// was posted.
   void serve(PendingRequest &P);
   Frame helloFrame() const;
   /// Wakes every shard's workers (drain signal).
@@ -199,6 +220,7 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
   ConsistentHashRing Ring;
   AllocationCache Cache;
+  ModuleTier Tier;
   unsigned PerShardCapacity = 0;
   int BoundPort = -1;
 

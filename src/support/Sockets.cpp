@@ -91,6 +91,10 @@ void Socket::close() {
   }
 }
 
+bool Socket::shutdownWrite() {
+  return Fd >= 0 && ::shutdown(Fd, SHUT_WR) == 0;
+}
+
 IoStatus Socket::sendAll(const void *Data, std::size_t Len, int TimeoutMs,
                          std::string *Err) {
   if (Fd < 0) {

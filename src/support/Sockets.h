@@ -48,6 +48,9 @@ public:
   bool valid() const { return Fd >= 0; }
   int fd() const { return Fd; }
   void close();
+  /// Half-closes the write side: the peer reads EOF after the bytes
+  /// already sent, and this end can still read its answer.
+  bool shutdownWrite();
 
   /// Writes all \p Len bytes within \p TimeoutMs.
   IoStatus sendAll(const void *Data, std::size_t Len, int TimeoutMs,

@@ -208,6 +208,14 @@ inline constexpr const char *CacheEvictions = "cache.evictions";
 inline constexpr const char *CacheBytes = "cache.bytes";
 inline constexpr const char *CacheInsertions = "cache.insertions";
 inline constexpr const char *CacheModules = "cache.modules";
+/// The module tier behind the response cache (service/ModuleTier.h):
+/// lookups of parsed modules by their exact wire bytes, and the retained
+/// entries' count and byte charge.
+inline constexpr const char *CacheModuleHits = "cache.module_hits";
+inline constexpr const char *CacheModuleMisses = "cache.module_misses";
+inline constexpr const char *CacheModuleEvictions = "cache.module_evictions";
+inline constexpr const char *CacheModuleEntries = "cache.module_entries";
+inline constexpr const char *CacheModuleBytes = "cache.module_bytes";
 inline constexpr const char *ShardCount = "shard.count";
 
 // Phase timers.
@@ -225,17 +233,19 @@ inline constexpr const char *AllocateTotal = "allocate_total";
 /// Wall-clock the service's workers spent allocating requests and
 /// building their responses (one "batch" per request).
 inline constexpr const char *ServeBatchPhase = "serve.batch";
-/// Module parse (or binary decode) plus IR verification on the worker,
-/// ahead of and outside serve.batch.
+/// Module admission on the worker, ahead of and outside serve.batch: the
+/// module-tier lookup, then on a tier hit the clone, otherwise module
+/// parse (or binary decode) plus IR verification.
 inline constexpr const char *ServeAdmitPhase = "serve.admit";
 /// Response assembly inside serve.batch: per-function IR rendering plus the
 /// cache-record build (serve.render) and the wire payload encoding
 /// (serve.encode). The difference between serve.batch and
-/// allocate_total + these two is the engine-setup cost (frequency
-/// analysis, engine construction, telemetry snapshots).
+/// allocate_total + these two is the engine-setup cost (frequencies and
+/// seeds, engine construction, telemetry snapshots).
 inline constexpr const char *ServeRenderPhase = "serve.render";
 inline constexpr const char *ServeEncodePhase = "serve.encode";
-/// Frequency analysis ahead of allocation (harness/Batch.h items).
+/// Frequency analysis ahead of an allocation that has no shared analysis
+/// cache (harness/Experiment.h SourceAllocation).
 inline constexpr const char *FreqComputePhase = "freq_compute";
 } // namespace telemetry
 

@@ -12,8 +12,11 @@
 //  - ConsistentHashRing: determinism across instances, full shard
 //    coverage, rough balance, single-shard degeneration, and bounded key
 //    movement when the shard count grows;
-//  - a concurrent hit storm over one shared cache (the TSan stage runs
-//    this binary; see tools/check.sh);
+//  - ModuleTier unit behavior: keying on codec plus exact bytes (never on
+//    the hash alone), LRU eviction by charge, the per-entry cap, evicted
+//    entries kept alive for their holders;
+//  - concurrent hit storms over one shared cache and over the module tier
+//    (the TSan stage runs this binary; see tools/check.sh);
 //  - the end-to-end contract: every committed fuzz corpus entry replayed
 //    twice through a cache-enabled server, with the cached response
 //    byte-identical to the cold one and both bit-identical to in-process
@@ -27,6 +30,7 @@
 #include "ir/IRPrinter.h"
 #include "service/AllocationCache.h"
 #include "service/Client.h"
+#include "service/ModuleTier.h"
 #include "service/Server.h"
 #include "service/Sharding.h"
 #include "support/Hash.h"
@@ -285,6 +289,121 @@ TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
   EXPECT_EQ(0u, BadReplays.load());
   EXPECT_EQ(0u, Cache.stats().Misses)
       << "the hot entry fell out of a 1 MiB cache";
+}
+
+// --- module tier ---------------------------------------------------------
+
+std::unique_ptr<Module> namedModule(const std::string &Name) {
+  return std::make_unique<Module>(Name);
+}
+
+TEST(ModuleTierUnit, KeysOnCodecAndExactBytesNotOnTheHash) {
+  ModuleTier Tier(1u << 20);
+  const std::string Bytes = "module a\n";
+  std::uint64_t H = fnv1a64(Bytes);
+  EXPECT_EQ(nullptr, Tier.lookup(H, false, Bytes));
+  auto Text = Tier.insert(H, false, Bytes, namedModule("a"));
+  ASSERT_NE(nullptr, Text);
+  EXPECT_EQ(Text, Tier.lookup(H, false, Bytes));
+  // Same bytes over the other codec, and other bytes forced into the same
+  // hash bucket, are distinct entries.
+  EXPECT_EQ(nullptr, Tier.lookup(H, true, Bytes));
+  EXPECT_EQ(nullptr, Tier.lookup(H, false, "module b\n"));
+  auto Collider = Tier.insert(H, false, "module b\n", namedModule("b"));
+  EXPECT_NE(Text, Collider);
+  EXPECT_EQ("a", Tier.lookup(H, false, Bytes)->Program->getName());
+  EXPECT_EQ("b", Tier.lookup(H, false, "module b\n")->Program->getName());
+
+  ModuleTierStats S = Tier.stats();
+  EXPECT_EQ(2u, S.Entries);
+  EXPECT_EQ(3u, S.Hits);
+  EXPECT_EQ(3u, S.Misses);
+  EXPECT_EQ(2 * ModuleTier::charge(false, Bytes.size()), S.Bytes);
+}
+
+TEST(ModuleTierUnit, ReinsertingAnExistingKeyReturnsTheFirstEntry) {
+  ModuleTier Tier(1u << 20);
+  auto First = Tier.insert(7, true, "x", namedModule("first"));
+  auto Second = Tier.insert(7, true, "x", namedModule("second"));
+  EXPECT_EQ(First, Second);
+  EXPECT_EQ("first", Second->Program->getName());
+  EXPECT_EQ(1u, Tier.stats().Entries);
+}
+
+TEST(ModuleTierUnit, EvictsLeastRecentlyUsedAndKeepsEvictedEntriesAlive) {
+  // Room for exactly eight 2-byte text modules (the per-entry cap).
+  const std::size_t Charge = ModuleTier::charge(false, 2);
+  ModuleTier Tier(8 * Charge);
+  auto Insert = [&](unsigned I) {
+    std::string Key = {'k', static_cast<char>('a' + I)};
+    return Tier.insert(fnv1a64(Key), false, Key, namedModule(Key));
+  };
+  auto Lookup = [&](unsigned I) {
+    std::string Key = {'k', static_cast<char>('a' + I)};
+    return Tier.lookup(fnv1a64(Key), false, Key);
+  };
+  std::shared_ptr<ModuleTier::Entry> First = Insert(0);
+  for (unsigned I = 1; I < 8; ++I)
+    Insert(I);
+  ASSERT_NE(nullptr, Lookup(0)); // entry 0 is now the most recently used
+  Insert(8);                     // evicts entry 1, the least recently used
+
+  EXPECT_EQ(nullptr, Lookup(1));
+  for (unsigned I : {0u, 2u, 7u, 8u})
+    EXPECT_NE(nullptr, Lookup(I)) << I;
+  ModuleTierStats S = Tier.stats();
+  EXPECT_EQ(1u, S.Evictions);
+  EXPECT_EQ(8u, S.Entries);
+  EXPECT_EQ(8 * Charge, S.Bytes);
+
+  // An evicted entry a request still holds stays valid.
+  for (unsigned I = 10; I < 18; ++I)
+    Insert(I);
+  EXPECT_EQ(nullptr, Lookup(0));
+  EXPECT_EQ("ka", First->Program->getName());
+}
+
+TEST(ModuleTierUnit, AdmitsOnlyEntriesUpToAnEighthOfTheBudget) {
+  ModuleTier Tier(8 * ModuleTier::charge(true, 100));
+  EXPECT_TRUE(Tier.admits(true, 100));
+  EXPECT_FALSE(Tier.admits(true, 101));
+  // Text parses to fewer bytes per wire byte than CIR2 does.
+  EXPECT_TRUE(Tier.admits(false, 300));
+
+  ModuleTier Off(0);
+  EXPECT_FALSE(Off.enabled());
+  EXPECT_FALSE(Off.admits(false, 1));
+  EXPECT_EQ(nullptr, Off.lookup(1, false, "x"));
+  EXPECT_EQ(0u, Off.stats().Misses);
+}
+
+TEST(ModuleTierConcurrency, ChurningLookupsAndInsertsAreRaceFree) {
+  // Twelve keys in a tier that holds eight: workers race inserts of the
+  // same key and evictions of entries other workers are still reading.
+  const std::size_t Charge = ModuleTier::charge(false, 3);
+  ModuleTier Tier(8 * Charge);
+  const unsigned Threads = 4, Rounds = 300;
+  std::atomic<unsigned> Wrong{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (unsigned I = 0; I < Rounds; ++I) {
+        std::string Key = "k" + std::to_string(10 + (I * 5 + T) % 12);
+        std::uint64_t H = fnv1a64(Key);
+        std::shared_ptr<ModuleTier::Entry> E = Tier.lookup(H, false, Key);
+        if (!E)
+          E = Tier.insert(H, false, Key, namedModule(Key));
+        if (E->Program->getName() != Key)
+          Wrong.fetch_add(1);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(0u, Wrong.load());
+  ModuleTierStats S = Tier.stats();
+  EXPECT_LE(S.Bytes, 8 * Charge);
+  EXPECT_GT(S.Evictions, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(Threads) * Rounds, S.Hits + S.Misses);
 }
 
 // --- end to end: cached == cold, bit for bit -----------------------------

@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -444,6 +445,33 @@ TEST(Service, GarbageAndTornFramesNeverTakeTheServerDown) {
   TelemetrySnapshot Stats;
   ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
   EXPECT_GE(Stats.count(telemetry::ServeMalformed), 2.0);
+}
+
+TEST(Service, TornFrameThenHalfCloseIsAnsweredAndClosedAtOnce) {
+  // A half-close after a torn frame is EOF mid-frame: the server answers
+  // "malformed" and closes without waiting out its mid-frame budget.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  C.setTimeoutMs(10000);
+  Frame F;
+  F.Type = FrameType::AllocRequest;
+  F.Payload = proxyRequest("eqntott").ModuleText;
+  std::string Bytes;
+  encodeFrame(F, Bytes);
+  auto Start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(C.sendRawBytes(Bytes.substr(0, WireHeaderSize + 10)));
+  ASSERT_TRUE(C.shutdownWrite());
+  Frame In;
+  ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(In));
+  EXPECT_EQ(FrameType::Error, In.Type);
+  ErrorResponse E;
+  ASSERT_TRUE(parseError(In.Payload, E));
+  EXPECT_EQ("malformed", E.Code);
+  EXPECT_EQ(FrameReadStatus::Eof, C.readResponse(In));
+  auto ElapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_LT(ElapsedMs, 5000) << "the torn frame waited out a timeout";
 }
 
 // --- test hooks: shed, fault, deadline -----------------------------------
@@ -1051,6 +1079,220 @@ TEST(Service, DrainInterruptsSilentAndMidFramePeers) {
                        .count();
   EXPECT_LT(ElapsedMs, 5000) << "drain waited out a wedged peer";
   S.reset();
+}
+
+// --- module tier ---------------------------------------------------------
+
+/// Allocates \p Request on \p C and checks the response against in-process
+/// parse, frequencies, allocation and print of \p ModuleText.
+void expectServedLikeInProcess(ServiceClient &C, const AllocRequest &Request,
+                               const std::string &ModuleText,
+                               const std::string &What,
+                               AllocResponse *Out = nullptr) {
+  std::string ExpectedIr;
+  CostBreakdown ExpectedTotals;
+  expectedAllocation(ModuleText, Request, ExpectedIr, ExpectedTotals);
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  std::string Err;
+  ASSERT_EQ(RpcStatus::Ok, C.allocate(Request, Response, ServerError, &Err))
+      << What << ": " << Err << " [" << ServerError.Code << "] "
+      << ServerError.Message;
+  EXPECT_EQ(ExpectedIr, Response.AllocatedIr) << What;
+  EXPECT_TRUE(ExpectedTotals == Response.Totals) << What;
+  if (Out)
+    *Out = std::move(Response);
+}
+
+TelemetrySnapshot serverStats(ServiceClient &C) {
+  TelemetrySnapshot Stats;
+  ErrorResponse ServerError;
+  EXPECT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
+  return Stats;
+}
+
+std::vector<AllocatorOptions> paperAllocators() {
+  return {improvedOptions(), baseChaitinOptions(), cbhOptions(),
+          priorityOptions(), improvedOptimisticOptions()};
+}
+
+TEST(ModuleTier, OneModuleUnderTheGridIsBitIdenticalToInProcess) {
+  // 5 allocators x 2 modes x 2 configs of one module: the first request
+  // parses it into the tier, the other 19 allocate clones of that entry
+  // with its shared frequencies and liveness seeds.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  const std::string Text = printed(*buildSpecProxy("li"));
+  unsigned Sent = 0;
+  for (const RegisterConfig &Config :
+       {RegisterConfig(9, 7, 3, 3), RegisterConfig(6, 4, 2, 2)})
+    for (const AllocatorOptions &Options : paperAllocators())
+      for (FrequencyMode Mode :
+           {FrequencyMode::Profile, FrequencyMode::Static}) {
+        AllocRequest Request;
+        Request.ModuleText = Text;
+        Request.Config = Config;
+        Request.Options = Options;
+        Request.Mode = Mode;
+        expectServedLikeInProcess(C, Request, Text,
+                                  "request " + std::to_string(Sent));
+        ++Sent;
+      }
+
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheHits));
+  EXPECT_EQ(1.0, Stats.count(telemetry::CacheModuleMisses));
+  EXPECT_EQ(Sent - 1.0, Stats.count(telemetry::CacheModuleHits));
+  EXPECT_EQ(1.0, Stats.count(telemetry::CacheModuleEntries));
+  EXPECT_EQ(static_cast<double>(ModuleTier::charge(false, Text.size())),
+            Stats.count(telemetry::CacheModuleBytes));
+}
+
+TEST(ModuleTier, EvictedThenReinsertedModulesStayBitIdentical) {
+  // A tier that holds exactly eight of the largest module, fed twelve
+  // proxies in a cycle: under LRU every module of the second pass was
+  // evicted and is parsed into a fresh entry, whose analyses must be its
+  // own even when its Module lands at an evicted module's address.
+  std::vector<std::string> Texts;
+  std::size_t MaxCharge = 0, SumCharge = 0;
+  for (const std::string &Proxy : specProxyNames()) {
+    std::string Text = printed(*buildSpecProxy(Proxy));
+    if (Text.size() > 5000)
+      continue; // keep the sizes close, so the tier holds ~8 of them
+    MaxCharge = std::max(MaxCharge, ModuleTier::charge(false, Text.size()));
+    SumCharge += ModuleTier::charge(false, Text.size());
+    Texts.push_back(std::move(Text));
+  }
+  ASSERT_GT(Texts.size(), 8u);
+  ServerConfig Config;
+  Config.CacheBytes = 8 * (8 * MaxCharge); // the tier gets an eighth
+  ASSERT_GT(SumCharge, Config.CacheBytes / 8) << "the tier would not churn";
+  LiveServer S(Config);
+  ServiceClient C = S.connect();
+
+  std::vector<AllocatorOptions> Arms = paperAllocators();
+  for (unsigned Pass = 0; Pass < 2; ++Pass)
+    for (std::size_t I = 0; I < Texts.size(); ++I) {
+      AllocRequest Request;
+      Request.ModuleText = Texts[I];
+      Request.Options = Arms[Pass];
+      expectServedLikeInProcess(C, Request, Texts[I],
+                                "pass " + std::to_string(Pass) + " module " +
+                                    std::to_string(I));
+    }
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleHits));
+  EXPECT_GT(Stats.count(telemetry::CacheModuleEvictions), 0.0);
+  EXPECT_LE(Stats.count(telemetry::CacheModuleBytes),
+            static_cast<double>(Config.CacheBytes / 8));
+
+  // The most recent reinsertion now serves a warm-module miss.
+  AllocRequest Request;
+  Request.ModuleText = Texts.back();
+  Request.Options = Arms[2];
+  expectServedLikeInProcess(C, Request, Texts.back(), "reinserted entry");
+  EXPECT_EQ(1.0, serverStats(C).count(telemetry::CacheModuleHits));
+}
+
+TEST(ModuleTier, MalformedModuleNeverEntersTheTier) {
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Bad = proxyRequest("eqntott");
+  Bad.ModuleText = "this is not ccra ir\n";
+  for (int I = 0; I < 2; ++I) {
+    AllocResponse Response;
+    ErrorResponse ServerError;
+    EXPECT_EQ(RpcStatus::Rejected, C.allocate(Bad, Response, ServerError));
+    EXPECT_EQ("malformed", ServerError.Code);
+  }
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(2.0, Stats.count(telemetry::ServeMalformed));
+  EXPECT_EQ(2.0, Stats.count(telemetry::CacheModuleMisses));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleHits));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleEntries));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleBytes));
+}
+
+TEST(ModuleTier, TextAndBinaryCodecsTakeTwoEntries) {
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest TextReq = proxyRequest("espresso");
+  AllocRequest BinReq = TextReq;
+  ParseResult PR = parseModule(TextReq.ModuleText);
+  ASSERT_TRUE(PR.ok());
+  std::string Err;
+  ASSERT_TRUE(encodeModuleBinary(*PR.M, BinReq.ModuleBinary, &Err)) << Err;
+  BinReq.ModuleText.clear();
+
+  // Two option sets per codec: one miss and one hit on each entry.
+  for (const AllocatorOptions &Options :
+       {improvedOptions(), baseChaitinOptions()}) {
+    TextReq.Options = BinReq.Options = Options;
+    expectServedLikeInProcess(C, TextReq, TextReq.ModuleText, "text");
+    expectServedLikeInProcess(C, BinReq, TextReq.ModuleText, "binary");
+  }
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(2.0, Stats.count(telemetry::CacheModuleEntries));
+  EXPECT_EQ(2.0, Stats.count(telemetry::CacheModuleMisses));
+  EXPECT_EQ(2.0, Stats.count(telemetry::CacheModuleHits));
+  std::size_t Charged = ModuleTier::charge(false, TextReq.ModuleText.size()) +
+                        ModuleTier::charge(true, BinReq.ModuleBinary.size());
+  EXPECT_EQ(static_cast<double>(Charged),
+            Stats.count(telemetry::CacheModuleBytes));
+}
+
+TEST(ModuleTier, ModuleOverThePerEntryCapIsServedButNotRetained) {
+  AllocRequest Request = proxyRequest("gcc");
+  std::size_t Charge = ModuleTier::charge(false, Request.ModuleText.size());
+  ServerConfig Config;
+  // A tier of 8 * Charge - 8 bytes caps entries just below Charge.
+  Config.CacheBytes = 8 * (8 * Charge - 8);
+  LiveServer S(Config);
+  ServiceClient C = S.connect();
+  for (const AllocatorOptions &Options : {improvedOptions(), cbhOptions()}) {
+    Request.Options = Options;
+    expectServedLikeInProcess(C, Request, Request.ModuleText, "oversized");
+  }
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(2.0, Stats.count(telemetry::ServeResponsesOk));
+  EXPECT_EQ(2.0, Stats.count(telemetry::CacheModuleMisses));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleHits));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleEntries));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleBytes));
+}
+
+TEST(ModuleTier, WarmModuleMissComputesNoLiveness) {
+  // The gate of the shared cold path: with IncrementalLiveness on, a
+  // response miss on a module the tier holds seeds round 1 from the
+  // entry's baseline liveness and never runs the liveness fixpoint.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Request = proxyRequest("sc");
+  Request.Options.IncrementalLiveness = true;
+  Request.Config = RegisterConfig(9, 7, 3, 3);
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "cold module");
+
+  Request.Config = RegisterConfig(6, 4, 2, 2);
+  AllocResponse Warm;
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "warm module",
+                            &Warm);
+  EXPECT_GT(Warm.Telemetry.count(telemetry::Functions), 0.0);
+  EXPECT_EQ(0.0, Warm.Telemetry.count(telemetry::LivenessComputes));
+  EXPECT_EQ(1.0, serverStats(C).count(telemetry::CacheModuleHits));
+}
+
+TEST(ModuleTier, DisabledCachesDisableTheTier) {
+  ServerConfig Config;
+  Config.CacheBytes = 0;
+  LiveServer S(Config);
+  ServiceClient C = S.connect();
+  AllocRequest Request = proxyRequest("eqntott");
+  for (int I = 0; I < 2; ++I)
+    expectServedLikeInProcess(C, Request, Request.ModuleText, "cache off");
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleHits));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleMisses));
+  EXPECT_EQ(0.0, Stats.count(telemetry::CacheModuleEntries));
 }
 
 } // namespace

@@ -19,20 +19,22 @@
 //     burst [--requests=N] [--clients=N] [--malformed-every=N]
 //           [--deadline-every=N] [--zipf] [--wire=v2]
 //        CI smoke: N requests (default 200) across C concurrent client
-//        connections (default 4), cycling the built-in proxies and
-//        allocator configurations, interleaving malformed frames (every
+//        connections (default 4), cycling 56 cases (each built-in proxy
+//        under four allocators), interleaving malformed frames (every
 //        Nth request opens a throwaway connection and writes garbage;
 //        default 17) and tiny deadlines (default 31). Every successful
 //        response is verified BIT-IDENTICAL to an in-process allocation of
 //        the same module/options. Exits non-zero on any mismatch, crash,
-//        or transport error on a valid request.
+//        or transport error on a valid request. When the server's hello
+//        advertises the v1.1 cache capability, the burst also requires a
+//        nonzero cache.module_hits from STATS: a proxy's second allocator
+//        is a response-cache miss on a module the tier already holds.
 //        --zipf is the cache smoke: cases are sampled from a Zipfian
-//        distribution (skew 1.1) instead of round-robin, and when the
-//        server's hello advertises the v1.1 cache capability the burst
-//        additionally requires a nonzero cache hit count from STATS (the
-//        bit-identity check above then covers cached responses too). A
-//        v1.0 server without the capability fields just skips the
-//        hit-rate assertion — the mixed-version path.
+//        distribution (skew 1.1) instead of round-robin, and against a
+//        cache-capable server the burst additionally requires a nonzero
+//        cache hit count (the bit-identity check above then covers cached
+//        responses too). A v1.0 server without the capability fields just
+//        skips both cache assertions — the mixed-version path.
 //     --version
 //        Print build info and exit.
 //
@@ -369,10 +371,15 @@ void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
         Fail("malformed-leg connect: " + Err);
         return;
       }
-      std::string Garbage = (I % 2 == 0)
-                                ? std::string("\x13\x37not a frame at all", 19)
-                                : encodeGarbageTornFrame(I);
+      bool Torn = I % 2 == 1;
+      std::string Garbage = Torn
+                                ? encodeGarbageTornFrame(I)
+                                : std::string("\x13\x37not a frame at all", 19);
       if (Bad.sendRawBytes(Garbage)) {
+        // Half-close after a torn frame: the server sees EOF mid-frame and
+        // answers at once instead of at its mid-frame read budget.
+        if (Torn)
+          Bad.shutdownWrite();
         Frame Resp;
         if (Bad.readResponse(Resp) == FrameReadStatus::Ok)
           Tally.MalformedAnswered.fetch_add(1);
@@ -436,7 +443,8 @@ void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
 
 std::string encodeGarbageTornFrame(unsigned Seed) {
   // A valid header announcing more payload than we send: the server's
-  // frame read must time out or see EOF, count it malformed, and move on.
+  // frame read sees EOF (the caller half-closes), counts it malformed,
+  // and moves on.
   Frame F;
   F.Type = FrameType::AllocRequest;
   F.Payload = "config: 9,7,3,3\nmodule:\nmodule torn\n";
@@ -477,31 +485,37 @@ int runBurst(const Endpoint &EP, int Argc, char **Argv, int First) {
   }
 
   // Precompute the case mix and its bit-exact expectations once, so the
-  // hot loop only compares.
+  // hot loop only compares. Each proxy goes out under every allocator, so
+  // all but its first allocation find the module in the server's tier.
   const char *Allocators[] = {"improved", "base", "cbh", "priority"};
   std::vector<BurstCase> Cases;
   for (const std::string &Proxy : specProxyNames()) {
-    BurstCase Case;
     std::unique_ptr<Module> M = buildSpecProxy(Proxy);
-    Case.Request.ModuleText = moduleText(*M);
+    std::string Text = moduleText(*M);
+    std::string Binary;
     if (Opts.WireV2) {
       std::string EncErr;
-      if (!encodeModuleBinary(*M, Case.ModuleBinary, &EncErr)) {
+      if (!encodeModuleBinary(*M, Binary, &EncErr)) {
         std::cerr << "ccra_client: cannot binary-encode " << Proxy << ": "
                   << EncErr << '\n';
         return 1;
       }
     }
-    allocatorOptionsFor(Allocators[Cases.size() % 4], Case.Request.Options);
-    Case.Request.Mode =
-        Cases.size() % 2 ? FrequencyMode::Static : FrequencyMode::Profile;
-    if (!expectedAllocation(Case.Request, Case.ExpectedIr,
-                            Case.ExpectedTotals)) {
-      std::cerr << "ccra_client: failed to precompute expectation for "
-                << Proxy << '\n';
-      return 1;
+    for (const char *Allocator : Allocators) {
+      BurstCase Case;
+      Case.Request.ModuleText = Text;
+      Case.ModuleBinary = Binary;
+      allocatorOptionsFor(Allocator, Case.Request.Options);
+      Case.Request.Mode =
+          Cases.size() % 2 ? FrequencyMode::Static : FrequencyMode::Profile;
+      if (!expectedAllocation(Case.Request, Case.ExpectedIr,
+                              Case.ExpectedTotals)) {
+        std::cerr << "ccra_client: failed to precompute expectation for "
+                  << Proxy << " under " << Allocator << '\n';
+        return 1;
+      }
+      Cases.push_back(std::move(Case));
     }
-    Cases.push_back(std::move(Case));
   }
 
   std::vector<double> ZipfTable;
@@ -529,31 +543,39 @@ int runBurst(const Endpoint &EP, int Argc, char **Argv, int First) {
     return 1;
   }
 
+  // The cache assertions. A v1.0 server never advertises the capability,
+  // so mixed-version runs skip them.
+  ServiceClient Client;
+  std::string Err;
+  if (!EP.connect(Client, &Err)) {
+    std::cerr << "ccra_client: burst stats connect: " << Err << '\n';
+    return 1;
+  }
+  bool CacheCapable =
+      Client.hello().ProtocolMinor >= 1 && Client.hello().CacheEnabled;
+  TelemetrySnapshot Snapshot;
+  ErrorResponse ServerError;
+  if (Client.stats(Snapshot, ServerError, &Err) != RpcStatus::Ok) {
+    std::cerr << "ccra_client: burst stats: " << Err << '\n';
+    return 1;
+  }
+  const char *Skipped =
+      CacheCapable ? "" : " (server not cache-capable; skipped)";
+  double ModuleHits = Snapshot.count(telemetry::CacheModuleHits);
+  std::cout << "module tier: hits " << ModuleHits << ", misses "
+            << Snapshot.count(telemetry::CacheModuleMisses) << Skipped << '\n';
+  if (CacheCapable && ModuleHits <= 0) {
+    std::cerr << "ccra_client: burst produced no module-tier hits against a "
+                 "cache-capable server\n";
+    return 1;
+  }
+
   if (Opts.Zipf) {
-    // The cache smoke's second assertion: a skewed workload against a
-    // cache-capable server must actually hit. A v1.0 server never
-    // advertises the capability, so mixed-version runs skip the check.
-    ServiceClient Client;
-    std::string Err;
-    if (!EP.connect(Client, &Err)) {
-      std::cerr << "ccra_client: zipf stats connect: " << Err << '\n';
-      return 1;
-    }
-    bool CacheCapable =
-        Client.hello().ProtocolMinor >= 1 && Client.hello().CacheEnabled;
-    TelemetrySnapshot Snapshot;
-    ErrorResponse ServerError;
-    if (Client.stats(Snapshot, ServerError, &Err) != RpcStatus::Ok) {
-      std::cerr << "ccra_client: zipf stats: " << Err << '\n';
-      return 1;
-    }
     double Hits = Snapshot.count(telemetry::CacheHits);
     double Misses = Snapshot.count(telemetry::CacheMisses);
     double Rate = (Hits + Misses) > 0 ? Hits / (Hits + Misses) : 0.0;
     std::cout << "zipf: cache hits " << Hits << ", misses " << Misses
-              << ", hit-rate " << Rate
-              << (CacheCapable ? "" : " (server not cache-capable; skipped)")
-              << '\n';
+              << ", hit-rate " << Rate << Skipped << '\n';
     if (CacheCapable && Hits <= 0) {
       std::cerr << "ccra_client: zipf burst produced no cache hits against a "
                    "cache-capable server\n";

@@ -20,8 +20,9 @@
 //     --write-timeout=MS slow-client response write budget (default 5000)
 //     --shards=N         in-process dispatch shards (default 1); requests
 //                        route by consistent hash of the module text
-//     --cache-bytes=N    allocation cache budget in bytes (default 64 MiB;
-//                        0 disables the cache)
+//     --cache-bytes=N    budget of both caches in bytes (default 64 MiB):
+//                        an eighth for parsed modules, the rest for
+//                        responses; 0 disables both
 //     --version          print build info and exit
 //
 // On successful startup prints exactly one line to stdout:
