@@ -5,7 +5,7 @@
 // interval graphs with bounded degree, the shape where sparse adjacency
 // and worklist simplification pay off) is allocated twice per size:
 //
-//   reference: the O(V^2) reference simplifier over the dense triangular
+//   reference: the O(V^2) reference simplifier over the dense square
 //              bit matrix (LegacySimplifier = true, GraphMode = Dense) —
 //              quadratic time and memory, capped at the size where it
 //              stops being worth the wait.

@@ -158,21 +158,44 @@ FrequencyInfo FrequencyInfo::compute(const Module &M, FrequencyMode Mode,
   //              relFreq(block(c)) * inv(F).
   // The workloads' call graphs are DAGs, so this converges in at most
   // #functions passes; the cap guards against accidental recursion.
+  //
+  // Complexity: O(instructions + passes × call sites). One walk lists each
+  // callee's call sites as (caller, relative block frequency) in function
+  // → block → instruction order, and each pass sums its callee's list. A
+  // pass thus makes the same additions, in the same order, as a scan of
+  // the whole module per callee would, reading each caller's current
+  // EntryFreq, so the results are the same doubles at a fraction of the
+  // O(passes × functions × instructions) cost. Calls to functions outside
+  // M are never counted.
+  struct IndexedCallSite {
+    const FunctionFrequencies *Caller;
+    double RelativeFreq;
+  };
+  std::unordered_map<const Function *, std::vector<IndexedCallSite>> SitesOf;
+  for (const auto &G : M.functions())
+    SitesOf.try_emplace(G.get());
+  for (const auto &F : M.functions()) {
+    if (F->isDeclaration())
+      continue;
+    const FunctionFrequencies &FF = Info.PerFunction[F.get()];
+    for (const auto &BB : F->blocks())
+      for (const Instruction &I : BB->instructions()) {
+        if (!I.isCall())
+          continue;
+        auto It = SitesOf.find(I.Callee);
+        if (It != SitesOf.end())
+          It->second.push_back({&FF, FF.RelativeBlockFreq[BB->getId()]});
+      }
+  }
+
   const Function *Entry = M.getEntryFunction();
   const int MaxPasses = static_cast<int>(M.functions().size()) + 8;
   for (int Pass = 0; Pass < MaxPasses; ++Pass) {
     bool Changed = false;
     for (const auto &G : M.functions()) {
       double NewInv = (G.get() == Entry) ? EntryInvocations : 0.0;
-      for (const auto &F : M.functions()) {
-        if (F->isDeclaration())
-          continue;
-        const FunctionFrequencies &FF = Info.PerFunction[F.get()];
-        for (const auto &BB : F->blocks())
-          for (const Instruction &I : BB->instructions())
-            if (I.isCall() && I.Callee == G.get())
-              NewInv += FF.RelativeBlockFreq[BB->getId()] * FF.EntryFreq;
-      }
+      for (const IndexedCallSite &CS : SitesOf[G.get()])
+        NewInv += CS.RelativeFreq * CS.Caller->EntryFreq;
       FunctionFrequencies &GF = Info.PerFunction[G.get()];
       if (std::abs(NewInv - GF.EntryFreq) >
           1e-9 * std::max(1.0, std::abs(NewInv))) {

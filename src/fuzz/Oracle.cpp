@@ -219,7 +219,9 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
     return O;
   };
   AllocatorOptions Base = Common(improvedOptions());
-  Base.GraphMode = GraphRep::Dense; // explicit, so the sparse leg differs
+  // Explicit, so the sparse leg differs: the baseline's graphs are row
+  // built, the sparse leg's are built edge by edge.
+  Base.GraphMode = GraphRep::Dense;
   Base.Jobs = 1;
 
   std::vector<OracleLeg> Legs;

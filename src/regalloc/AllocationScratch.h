@@ -2,10 +2,10 @@
 ///
 /// \file
 /// A bundle of reusable buffers for the allocation hot path. Small-function
-/// allocation is dominated by malloc churn: every block scanned by
-/// InterferenceGraph::scanBlockForEdges used to allocate a fresh BitVector
-/// and two vectors, every coalescing pass a Touched array, every round a
-/// spill-index map. An AllocationScratch owns those buffers and hands them
+/// allocation is dominated by malloc churn: every block the interference
+/// scan walks used to allocate a fresh BitVector and two vectors, every
+/// coalescing pass a Touched array, every round a spill-index map. An
+/// AllocationScratch owns those buffers and hands them
 /// out re-initialized, so the capacity acquired on the first function is
 /// recycled across blocks, passes, rounds, and functions.
 ///
@@ -28,6 +28,7 @@
 #ifndef CCRA_REGALLOC_ALLOCATIONSCRATCH_H
 #define CCRA_REGALLOC_ALLOCATIONSCRATCH_H
 
+#include "ir/Register.h"
 #include "support/BitVector.h"
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace ccra {
 
 class AllocationScratch {
 public:
-  /// scanBlockForEdges: the vreg-granularity live set. Returned resized to
+  /// Interference scan: the vreg-granularity live set. Returned resized to
   /// \p NumVRegs with every bit clear.
   BitVector &liveBits(unsigned NumVRegs) {
     noteReuse(LiveBits.size() >= NumVRegs);
@@ -48,21 +49,31 @@ public:
     return LiveBits;
   }
 
-  /// scanBlockForEdges: live-vreg count per live range, zeroed.
+  /// Interference scan: live-vreg count per live range, zeroed.
   std::vector<unsigned> &rangeLiveCount(unsigned NumRanges) {
     noteReuse(RangeLiveCount.capacity() >= NumRanges);
     RangeLiveCount.assign(NumRanges, 0);
     return RangeLiveCount;
   }
 
-  /// scanBlockForEdges: dense list of currently live ranges, emptied.
+  /// Interference scan: dense list of currently live ranges, emptied.
   std::vector<unsigned> &rangeLiveList() {
     noteReuse(RangeLiveList.capacity() > 0);
     RangeLiveList.clear();
     return RangeLiveList;
   }
 
-  /// scanBlockForEdges: position of each live range inside rangeLiveList(),
+  /// Interference scan: the live ranges of bank \p Bank, as a bitset over
+  /// range ids. Returned resized to \p NumRanges with every bit clear.
+  BitVector &bankLiveRanges(RegBank Bank, unsigned NumRanges) {
+    BitVector &Set = BankLiveRanges[static_cast<unsigned>(Bank)];
+    noteReuse(Set.size() >= NumRanges);
+    Set.resize(NumRanges);
+    Set.resetAll();
+    return Set;
+  }
+
+  /// Interference scan: position of each live range inside rangeLiveList(),
   /// for O(1) swap-removal. Returned sized to \p NumRanges; contents are
   /// only read for ranges currently in the live list, so no re-init beyond
   /// the resize is needed.
@@ -108,11 +119,21 @@ public:
     GraphAdj = std::move(Adj);
   }
 
-  BitVector takeGraphMatrix() {
-    noteReuse(GraphMatrix.memoryBytes() > 0);
-    return std::move(GraphMatrix);
+  std::vector<std::uint64_t> takeGraphRows() {
+    noteReuse(GraphRows.capacity() > 0);
+    return std::move(GraphRows);
   }
-  void storeGraphMatrix(BitVector &&Matrix) { GraphMatrix = std::move(Matrix); }
+  void storeGraphRows(std::vector<std::uint64_t> &&Rows) {
+    GraphRows = std::move(Rows);
+  }
+
+  std::vector<std::pair<unsigned, unsigned>> takeGraphRowSpans() {
+    noteReuse(GraphRowSpans.capacity() > 0);
+    return std::move(GraphRowSpans);
+  }
+  void storeGraphRowSpans(std::vector<std::pair<unsigned, unsigned>> &&Spans) {
+    GraphRowSpans = std::move(Spans);
+  }
 
   std::unordered_set<uint64_t> takeGraphEdgeSet() {
     noteReuse(GraphEdgeSet.bucket_count() > 0);
@@ -131,6 +152,7 @@ private:
   void noteReuse(bool Reused) { Reuses += Reused ? 1 : 0; }
 
   BitVector LiveBits;
+  BitVector BankLiveRanges[NumRegBanks];
   std::vector<unsigned> RangeLiveCount;
   std::vector<unsigned> RangeLiveList;
   std::vector<unsigned> RangeLivePos;
@@ -138,7 +160,8 @@ private:
   std::vector<char> DeleteFlags;
   std::vector<int> SpillIndexOfRange;
   std::vector<std::vector<unsigned>> GraphAdj;
-  BitVector GraphMatrix;
+  std::vector<std::uint64_t> GraphRows;
+  std::vector<std::pair<unsigned, unsigned>> GraphRowSpans;
   std::unordered_set<uint64_t> GraphEdgeSet;
   std::uint64_t Reuses = 0;
 };

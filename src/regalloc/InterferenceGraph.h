@@ -9,14 +9,20 @@
 /// The edge relation is stored in one of two representations behind a single
 /// query API (GraphRep):
 ///
-///  - Dense: a strict-lower-triangle bit matrix. O(1) `interfere` and edge
-///    dedup, but V*(V-1)/2 bits of memory — quadratic in the node count.
+///  - Dense: one square bit matrix, row A holding A's neighbors, each row
+///    padded to a whole number of 64-bit words (the row stride). O(1)
+///    `interfere` (one bit) and edge dedup (`addEdge` sets two bits). The
+///    square costs twice the bits of a strict lower triangle, V^2 instead
+///    of V*(V-1)/2, and buys word-aligned rows: build() ORs the live ranges
+///    of a def's bank into the def's row a word at a time, then mirrors the
+///    rows and emits every adjacency list in ascending order straight from
+///    its row, with no per-edge calls and no sort.
 ///  - Sparse: per-node adjacency only. While building, a hash set of packed
 ///    (min,max) edge keys provides dedup and O(1) `interfere`; `finalize()`
 ///    sorts the adjacency lists, drops the hash set, and switches
 ///    `interfere` to a binary search of the smaller endpoint's list.
 ///
-/// Auto policy picks Dense below DenseNodeThreshold nodes and Sparse above
+/// Auto policy picks Dense up to DenseNodeThreshold nodes and Sparse above
 /// it, so per-function cost scales with V+E instead of V^2 on large
 /// functions. Both representations expose *identical* adjacency: finalize()
 /// canonicalizes neighbor lists to ascending order (build() and the graph
@@ -24,6 +30,11 @@
 /// Coalescer, GraphReconstructor, CBHAllocator, AllocationVerifier — is
 /// representation-agnostic and allocation results are bit-identical under
 /// every policy.
+///
+/// The edge rule (same bank, no self edge, Chaitin's copy exception below,
+/// every pair of results of one instruction) lives in one block scan. The
+/// row build and the per-edge path (scanBlockForEdges: sparse builds and
+/// the reconstructor's rescans) both consume that scan.
 ///
 /// Copy instructions get the classic Chaitin special case: at "move d <- s"
 /// no edge is added between d and s, which is what makes them coalescable.
@@ -48,14 +59,14 @@ class Liveness;
 class InterferenceGraph {
 public:
   /// Auto switches from the bit matrix to sparse adjacency above this node
-  /// count. At the threshold the matrix holds ~8M bits (1 MiB) — still
-  /// cheap to zero; one step further doubles per-function memory for no
-  /// query-speed win the allocator can measure.
+  /// count. At the threshold the square matrix holds 16M bits (2 MiB) —
+  /// still cheap to zero; one step further quadruples per-function memory
+  /// for no query-speed win the allocator can measure.
   static constexpr unsigned DenseNodeThreshold = 4096;
 
   InterferenceGraph() = default;
   /// \p Scratch, when given, donates recycled buffer capacity (adjacency
-  /// lists, matrix words, edge-set buckets) instead of fresh allocations.
+  /// lists, matrix rows, edge-set buckets) instead of fresh allocations.
   explicit InterferenceGraph(unsigned NumNodes,
                              GraphRep Policy = GraphRep::Auto,
                              AllocationScratch *Scratch = nullptr);
@@ -87,15 +98,16 @@ public:
   }
 
   /// Canonicalizes the adjacency lists to ascending node order (identical
-  /// across representations) and, in sparse mode, releases the build-time
-  /// edge hash set in favor of binary-search `interfere`. Idempotent.
+  /// across representations: dense re-emits them from the rows, sparse
+  /// sorts them) and, in sparse mode, releases the build-time edge hash
+  /// set in favor of binary-search `interfere`. Idempotent.
   /// Queries work before and after; addEdge after finalize transparently
   /// re-opens the build state. \p S, when given, receives the released
   /// sparse edge-set buckets for the next build.
   void finalize(AllocationScratch *S = nullptr);
 
   /// Approximate heap bytes held by the graph (adjacency capacity, matrix
-  /// words, edge-set buckets) — feeds the alloc.peak_graph_bytes counter.
+  /// rows, edge-set buckets) — feeds the alloc.peak_graph_bytes counter.
   size_t memoryBytes() const;
 
   /// Returns the internal buffers' capacity to \p S so the next graph built
@@ -103,7 +115,8 @@ public:
   /// empty.
   void recycle(AllocationScratch &S);
 
-  /// Builds the graph for \p F from liveness and the live-range set.
+  /// Builds the graph for \p F from liveness and the live-range set: a
+  /// dense graph a row word at a time, a sparse one edge by edge.
   /// \p Scratch, when given, supplies the per-block scan buffers and
   /// recycled graph storage (one internal arena is used otherwise). The
   /// returned graph is finalized.
@@ -113,8 +126,9 @@ public:
                                  GraphRep Policy = GraphRep::Auto);
 
   /// Adds every interference edge arising within \p BB (given its live-out
-  /// set) to \p IG. Idempotent; the incremental graph reconstruction uses
-  /// it to rescan only the blocks spill code touched. \p Scratch, when
+  /// set) to \p IG, one addEdge per pair. Idempotent; sparse builds use it,
+  /// and the incremental graph reconstruction uses it to rescan only the
+  /// blocks spill code touched. \p Scratch, when
   /// given, supplies the scan buffers instead of per-call allocations.
   static void scanBlockForEdges(const Function &F, const BasicBlock &BB,
                                 const BitVector &LiveOut,
@@ -123,7 +137,27 @@ public:
                                 AllocationScratch *Scratch = nullptr);
 
 private:
-  size_t matrixIndex(unsigned A, unsigned B) const;
+  static constexpr unsigned BitsPerWord = 64;
+  static uint64_t bitMask(unsigned Node) {
+    return uint64_t(1) << (Node % BitsPerWord);
+  }
+  /// Dense: the word of row \p A that holds column \p B.
+  uint64_t &rowWord(unsigned A, unsigned B) {
+    return Rows[static_cast<size_t>(A) * Stride + B / BitsPerWord];
+  }
+  uint64_t rowWord(unsigned A, unsigned B) const {
+    return Rows[static_cast<size_t>(A) * Stride + B / BitsPerWord];
+  }
+  /// Dense: sets bit \p B of row \p A.
+  void setRowBit(unsigned A, unsigned B);
+  /// Dense: ORs the set \p Words (numNodes() bits) into row \p A.
+  void orIntoRow(unsigned A, const std::vector<uint64_t> &Words);
+  /// Dense row build: sets the mirror of every set bit, so each row holds
+  /// all of its node's neighbors.
+  void mirrorRows();
+  /// Dense: refills every adjacency list in ascending order from its row
+  /// and recounts NumEdges.
+  void emitRows();
   static uint64_t edgeKey(unsigned A, unsigned B) {
     if (A > B)
       std::swap(A, B);
@@ -134,7 +168,13 @@ private:
   void reopenEdgeSet();
 
   std::vector<std::vector<unsigned>> Adj;
-  BitVector Matrix;                    // dense: strict lower triangle
+  std::vector<uint64_t> Rows;           // dense: numNodes() rows of Stride words
+  size_t Stride = 0;                    // dense: words per row
+  /// Dense: per row, the half-open range of words that may be nonzero
+  /// (every word outside it is zero). Mirroring and emitting walk only
+  /// these words, so a long, low-degree graph does not read V^2 bits
+  /// twice over.
+  std::vector<std::pair<unsigned, unsigned>> RowSpans;
   std::unordered_set<uint64_t> EdgeSet; // sparse: dedup until finalize()
   size_t NumEdges = 0;
   GraphRep Policy = GraphRep::Auto;

@@ -6,14 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A word-packed bit vector used for dataflow sets (liveness) and
-/// interference bit matrices. Mirrors the subset of llvm::BitVector the
-/// allocator needs: set/reset/test, bulk union/intersect/subtract, iteration
-/// over set bits, and population count.
+/// A word-packed bit vector used for dataflow sets (liveness) and the
+/// interference graph's per-bank live-range sets. Mirrors the subset of
+/// llvm::BitVector the allocator needs: set/reset/test, bulk
+/// union/intersect/subtract, iteration over set bits, and population count.
+/// words() exposes the packed words, so a caller can OR a whole set into
+/// a word-aligned row of its own (InterferenceGraph's dense matrix).
 ///
-/// Indices are size_t: the triangular interference bit matrix stores
-/// V*(V-1)/2 bits, which exceeds 2^32 once V reaches ~93k nodes, so the
-/// index space must be wider than the node count's.
+/// Indices are size_t, wider than a node count, so a set indexed by pairs
+/// of nodes cannot overflow. The interference graph's dense matrix, once a
+/// triangular BitVector of V*(V-1)/2 bits, is now a square matrix of
+/// word-aligned rows of its own (InterferenceGraph.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +107,10 @@ public:
 
   /// Appends the index of every set bit to \p Out.
   void collectSetBits(std::vector<unsigned> &Out) const;
+
+  /// The packed words, bit I at words()[I / 64] bit (I % 64). Bits past
+  /// size() in the last word are always clear.
+  const std::vector<uint64_t> &words() const { return Words; }
 
   /// Bytes of heap capacity held by the word array (for memory telemetry).
   size_t memoryBytes() const { return Words.capacity() * sizeof(uint64_t); }

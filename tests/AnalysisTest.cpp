@@ -9,9 +9,13 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/RandomProgram.h"
 
+#include <bit>
+#include <cmath>
 #include <gtest/gtest.h>
+#include <unordered_map>
 
 using namespace ccra;
 
@@ -302,6 +306,151 @@ TEST(Frequency, EntryInvocationsScale) {
 TEST(Frequency, ModeNames) {
   EXPECT_STREQ(frequencyModeName(FrequencyMode::Static), "static");
   EXPECT_STREQ(frequencyModeName(FrequencyMode::Profile), "dynamic");
+}
+
+/// The interprocedural loop of FrequencyInfo::compute as it was before call
+/// sites were indexed: every pass rescans every instruction of every
+/// function for calls to each callee. The indexed loop must reproduce its
+/// entry frequencies bit for bit.
+std::unordered_map<const Function *, double>
+rescanEntryFrequencies(const Module &M, FrequencyMode Mode) {
+  std::unordered_map<const Function *, std::vector<double>> Rel;
+  std::unordered_map<const Function *, double> Inv;
+  for (const auto &F : M.functions()) {
+    Rel[F.get()] = computeRelativeBlockFrequencies(*F, Mode);
+    Inv[F.get()] = 0.0;
+  }
+  const Function *Entry = M.getEntryFunction();
+  const int MaxPasses = static_cast<int>(M.functions().size()) + 8;
+  for (int Pass = 0; Pass < MaxPasses; ++Pass) {
+    bool Changed = false;
+    for (const auto &G : M.functions()) {
+      double NewInv = (G.get() == Entry) ? 1.0 : 0.0;
+      for (const auto &F : M.functions()) {
+        if (F->isDeclaration())
+          continue;
+        for (const auto &BB : F->blocks())
+          for (const Instruction &I : BB->instructions())
+            if (I.isCall() && I.Callee == G.get())
+              NewInv += Rel[F.get()][BB->getId()] * Inv[F.get()];
+      }
+      if (std::abs(NewInv - Inv[G.get()]) >
+          1e-9 * std::max(1.0, std::abs(NewInv))) {
+        Inv[G.get()] = NewInv;
+        Changed = true;
+      }
+    }
+    if (!Changed)
+      break;
+  }
+  return Inv;
+}
+
+/// Every function's entry frequency, declarations included, equals the
+/// rescan reference bit for bit under both modes.
+void expectEntryFrequenciesMatchRescan(const Module &M) {
+  for (FrequencyMode Mode : {FrequencyMode::Static, FrequencyMode::Profile}) {
+    SCOPED_TRACE(frequencyModeName(Mode));
+    FrequencyInfo Freq = FrequencyInfo::compute(M, Mode);
+    std::unordered_map<const Function *, double> Ref =
+        rescanEntryFrequencies(M, Mode);
+    for (const auto &F : M.functions())
+      EXPECT_EQ(std::bit_cast<uint64_t>(Freq.entryFrequency(*F)),
+                std::bit_cast<uint64_t>(Ref.at(F.get())))
+          << F->getName() << ": " << Freq.entryFrequency(*F) << " vs "
+          << Ref.at(F.get());
+  }
+}
+
+TEST(Frequency, IndexedCallSitesMatchRescanOnLargeFuzzModules) {
+  for (FuzzProfile Profile :
+       {FuzzProfile::Mixed, FuzzProfile::CallDense, FuzzProfile::HighDegree,
+        FuzzProfile::PathologicalLive}) {
+    SCOPED_TRACE(fuzzProfileName(Profile));
+    FuzzGenParams P;
+    P.Seed = 3;
+    P.Profile = Profile;
+    P.SizeScale = 8;
+    expectEntryFrequenciesMatchRescan(*generateFuzzModule(P));
+  }
+}
+
+// Hand-built call graphs: a declaration called from two blocks, a callee
+// called from several blocks of several callers, and a call to a function
+// of another module (never counted).
+TEST(Frequency, IndexedCallSitesMatchRescanOnSharedCallees) {
+  Module M("m");
+  Module Other("other");
+  Function *Foreign = Other.createFunction("foreign");
+  Function *Decl = M.createFunction("decl");
+  Function *Leaf = M.createFunction("leaf");
+  {
+    IRBuilder B(*Leaf);
+    B.startBlock("entry");
+    B.buildCall(Decl, {});
+    B.buildRet();
+  }
+  Function *Mid = M.createFunction("mid");
+  Function *MainF = M.createFunction("main");
+  for (Function *F : {Mid, MainF}) {
+    IRBuilder B(*F);
+    B.startBlock("entry");
+    VirtReg V = B.buildLoadImm(1);
+    B.buildCall(Leaf, {});
+    BasicBlock *Loop = F->createBlock("loop");
+    BasicBlock *Exit = F->createBlock("exit");
+    B.buildBr(Loop);
+    B.setInsertBlock(Loop);
+    B.buildCall(Leaf, {});
+    B.buildCall(Decl, {});
+    B.buildCall(Foreign, {});
+    if (F == MainF)
+      B.buildCall(Mid, {});
+    VirtReg C = B.buildCmp(V, V);
+    B.buildCondBr(C, Loop, Exit, F == MainF ? 0.75 : 0.3);
+    B.setInsertBlock(Exit);
+    B.buildCall(Leaf, {});
+    B.buildRet(V);
+  }
+  M.setEntryFunction(MainF);
+  ASSERT_TRUE(Decl->isDeclaration());
+  expectEntryFrequenciesMatchRescan(M);
+  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
+  EXPECT_GT(Freq.entryFrequency(*Decl), Freq.entryFrequency(*Leaf));
+}
+
+// A recursive pair whose invocation counts grow every pass never
+// converges: both loops stop at the pass cap with the same doubles.
+TEST(Frequency, IndexedCallSitesMatchRescanAtPassCap) {
+  Module M("m");
+  Function *F = M.createFunction("f");
+  Function *G = M.createFunction("g");
+  Function *MainF = M.createFunction("main");
+  {
+    IRBuilder B(*F);
+    B.startBlock("entry");
+    B.buildCall(G, {});
+    B.buildCall(G, {});
+    B.buildRet();
+  }
+  {
+    IRBuilder B(*G);
+    B.startBlock("entry");
+    B.buildCall(F, {});
+    B.buildRet();
+  }
+  {
+    IRBuilder B(*MainF);
+    B.startBlock("entry");
+    B.buildCall(F, {});
+    B.buildRet();
+  }
+  M.setEntryFunction(MainF);
+  expectEntryFrequenciesMatchRescan(M);
+  // inv(f) = 1 + inv(g) and inv(g) = 2 inv(f): no fixpoint, so the counts
+  // are still growing when the cap stops the loop.
+  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
+  EXPECT_GT(Freq.entryFrequency(*F), 100.0);
 }
 
 // The grid path computes frequencies once on the source module and rekeys

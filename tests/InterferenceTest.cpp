@@ -6,6 +6,8 @@
 #include "regalloc/AllocationScratch.h"
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/VRegClasses.h"
+#include "support/Rng.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/RandomProgram.h"
 
 #include <algorithm>
@@ -309,6 +311,14 @@ TEST(InterferenceGraphTest, AutoPolicyPicksRepresentationByNodeCount) {
 
 TEST(InterferenceGraphTest, RecycledBuffersDoNotLeakEdges) {
   AllocationScratch S;
+  auto ExpectEmpty = [](const InterferenceGraph &IG) {
+    EXPECT_EQ(IG.numEdges(), 0u);
+    for (unsigned X = 0; X < IG.numNodes(); ++X) {
+      EXPECT_EQ(IG.degree(X), 0u);
+      for (unsigned Y = 0; Y < IG.numNodes(); ++Y)
+        EXPECT_FALSE(IG.interfere(X, Y));
+    }
+  };
   for (GraphRep Rep : {GraphRep::Dense, GraphRep::Sparse}) {
     SCOPED_TRACE(Rep == GraphRep::Dense ? "dense" : "sparse");
     InterferenceGraph A(6, Rep, &S);
@@ -318,17 +328,213 @@ TEST(InterferenceGraphTest, RecycledBuffersDoNotLeakEdges) {
     A.finalize();
     A.recycle(S);
     InterferenceGraph B(4, Rep, &S);
-    EXPECT_EQ(B.numEdges(), 0u);
-    for (unsigned X = 0; X < 4; ++X) {
-      EXPECT_EQ(B.degree(X), 0u);
-      for (unsigned Y = 0; Y < 4; ++Y)
-        EXPECT_FALSE(B.interfere(X, Y));
-    }
+    ExpectEmpty(B);
     B.addEdge(1, 2);
     EXPECT_TRUE(B.interfere(2, 1));
     B.recycle(S);
+
+    // A large graph (3-word rows), then a smaller one (2-word rows) on the
+    // same scratch: no bit of the old rows may show through the new
+    // stride.
+    InterferenceGraph Large(130, Rep, &S);
+    for (unsigned X = 0; X < 130; ++X)
+      for (unsigned Y = X + 1; Y < 130; Y += 2)
+        Large.addEdge(X, Y);
+    Large.finalize();
+    EXPECT_TRUE(Large.interfere(129, 0));
+    Large.recycle(S);
+    InterferenceGraph Small(70, Rep, &S);
+    ExpectEmpty(Small);
+    Small.addEdge(69, 1);
+    Small.finalize();
+    EXPECT_TRUE(Small.interfere(1, 69));
+    EXPECT_EQ(Small.neighbors(69), (std::vector<unsigned>{1}));
+    EXPECT_EQ(Small.numEdges(), 1u);
+    Small.recycle(S);
   }
   EXPECT_GT(S.reuses(), 0u);
+}
+
+// --- Row build vs. per-edge build -----------------------------------------
+
+/// The per-edge path on its own: scanBlockForEdges for every block into an
+/// empty graph of representation \p Rep, then finalize.
+InterferenceGraph buildPerEdge(const Function &F, const Liveness &LV,
+                               const LiveRangeSet &LRS, GraphRep Rep) {
+  InterferenceGraph IG(LRS.numRanges(), Rep);
+  for (const auto &BB : F.blocks())
+    InterferenceGraph::scanBlockForEdges(F, *BB, LV.liveOut(*BB), LRS, IG);
+  IG.finalize();
+  return IG;
+}
+
+void expectSameGraph(const InterferenceGraph &A, const InterferenceGraph &B,
+                     bool EveryPair) {
+  ASSERT_EQ(A.numNodes(), B.numNodes());
+  EXPECT_EQ(A.numEdges(), B.numEdges());
+  for (unsigned X = 0; X < A.numNodes(); ++X) {
+    ASSERT_EQ(A.neighbors(X), B.neighbors(X)) << "node " << X;
+    EXPECT_EQ(A.degree(X), B.degree(X));
+    if (EveryPair) {
+      for (unsigned Y = 0; Y < A.numNodes(); ++Y)
+        ASSERT_EQ(A.interfere(X, Y), B.interfere(X, Y))
+            << "pair " << X << "," << Y;
+    } else {
+      for (unsigned Y : A.neighbors(X))
+        ASSERT_TRUE(B.interfere(X, Y) && B.interfere(Y, X));
+    }
+  }
+}
+
+/// Checks the row-built dense graph of every function of \p M against the
+/// per-edge path into a dense and into a sparse graph.
+void expectRowBuildMatchesPerEdge(const Module &M, bool EveryPair) {
+  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
+  for (const auto &F : M.functions()) {
+    if (F->isDeclaration())
+      continue;
+    SCOPED_TRACE(F->getName());
+    Liveness LV = Liveness::compute(*F);
+    VRegClasses Classes(F->numVRegs());
+    LiveRangeSet LRS = LiveRangeSet::build(*F, LV, Freq, Classes);
+    InterferenceGraph Rows =
+        InterferenceGraph::build(*F, LV, LRS, nullptr, GraphRep::Dense);
+    ASSERT_EQ(Rows.activeRep(), GraphRep::Dense);
+    expectSameGraph(Rows, buildPerEdge(*F, LV, LRS, GraphRep::Dense),
+                    EveryPair);
+    expectSameGraph(Rows, buildPerEdge(*F, LV, LRS, GraphRep::Sparse),
+                    EveryPair);
+  }
+}
+
+/// A loop whose body defines exactly \p NumVRegs registers of both banks
+/// (one live range each): fresh values, copies (some into a register that
+/// interferes with the copy's source elsewhere), two-result calls, and
+/// calls that keep random subsets of values live.
+std::unique_ptr<Module> shapedModule(unsigned NumVRegs, uint64_t Seed) {
+  auto M = std::make_unique<Module>("shape");
+  Function *Leaf = M->createFunction("leaf");
+  {
+    IRBuilder B(*Leaf);
+    B.startBlock("entry");
+    B.buildRet();
+  }
+  Function *F = M->createFunction("main");
+  M->setEntryFunction(F);
+  IRBuilder B(*F);
+  Rng R(Seed);
+  B.startBlock("entry");
+  std::vector<VirtReg> Ints{B.buildLoadImm(0)};
+  std::vector<VirtReg> Floats{B.buildFLoadImm(0)};
+  BasicBlock *Loop = F->createBlock("loop");
+  BasicBlock *Exit = F->createBlock("exit");
+  B.buildBr(Loop);
+  B.setInsertBlock(Loop);
+  auto SomeLive = [&] {
+    std::vector<VirtReg> Args;
+    for (int I = 0; I < 4; ++I)
+      Args.push_back(R.nextBool() ? R.pick(Ints) : R.pick(Floats));
+    return Args;
+  };
+  // One register is left for the loop condition.
+  while (F->numVRegs() + 1 < NumVRegs) {
+    unsigned Left = NumVRegs - 1 - F->numVRegs();
+    switch (R.nextBelow(7)) {
+    case 0:
+      Ints.push_back(B.buildLoadImm(R.nextInRange(1, 99)));
+      break;
+    case 1:
+      Floats.push_back(B.buildFLoadImm(R.nextInRange(1, 99)));
+      break;
+    case 2:
+      Ints.push_back(B.buildBinary(Opcode::Add, R.pick(Ints), R.pick(Ints)));
+      break;
+    case 3:
+      if (R.nextBool())
+        Ints.push_back(B.buildMove(R.pick(Ints)));
+      else
+        Floats.push_back(B.buildMove(R.pick(Floats)));
+      break;
+    case 4:
+      // Copy into a register that is already live elsewhere.
+      B.buildMoveTo(R.pick(Ints), R.pick(Ints));
+      break;
+    case 5:
+      if (Left >= 2) {
+        bool Mixed = R.nextBool();
+        auto Results = B.buildCall(
+            Leaf, SomeLive(),
+            {RegBank::Int, Mixed ? RegBank::Float : RegBank::Int});
+        Ints.push_back(Results[0]);
+        (Mixed ? Floats : Ints).push_back(Results[1]);
+      }
+      break;
+    default:
+      B.buildCall(Leaf, SomeLive());
+      break;
+    }
+  }
+  VirtReg C = B.buildCmp(R.pick(Ints), R.pick(Ints));
+  B.buildCondBr(C, Loop, Exit, 0.5);
+  B.setInsertBlock(Exit);
+  B.buildCall(Leaf, SomeLive());
+  B.buildRet(R.pick(Ints));
+  return M;
+}
+
+TEST(InterferenceGraphTest, RowBuildMatchesPerEdgeAtWordBoundaries) {
+  for (unsigned NumNodes : {63u, 64u, 65u, 128u, 129u})
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "nodes=" << NumNodes << " seed=" << Seed);
+      std::unique_ptr<Module> M = shapedModule(NumNodes, Seed);
+      Function &F = *M->functions().back();
+      Liveness LV = Liveness::compute(F);
+      VRegClasses Classes(F.numVRegs());
+      FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
+      LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
+      ASSERT_EQ(LRS.numRanges(), NumNodes);
+      expectRowBuildMatchesPerEdge(*M, /*EveryPair=*/true);
+    }
+}
+
+TEST(InterferenceGraphTest, RowBuildMatchesPerEdgeOnLargeFuzzFunctions) {
+  for (FuzzProfile Profile :
+       {FuzzProfile::Mixed, FuzzProfile::CallDense, FuzzProfile::HighDegree,
+        FuzzProfile::PathologicalLive}) {
+    SCOPED_TRACE(fuzzProfileName(Profile));
+    FuzzGenParams P;
+    P.Seed = 5;
+    P.Profile = Profile;
+    P.SizeScale = 8;
+    expectRowBuildMatchesPerEdge(*generateFuzzModule(P), /*EveryPair=*/true);
+  }
+}
+
+// A copy excludes only its own source from the destination's row: an edge
+// between the two that another instruction adds — scanned before or after
+// the copy — survives the row build.
+TEST(InterferenceGraphTest, CopyKeepsSourceEdgeAddedElsewhere) {
+  GraphFixture Fx;
+  Fx.F = Fx.M.createFunction("main");
+  IRBuilder B(*Fx.F);
+  B.startBlock("entry");
+  // The scan runs backward, so the Late-A edge from the later defs of Late
+  // is set before "Late = move A" is scanned, and the Early-A edge from
+  // "Early = 2" only after "Early = move A" was.
+  VirtReg A = B.buildLoadImm(1);
+  VirtReg Early = B.buildLoadImm(2);
+  VirtReg Late = B.buildMove(A);
+  B.buildMoveTo(Early, A);
+  B.buildMoveTo(Late, Early);
+  B.buildBinaryInto(Late, Opcode::Add, Late, A);
+  VirtReg S = B.buildBinary(Opcode::Add, A, Late);
+  VirtReg S2 = B.buildBinary(Opcode::Add, S, Early);
+  B.buildRet(S2);
+  Fx.finalize();
+  EXPECT_TRUE(Fx.interfere(A, Early));
+  EXPECT_TRUE(Fx.interfere(A, Late));
+  expectRowBuildMatchesPerEdge(Fx.M, /*EveryPair=*/true);
 }
 
 } // namespace
