@@ -2,22 +2,15 @@
 //
 // Measures the wall-clock throughput of a register-configuration sweep —
 // the shape of every reproduction figure — with and without the shared
-// infrastructure this library's grid path uses:
+// infrastructure this library's grid path uses. Both arms run the same
+// default allocator options; only the harness differs:
 //
-//   legacy:    per-point frequency/liveness recomputation, per-pass
-//              liveness recomputation in the coalescer, per-use scratch
-//              allocations, a private (nested) pool per engine, the dense
-//              bit-matrix interference graph, and the O(V^2) reference
-//              simplifier — the pre-optimization execution model, selected
-//              via AllocatorOptions::IncrementalLiveness/ScratchArenas =
-//              false, GraphMode = Dense, LegacySimplifier = true, and
-//              plain per-spec runExperiment calls.
+//   legacy:    plain per-spec runExperiment calls — per-point frequency
+//              and liveness computation and a private (nested) pool per
+//              engine.
 //   optimized: one ModuleAnalysisCache and one shared ThreadPool for the
 //              whole grid (runExperiments), baseline-liveness seeding,
-//              incremental liveness, per-slot scratch arenas,
-//              biggest-function-first task order, the shipped (Auto)
-//              interference-graph policy, and the worklist simplifier —
-//              exactly what a default allocation runs.
+//              and nested batches on the one pool instead of nested pools.
 //
 // The grid is repeated, the two paths interleaved, until the optimized
 // path has run for at least MinOptimizedSeconds; the reported times are
@@ -97,38 +90,30 @@ int main(int Argc, char **Argv) {
   for (const char *Name : {"gcc", "espresso", "fpppp"})
     Programs.push_back(buildSpecProxy(Name));
 
-  AllocatorOptions Optimized = improvedOptions();
-  Optimized.Verify = false; // measured elsewhere; keep the loop hot
-  AllocatorOptions Legacy = Optimized;
-  Legacy.IncrementalLiveness = false;
-  Legacy.ScratchArenas = false;
-  Legacy.LegacySimplifier = true;
-  Legacy.GraphMode = GraphRep::Dense;
+  AllocatorOptions Opts = improvedOptions();
+  Opts.Verify = false; // measured elsewhere; keep the loop hot
 
-  std::vector<ExperimentSpec> LegacySpecs, OptimizedSpecs;
+  std::vector<ExperimentSpec> Specs;
   for (const auto &M : Programs)
-    for (const RegisterConfig &Config : standardConfigSweep()) {
-      LegacySpecs.push_back(
-          {M.get(), Config, Legacy, FrequencyMode::Profile, /*Jobs=*/2});
-      OptimizedSpecs.push_back(
-          {M.get(), Config, Optimized, FrequencyMode::Profile, /*Jobs=*/2});
-    }
+    for (const RegisterConfig &Config : standardConfigSweep())
+      Specs.push_back(
+          {M.get(), Config, Opts, FrequencyMode::Profile, /*Jobs=*/2});
 
   // Warm-up pass (untimed) so both timed runs see hot caches and a
   // faulted-in heap, then interleaved repetitions until the optimized path
   // has run for MinOptimizedSeconds; each path reports its mean per grid.
-  runLegacyGrid(LegacySpecs, Jobs);
+  runLegacyGrid(Specs, Jobs);
   double LegacyTotal = 0, OptimizedTotal = 0;
   unsigned Reps = 0;
   std::vector<ExperimentRun> LegacyRuns, OptimizedRuns;
   TelemetrySnapshot GridTelemetry;
   do {
     auto T0 = std::chrono::steady_clock::now();
-    LegacyRuns = runLegacyGrid(LegacySpecs, Jobs);
+    LegacyRuns = runLegacyGrid(Specs, Jobs);
     LegacyTotal += secondsSince(T0);
 
     auto T1 = std::chrono::steady_clock::now();
-    OptimizedRuns = runExperiments(OptimizedSpecs, Jobs, &GridTelemetry);
+    OptimizedRuns = runExperiments(Specs, Jobs, &GridTelemetry);
     OptimizedTotal += secondsSince(T1);
     ++Reps;
   } while (OptimizedTotal < MinOptimizedSeconds);
@@ -162,7 +147,7 @@ int main(int Argc, char **Argv) {
 
   double Speedup = OptimizedSeconds > 0 ? LegacySeconds / OptimizedSeconds
                                         : 0.0;
-  std::cout << "== perf_grid: " << LegacySpecs.size()
+  std::cout << "== perf_grid: " << Specs.size()
             << "-point sweep, jobs=" << Jobs << ", " << Reps
             << " repetitions ==\n"
             << "legacy:     " << TextTable::formatDouble(LegacySeconds, 4)
@@ -180,7 +165,7 @@ int main(int Argc, char **Argv) {
 
   std::ofstream Json("BENCH_grid.json");
   Json << "{\n"
-       << "  \"points\": " << LegacySpecs.size() << ",\n"
+       << "  \"points\": " << Specs.size() << ",\n"
        << "  \"jobs\": " << Jobs << ",\n"
        << "  \"repetitions\": " << Reps << ",\n"
        << "  \"legacy_seconds\": " << LegacySeconds << ",\n"

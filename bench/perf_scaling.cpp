@@ -3,27 +3,32 @@
 // Measures how one allocation scales with live-range count V: a single
 // synthetic function per size (staggered overlapping chains — linear-size
 // interval graphs with bounded degree, the shape where sparse adjacency
-// and worklist simplification pay off) is allocated twice per size:
+// and worklist simplification pay off) is run two ways per size:
 //
-//   reference: the O(V^2) reference simplifier over the dense square
-//              bit matrix (LegacySimplifier = true, GraphMode = Dense) —
-//              quadratic time and memory, capped at the size where it
-//              stops being worth the wait.
-//   hybrid:    the worklist simplifier over the shipped Auto policy
-//              (dense matrix up to DenseNodeThreshold nodes, sorted
-//              sparse adjacency above it).
+//   reference: on the function's round-1 live ranges, only the graph
+//              build and simplification, over the dense square bit matrix
+//              with the O(V^2) reference simplifier
+//              (fuzz/Oracle.h) — quadratic time and memory,
+//              capped at the size where it stops being worth the wait.
+//   hybrid:    the whole shipped allocation: the worklist simplifier over
+//              the Auto policy (dense matrix up to DenseNodeThreshold
+//              nodes, sorted sparse adjacency above it).
 //
-// Both arms must produce bit-identical ExperimentResults at every size
-// where both run; any divergence exits non-zero. Per-size wall clock, the
-// alloc.simplify phase timer, and the alloc.peak_graph_bytes high-water
-// mark are printed as a table and written to BENCH_scaling.json, where
-// near-linear growth of the hybrid arm (and the reference arm's quadratic
-// departure) is the acceptance signal.
+// At every size where the reference runs, the Auto graph and the worklist
+// simplifier must build the same edges and the same color stack, spill
+// set and optimistic flags as the reference kernels; any divergence exits
+// non-zero. Per-size wall clock, simplify time and graph bytes are printed
+// as a table and written to BENCH_scaling.json, where near-linear growth
+// of the hybrid arm (and the reference's quadratic departure) is the
+// acceptance signal.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "core/BenefitKeys.h"
+#include "fuzz/Oracle.h"
+#include "regalloc/VRegClasses.h"
 #include "workloads/SyntheticBuilder.h"
 
 #include <chrono>
@@ -59,9 +64,14 @@ struct ArmSample {
   double Seconds = 0;
   double SimplifyMs = 0;
   double PeakGraphBytes = 0;
-  ExperimentResult Result;
   bool Ran = false;
 };
+
+double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
 
 ArmSample timeArm(const Module &M, const RegisterConfig &Config,
                   const AllocatorOptions &Opts, int Reps) {
@@ -71,28 +81,57 @@ ArmSample timeArm(const Module &M, const RegisterConfig &Config,
     auto T0 = std::chrono::steady_clock::now();
     ExperimentRun Run =
         runExperiment({&M, Config, Opts, FrequencyMode::Profile, /*Jobs=*/1});
-    double Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-            .count();
-    Sample.Seconds = std::min(Sample.Seconds, Seconds);
+    Sample.Seconds = std::min(Sample.Seconds, secondsSince(T0));
     Sample.SimplifyMs = Run.Telemetry.timeMs(telemetry::AllocSimplifyPhase);
     Sample.PeakGraphBytes = Run.Telemetry.count(telemetry::AllocPeakGraphBytes);
-    Sample.Result = Run.Result;
     Sample.Ran = true;
   }
   return Sample;
 }
 
-bool sameResult(const ExperimentResult &A, const ExperimentResult &B) {
-  return A.Costs.Spill == B.Costs.Spill &&
-         A.Costs.CallerSave == B.Costs.CallerSave &&
-         A.Costs.CalleeSave == B.Costs.CalleeSave &&
-         A.Costs.Shuffle == B.Costs.Shuffle &&
-         A.SpilledRanges == B.SpilledRanges &&
-         A.VoluntarySpills == B.VoluntarySpills &&
-         A.CoalescedMoves == B.CoalescedMoves &&
-         A.CalleeRegsPaid == B.CalleeRegsPaid &&
-         A.MaxRounds == B.MaxRounds && A.Cycles == B.Cycles;
+/// The reference kernels over the function's round-1 live ranges (the
+/// chains carry no copies, so coalescing would leave them as they are):
+/// dense graph build plus reference simplification, best of \p Reps, under
+/// the §5 key the improved allocator uses. \p Identical reports whether
+/// the Auto graph and the worklist simplifier produce the same edges,
+/// stack, spill set and optimistic flags.
+ArmSample timeReference(Module &M, const RegisterConfig &Config, int Reps,
+                        bool &Identical) {
+  Function &F = *M.functions().front();
+  MachineDescription MD(Config);
+  FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
+  Liveness LV = Liveness::compute(F);
+  LiveRangeSet LRS =
+      LiveRangeSet::build(F, LV, Freq, VRegClasses(F.numVRegs()));
+  AllocationContext Ctx{F,   MD, Freq, std::move(LV), std::move(LRS),
+                        InterferenceGraph(), Freq.entryFrequency(F), {}};
+  Simplifier::KeyFn Key = [](const LiveRange &LR) {
+    return benefitSimplificationKey(LR, BenefitKeyStrategy::Delta);
+  };
+  ArmSample Sample;
+  Sample.Seconds = 1e9;
+  SimplifyResult Ref;
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    auto T0 = std::chrono::steady_clock::now();
+    Ctx.IG = InterferenceGraph::build(F, Ctx.LV, Ctx.LRS, nullptr,
+                                      GraphRep::Dense);
+    auto T1 = std::chrono::steady_clock::now();
+    Ref = referenceSimplify(Ctx, /*Optimistic=*/false, Key);
+    Sample.SimplifyMs = secondsSince(T1) * 1e3;
+    Sample.Seconds = std::min(Sample.Seconds, secondsSince(T0));
+  }
+  Sample.PeakGraphBytes = static_cast<double>(Ctx.IG.memoryBytes());
+  Sample.Ran = true;
+
+  InterferenceGraph Dense = std::move(Ctx.IG);
+  Ctx.IG = InterferenceGraph::build(F, Ctx.LV, Ctx.LRS);
+  SimplifyResult Hyb = Simplifier::run(Ctx, /*Optimistic=*/false, Key);
+  Identical = Hyb.Stack == Ref.Stack && Hyb.SpilledNodes == Ref.SpilledNodes &&
+              Hyb.PushedOptimistically == Ref.PushedOptimistically &&
+              Dense.numEdges() == Ctx.IG.numEdges();
+  for (unsigned N = 0; Identical && N < Dense.numNodes(); ++N)
+    Identical = Dense.neighbors(N) == Ctx.IG.neighbors(N);
+  return Sample;
 }
 
 } // namespace
@@ -107,14 +146,10 @@ int main(int Argc, char **Argv) {
 
   AllocatorOptions Hybrid = improvedOptions();
   Hybrid.Verify = false; // verified by ctest; keep the timing loop hot
-  Hybrid.GraphMode = GraphRep::Auto;
-  AllocatorOptions Reference = Hybrid;
-  Reference.LegacySimplifier = true;
-  Reference.GraphMode = GraphRep::Dense;
 
   TextTable Table;
   Table.setHeader(
-      {"V", "ref s", "hybrid s", "speedup", "simplify ms", "graph MiB"});
+      {"V", "ref kernel s", "hybrid s", "speedup", "simplify ms", "graph MiB"});
   unsigned Divergences = 0;
   std::ofstream Json("BENCH_scaling.json");
   Json << "{\n  \"sizes\": [";
@@ -127,10 +162,11 @@ int main(int Argc, char **Argv) {
     ArmSample Hyb = timeArm(*M, Config, Hybrid, Reps);
     ArmSample Ref;
     if (V <= ReferenceCap) {
-      Ref = timeArm(*M, Config, Reference, Reps);
-      if (!sameResult(Ref.Result, Hyb.Result)) {
+      bool Identical = false;
+      Ref = timeReference(*M, Config, Reps, Identical);
+      if (!Identical) {
         std::cerr << "DIVERGENCE at V=" << V
-                  << " (reference vs hybrid allocation)\n";
+                  << " (reference vs Auto graph + worklist: edges or stack)\n";
         ++Divergences;
       }
     }

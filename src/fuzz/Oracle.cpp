@@ -3,14 +3,20 @@
 #include "fuzz/Oracle.h"
 
 #include "analysis/AnalysisCache.h"
+#include "core/BenefitKeys.h"
 #include "core/EngineBuilder.h"
 #include "ir/Cloner.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "regalloc/Coalescer.h"
 #include "regalloc/CostAccounting.h"
+#include "regalloc/SpillCodeInserter.h"
+#include "regalloc/VRegClasses.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -205,6 +211,118 @@ void diffAgainstBaseline(const LegCapture &Base, const LegCapture &Leg,
     Fail("ir-diff", firstDiffLine(Base.AllocatedIR, Leg.AllocatedIR));
 }
 
+/// Same nodes and edges (finalized neighbor lists are ascending).
+bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
+  if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges())
+    return false;
+  for (unsigned N = 0; N < A.numNodes(); ++N)
+    if (A.neighbors(N) != B.neighbors(N))
+      return false;
+  return true;
+}
+
+/// Runs every function body of two clones of \p M through the engine's
+/// round loop — coalesce, build, simplify, spill what simplification
+/// spilled, repeat (at most 16 rounds) — with the engine's components on
+/// one clone and their references on the other, comparing each round:
+/// incremental against recompute-every-pass coalescing (classes, deleted
+/// copies, final liveness, live ranges, graph edges), the dense against
+/// the sparse graph, and the worklist against the O(V^2) reference
+/// simplifier (pessimistic and optimistic, in id order and under the §5
+/// key). The engine runs one path through each component; this is where
+/// the others live.
+void checkComponents(const Module &M, const OracleOptions &OO,
+                     OracleReport &Report) {
+  MachineDescription MD(OO.Config);
+  std::unique_ptr<Module> Inc = cloneModule(M), Ref = cloneModule(M);
+  FrequencyInfo Freq = FrequencyInfo::compute(*Inc, OO.Mode);
+  FrequencyInfo RefFreq = Freq.remappedTo(*Inc, *Ref);
+  Simplifier::KeyFn BenefitKey = [](const LiveRange &LR) {
+    return benefitSimplificationKey(LR, BenefitKeyStrategy::Delta);
+  };
+  for (std::size_t I = 0; I < Inc->functions().size(); ++I) {
+    Function &F = *Inc->functions()[I];
+    Function &G = *Ref->functions()[I];
+    if (F.isDeclaration())
+      continue;
+    ++Report.ComponentChecks;
+    VRegClasses Classes(F.numVRegs()), RefClasses(G.numVRegs());
+    bool Failed = false;
+    for (unsigned Round = 1; Round <= 16 && !Failed; ++Round) {
+      auto Check = [&](bool Ok, const std::string &Oracle) {
+        if (!Ok)
+          Report.Failures.push_back({"component", Oracle,
+                                     "@" + F.getName() + " round " +
+                                         std::to_string(Round)});
+        Failed |= !Ok;
+      };
+
+      Liveness LV, RefLV;
+      LiveRangeSet LRS, RefLRS;
+      InterferenceGraph IG, RefIG;
+      CoalesceRequest Req, RefReq;
+      RefReq.IncrementalLiveness = false;
+      Coalescer::run(F, Classes, MD, Freq, LV, Req, LRS, IG);
+      Coalescer::run(G, RefClasses, MD, RefFreq, RefLV, RefReq, RefLRS, RefIG);
+      bool SameClasses = Classes.size() == RefClasses.size();
+      for (unsigned V = 0; SameClasses && V < Classes.size(); ++V)
+        SameClasses = Classes.find(VirtReg(V)) == RefClasses.find(VirtReg(V));
+      Check(SameClasses, "coalesce-classes");
+      std::string Code, RefCode;
+      printFunction(F, Code);
+      printFunction(G, RefCode);
+      Check(Code == RefCode, "coalesce-code");
+      Check(LV == RefLV, "coalesce-liveness");
+      bool SameRanges = LRS.ranges() == RefLRS.ranges();
+      for (unsigned V = 0; SameRanges && V < F.numVRegs(); ++V)
+        SameRanges = LRS.rangeIdOf(VirtReg(V)) == RefLRS.rangeIdOf(VirtReg(V));
+      Check(SameRanges, "coalesce-ranges");
+      Check(sameEdges(IG, RefIG), "coalesce-graph");
+
+      InterferenceGraph Dense =
+          InterferenceGraph::build(F, LV, LRS, nullptr, GraphRep::Dense);
+      Check(sameEdges(Dense, InterferenceGraph::build(F, LV, LRS, nullptr,
+                                                      GraphRep::Sparse)),
+            "graph-sparse");
+
+      AllocationContext Ctx{F,   MD, Freq, std::move(LV), std::move(LRS),
+                            std::move(Dense), Freq.entryFrequency(F), {}};
+      SimplifyResult Spiller;
+      for (bool Optimistic : {false, true})
+        for (const Simplifier::KeyFn &Key :
+             {Simplifier::KeyFn(), BenefitKey}) {
+          SimplifyResult A = Simplifier::run(Ctx, Optimistic, Key);
+          SimplifyResult B = referenceSimplify(Ctx, Optimistic, Key);
+          Check(A.Stack == B.Stack && A.SpilledNodes == B.SpilledNodes &&
+                    A.PushedOptimistically == B.PushedOptimistically,
+                "simplifier-reference");
+          if (!Optimistic && Key)
+            Spiller = std::move(A);
+        }
+      if (Spiller.SpilledNodes.empty())
+        break;
+
+      // Spill what pessimistic benefit-keyed simplification spilled, in
+      // both clones alike, so the next round sees reload temporaries and
+      // the graphs spill code produces.
+      std::vector<int> SpillIndex(Ctx.LRS.numRanges(), -1);
+      for (std::size_t S = 0; S < Spiller.SpilledNodes.size(); ++S)
+        SpillIndex[Spiller.SpilledNodes[S]] = static_cast<int>(S);
+      std::vector<std::vector<VirtReg>> SpilledClasses(
+          Spiller.SpilledNodes.size());
+      for (unsigned V = 0; V < F.numVRegs(); ++V) {
+        int Range = Ctx.LRS.rangeIdOf(VirtReg(V));
+        if (Range >= 0 && SpillIndex[Range] >= 0)
+          SpilledClasses[SpillIndex[Range]].push_back(VirtReg(V));
+      }
+      SpillCodeInserter::run(F, SpilledClasses);
+      SpillCodeInserter::run(G, SpilledClasses);
+      Classes.grow(F.numVRegs());
+      RefClasses.grow(G.numVRegs());
+    }
+  }
+}
+
 } // namespace
 
 std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
@@ -219,9 +337,6 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
     return O;
   };
   AllocatorOptions Base = Common(improvedOptions());
-  // Explicit, so the sparse leg differs: the baseline's graphs are row
-  // built, the sparse leg's are built edge by edge.
-  Base.GraphMode = GraphRep::Dense;
   Base.Jobs = 1;
 
   std::vector<OracleLeg> Legs;
@@ -233,28 +348,8 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
   };
   {
     AllocatorOptions O = Base;
-    O.GraphMode = GraphRep::Sparse;
-    Identical("graph-sparse", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.LegacySimplifier = true;
-    Identical("simplifier-reference", O);
-  }
-  {
-    AllocatorOptions O = Base;
     O.Jobs = ParallelJobs;
     Identical("jobs-parallel", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.ScratchArenas = false;
-    Identical("arenas-off", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.IncrementalLiveness = false;
-    Identical("liveness-legacy", O);
   }
   {
     AllocatorOptions O = Base;
@@ -294,6 +389,8 @@ OracleReport ccra::runOracleLattice(const Module &M,
         {"injected-fault", "injected",
          "test hook reported a planted mismatch for this module"});
 
+  checkComponents(M, Opts, Report);
+
   ModuleAnalysisCache Cache;
   std::vector<OracleLeg> Legs =
       oracleLattice(Opts.ParallelJobs, Opts.SoundnessSweep);
@@ -307,4 +404,101 @@ OracleReport ccra::runOracleLattice(const Module &M,
       diffAgainstBaseline(Baseline, Cap, Leg.Name, Report);
   }
   return Report;
+}
+
+SimplifyResult ccra::referenceSimplify(const AllocationContext &Ctx,
+                                       bool Optimistic,
+                                       const Simplifier::KeyFn &Key) {
+  const InterferenceGraph &IG = Ctx.IG;
+  const LiveRangeSet &LRS = Ctx.LRS;
+  unsigned NumNodes = IG.numNodes();
+
+  SimplifyResult Result;
+  Result.PushedOptimistically.assign(NumNodes, false);
+  Result.Stack.reserve(NumNodes);
+
+  // Registers refused in earlier rounds are locked and shrink the colors
+  // actually available, exactly as in Simplifier::run.
+  unsigned LockedPerBank[NumRegBanks] = {0, 0};
+  for (PhysReg Reg : Ctx.RefusedCalleeRegs)
+    ++LockedPerBank[static_cast<unsigned>(Reg.Bank)];
+  std::vector<unsigned> Degree(NumNodes), ColorLimit(NumNodes);
+  std::vector<double> CachedKey(NumNodes, 0.0);
+  std::vector<bool> Active(NumNodes, true);
+  for (unsigned I = 0; I < NumNodes; ++I) {
+    Degree[I] = IG.degree(I);
+    RegBank Bank = LRS.range(I).Bank;
+    unsigned Total = Ctx.MD.numRegs(Bank);
+    ColorLimit[I] =
+        Total - std::min(LockedPerBank[static_cast<unsigned>(Bank)], Total);
+    if (Key)
+      CachedKey[I] = Key(LRS.range(I));
+  }
+
+  auto Deactivate = [&](unsigned Node) {
+    Active[Node] = false;
+    for (unsigned Neighbor : IG.neighbors(Node))
+      if (Active[Neighbor])
+        --Degree[Neighbor];
+  };
+
+  unsigned Remaining = NumNodes;
+  while (Remaining > 0) {
+    // Find the unconstrained node with the smallest key.
+    int Best = -1;
+    double BestKey = std::numeric_limits<double>::infinity();
+    for (unsigned I = 0; I < NumNodes; ++I) {
+      if (!Active[I] || Degree[I] >= ColorLimit[I])
+        continue;
+      double K = CachedKey[I];
+      if (Best < 0 || K < BestKey) {
+        Best = static_cast<int>(I);
+        BestKey = K;
+      }
+    }
+    if (Best >= 0) {
+      Result.Stack.push_back(static_cast<unsigned>(Best));
+      Deactivate(static_cast<unsigned>(Best));
+      --Remaining;
+      continue;
+    }
+
+    // Blocked: choose a spill candidate minimizing spillCost / degree.
+    int Victim = -1;
+    double VictimMetric = std::numeric_limits<double>::infinity();
+    for (unsigned I = 0; I < NumNodes; ++I) {
+      if (!Active[I] || LRS.range(I).NoSpill)
+        continue;
+      double Metric = LRS.range(I).spillCost() /
+                      static_cast<double>(std::max(Degree[I], 1u));
+      if (Victim < 0 || Metric < VictimMetric) {
+        Victim = static_cast<int>(I);
+        VictimMetric = Metric;
+      }
+    }
+    bool EmergencyNoSpill = Victim < 0;
+    if (EmergencyNoSpill) {
+      // Only unspillable reload temporaries remain. Push the one with the
+      // smallest degree and hope color assignment finds room (its steal
+      // fallback guarantees progress).
+      unsigned BestDegree = ~0u;
+      for (unsigned I = 0; I < NumNodes; ++I)
+        if (Active[I] && Degree[I] < BestDegree) {
+          Victim = static_cast<int>(I);
+          BestDegree = Degree[I];
+        }
+      assert(Victim >= 0 && "no active node while Remaining > 0");
+    }
+
+    unsigned V = static_cast<unsigned>(Victim);
+    if (Optimistic || EmergencyNoSpill) {
+      Result.Stack.push_back(V);
+      Result.PushedOptimistically[V] = true;
+    } else {
+      Result.SpilledNodes.push_back(V);
+    }
+    Deactivate(V);
+    --Remaining;
+  }
+  return Result;
 }

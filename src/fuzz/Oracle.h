@@ -3,17 +3,25 @@
 /// \file
 /// The oracle lattice: one fuzz input (a verified module) is allocated once
 /// per *leg* — a named allocator configuration — and the results are
-/// cross-checked two ways:
+/// cross-checked three ways:
 ///
-/// - **Equivalence oracles.** Every optimization the repo has grown
-///   (sparse vs. dense interference graphs, worklist vs. reference
-///   simplifier, parallel vs. serial module allocation, scratch arenas,
-///   incremental vs. legacy liveness, incremental graph reconstruction,
-///   cache-seeded baseline liveness) documents a bit-identical-results
-///   contract. Each such leg is diffed against the baseline leg: cost
-///   breakdowns and per-function counters must match exactly, every vreg
-///   must land in the same location, and the printed allocated IR must be
-///   byte-identical.
+/// - **Equivalence oracles.** The execution choices left in the engine
+///   (parallel vs. serial module allocation, incremental graph
+///   reconstruction, cache-seeded baseline liveness) document a
+///   bit-identical-results contract. Legs `jobs-parallel`,
+///   `reconstruct-legacy` and `liveness-seeded` are diffed against the
+///   `baseline` leg: cost breakdowns and per-function counters must match
+///   exactly, every vreg must land in the same location, and the printed
+///   allocated IR must be byte-identical.
+///
+/// - **Component check.** The engine runs one path through coalescing,
+///   graph construction and simplification; the references it replaced
+///   are compared here, on every function body, against that path:
+///   incremental vs. recompute-every-pass coalescing (classes, deleted
+///   copies, final liveness, live ranges, graph edges), the dense vs. the
+///   sparse interference graph, and the worklist vs. the O(V^2) reference
+///   simplifier (stack and spill set). Findings are reported under the
+///   leg name "component".
 ///
 /// - **Soundness oracles.** Every leg — including configurations with
 ///   legitimately different results, like the two §4 callee-save cost
@@ -24,8 +32,8 @@
 ///   the materialized overhead instructions must equal the analytically
 ///   derived cost.
 ///
-/// Adding the next optimization = adding one OracleLeg (see
-/// DESIGN.md "The oracle lattice").
+/// Adding the next engine optimization = adding one OracleLeg, or one pair
+/// to the component check (see DESIGN.md "The oracle lattice").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +42,7 @@
 
 #include "analysis/Frequency.h"
 #include "regalloc/AllocatorOptions.h"
+#include "regalloc/Simplifier.h"
 #include "target/MachineDescription.h"
 
 #include <functional>
@@ -81,6 +90,8 @@ struct OracleFailure {
 struct OracleReport {
   std::vector<OracleFailure> Failures;
   unsigned LegsRun = 0;
+  /// Function bodies the component check compared.
+  unsigned ComponentChecks = 0;
   bool ok() const { return Failures.empty(); }
   /// One line per failure, for logs and reproducer headers.
   std::vector<std::string> lines() const;
@@ -89,6 +100,16 @@ struct OracleReport {
 /// Runs \p M (never mutated: every leg allocates a private clone) through
 /// the lattice under \p Opts.
 OracleReport runOracleLattice(const Module &M, const OracleOptions &Opts);
+
+/// The O(V^2) rescan-everything simplifier that the worklist
+/// Simplifier::run replaced, kept as its oracle: each step takes the
+/// unconstrained node with the smallest key (lowest index on ties), else
+/// the smallest spillCost/degree. Byte-identical to Simplifier::run on
+/// every input; the component check, tests/SimplifierTest.cpp and
+/// bench/perf_scaling compare against it.
+SimplifyResult referenceSimplify(const AllocationContext &Ctx,
+                                 bool Optimistic,
+                                 const Simplifier::KeyFn &Key = nullptr);
 
 } // namespace ccra
 

@@ -41,7 +41,7 @@ ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
 
   AnalysisSeeds Seeds;
   const AnalysisSeeds *SeedsPtr = nullptr;
-  if (Cache && Options.IncrementalLiveness) {
+  if (Cache) {
     const auto &Fns = Source->functions();
     for (unsigned I = 0; I < Fns.size(); ++I) {
       if (Fns[I]->isDeclaration())

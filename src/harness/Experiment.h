@@ -79,9 +79,8 @@ class SourceAllocation {
 public:
   /// Allocates a clone of \p Source, which is never modified. \p Cache,
   /// when given, is keyed by \p Source: it supplies the frequencies
-  /// (rekeyed onto the clone) and, under IncrementalLiveness, the
-  /// baseline-liveness seeds. Pure compute-sharing: results are
-  /// bit-identical with or without it.
+  /// (rekeyed onto the clone) and the baseline-liveness seeds. Pure
+  /// compute-sharing: results are bit-identical with or without it.
   SourceAllocation(const Module &Source, ModuleAnalysisCache *Cache);
   /// Allocates \p InPlace itself: no clone, no shared analyses.
   explicit SourceAllocation(Module &InPlace);

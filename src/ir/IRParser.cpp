@@ -448,6 +448,12 @@ bool Parser::parseInstruction(Function &F, BasicBlock *BB,
     break;
   }
 
+  if (BB->isTerminated()) {
+    error("instruction after terminator in @" + F.getName() + " block " +
+              BB->getName(),
+          OpName);
+    return false;
+  }
   Instruction &Placed = BB->append(std::move(I));
   if (Placed.isCall())
     PendingCallees.push_back(

@@ -39,26 +39,31 @@ AllocationEngine::AllocationEngine(MachineDescription MD,
   assert(this->Allocator && "engine needs an allocator");
 }
 
+namespace {
+
+/// Safety cap on spill-and-retry rounds.
+constexpr unsigned MaxRounds = 64;
+
+} // namespace
+
 FunctionAllocation
 AllocationEngine::allocateFunction(Function &F,
                                    const FrequencyInfo &Freq) const {
+  AllocationScratch Scratch;
   return allocateWith(*Allocator, F, Freq, Telem, /*SeedLV=*/nullptr,
-                      /*Scratch=*/nullptr);
+                      Scratch);
 }
 
 FunctionAllocation
 AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
                                const FrequencyInfo &Freq, Telemetry *T,
                                const Liveness *SeedLV,
-                               AllocationScratch *Scratch) const {
+                               AllocationScratch &Scratch) const {
   FunctionAllocation Out;
   if (F.isDeclaration())
     return Out;
 
   Telemetry::ScopedTimer TotalTimer(T, telemetry::AllocateTotal);
-
-  if (!Opts.ScratchArenas)
-    Scratch = nullptr;
 
   VRegClasses Classes(F.numVRegs());
   std::vector<PhysReg> RefusedCalleeRegs;
@@ -75,13 +80,13 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
   // round 1 (copied — the cached original stays pristine), the
   // spill-maintained solution at later rounds.
   bool CarriedLVValid = false;
-  if (SeedLV && Opts.IncrementalLiveness) {
+  if (SeedLV) {
     CarriedLV = *SeedLV;
     CarriedLVValid = true;
   }
   unsigned LivenessComputes = 0, IncrementalLVUpdates = 0;
 
-  for (unsigned Round = 1; Round <= Opts.MaxRounds; ++Round) {
+  for (unsigned Round = 1; Round <= MaxRounds; ++Round) {
     Out.Rounds = Round;
 
     AllocationContext Ctx{F,          MD, Freq, Liveness(),
@@ -92,7 +97,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       // Incremental path: nothing to coalesce, patch last round's state.
       Telemetry::ScopedTimer Timer(T, telemetry::ReconstructPhase);
       GraphReconstructor::apply(F, Freq, CarriedLV, CarriedLRS, CarriedIG,
-                                ReconstructIds, ReconstructOldVRegs, Scratch);
+                                ReconstructIds, ReconstructOldVRegs, &Scratch);
       Classes.grow(F.numVRegs());
       Ctx.LV = std::move(CarriedLV);
       Ctx.LRS = std::move(CarriedLRS);
@@ -104,11 +109,9 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
         Telemetry::ScopedTimer Timer(T, telemetry::CoalescePhase);
         CoalesceRequest Req;
         Req.Aggressive = Opts.AggressiveCoalescing;
-        Req.IncrementalLiveness = Opts.IncrementalLiveness;
         Req.SeededLV = CarriedLVValid;
-        Req.Scratch = Scratch;
+        Req.Scratch = &Scratch;
         Req.T = T;
-        Req.GraphMode = Opts.GraphMode;
         if (CarriedLVValid) {
           Ctx.LV = std::move(CarriedLV);
           CarriedLVValid = false;
@@ -120,22 +123,6 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
         IncrementalLVUpdates += CS.IncrementalLVUpdates;
       }
       Classes.grow(F.numVRegs());
-      if (!Opts.IncrementalLiveness) {
-        // Comparison mode: reproduce the historical compute pattern, where
-        // the engine rebuilt the live-range set and graph from scratch
-        // after coalescing (the coalescer's final-pass builds were
-        // discarded). State is identical either way; only time differs.
-        {
-          Telemetry::ScopedTimer Timer(T, telemetry::BuildRangesPhase);
-          Ctx.LRS = LiveRangeSet::build(F, Ctx.LV, Freq, Classes);
-        }
-        {
-          Telemetry::ScopedTimer Timer(T, telemetry::BuildGraphPhase);
-          Ctx.IG =
-              InterferenceGraph::build(F, Ctx.LV, Ctx.LRS, Scratch,
-                                       Opts.GraphMode);
-        }
-      }
     }
     ReconstructIds.clear();
     Ctx.RefusedCalleeRegs = RefusedCalleeRegs;
@@ -161,12 +148,8 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
 
     // Collect the member registers of every spilled live range.
     std::vector<std::vector<VirtReg>> SpilledClasses;
-    std::vector<int> LocalSpillIndex;
-    if (!Scratch)
-      LocalSpillIndex.assign(Ctx.LRS.numRanges(), -1);
     std::vector<int> &SpillIndexOfRange =
-        Scratch ? Scratch->spillIndexOfRange(Ctx.LRS.numRanges())
-                : LocalSpillIndex;
+        Scratch.spillIndexOfRange(Ctx.LRS.numRanges());
     for (unsigned I = 0; I < Ctx.LRS.numRanges(); ++I) {
       if (!RR.Assignment[I].isMemory())
         continue;
@@ -197,7 +180,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
         CarriedLV = std::move(Ctx.LV);
         CarriedLRS = std::move(Ctx.LRS);
         CarriedIG = std::move(Ctx.IG);
-      } else if (Opts.IncrementalLiveness) {
+      } else {
         // Copies remain, so the next round coalesces — but its liveness
         // seed survives the spill rewrite exactly: spilled registers
         // vanish from the code, and reload temporaries never live across
@@ -210,8 +193,8 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       }
       // A non-incremental next round rebuilds the graph from scratch, so
       // this round's graph is garbage — return its buffers to the arena.
-      if (!Incremental && Scratch)
-        Ctx.IG.recycle(*Scratch);
+      if (!Incremental)
+        Ctx.IG.recycle(Scratch);
       {
         Telemetry::ScopedTimer Timer(T, telemetry::SpillInsertPhase);
         SpillCodeInserter::run(F, SpilledClasses);
@@ -265,8 +248,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
     }
     // Converged: the graph dies with the context — donate its capacity to
     // the next function sharing this arena.
-    if (Scratch)
-      Ctx.IG.recycle(*Scratch);
+    Ctx.IG.recycle(Scratch);
     return Out;
   }
 
@@ -284,8 +266,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
   assert((!Seeds || Seeds->BaselineLiveness.size() == Bodies.size()) &&
          "one baseline seed per function body");
   auto SeedOf = [&](std::size_t I) -> const Liveness * {
-    return Seeds && Opts.IncrementalLiveness ? Seeds->BaselineLiveness[I]
-                                             : nullptr;
+    return Seeds ? Seeds->BaselineLiveness[I] : nullptr;
   };
 
   unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultParallelism()
@@ -302,11 +283,11 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
     AllocationScratch Scratch;
     for (std::size_t I = 0; I < Bodies.size(); ++I) {
       FunctionAllocation FA = allocateWith(*Allocator, *Bodies[I], Freq,
-                                           Telem, SeedOf(I), &Scratch);
+                                           Telem, SeedOf(I), Scratch);
       Result.Totals += FA.Costs;
       Result.PerFunction[Bodies[I]] = std::move(FA);
     }
-    if (Telem && Opts.ScratchArenas)
+    if (Telem)
       Telem->addCount(telemetry::SchedScratchReuses,
                       static_cast<double>(Scratch.reuses()));
     return Result;
@@ -356,7 +337,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
         Telemetry Local;
         PerTask[I] = allocateWith(*TaskAlloc, *Bodies[I], Freq,
                                   Telem ? &Local : nullptr, SeedOf(I),
-                                  &Scratches[Slot]);
+                                  Scratches[Slot]);
         if (Telem)
           TaskTelemetry[I] = Local.snapshot();
       });
@@ -368,13 +349,11 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
       Telem->merge(TaskTelemetry[I]);
   }
   if (Telem) {
-    if (Opts.ScratchArenas) {
-      std::uint64_t Reuses = 0;
-      for (const AllocationScratch &S : Scratches)
-        Reuses += S.reuses();
-      Telem->addCount(telemetry::SchedScratchReuses,
-                      static_cast<double>(Reuses));
-    }
+    std::uint64_t Reuses = 0;
+    for (const AllocationScratch &S : Scratches)
+      Reuses += S.reuses();
+    Telem->addCount(telemetry::SchedScratchReuses,
+                    static_cast<double>(Reuses));
     if (Owned) {
       ThreadPool::Stats PS = Owned->stats();
       Telem->addCount(telemetry::SchedPoolBatches,

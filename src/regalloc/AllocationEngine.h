@@ -48,8 +48,7 @@ class ThreadPool;
 /// (functions with a definition, in module order); entries may be null.
 /// The harness fills this from a ModuleAnalysisCache computed on the
 /// pristine source module — valid for its clones too, since cloning
-/// preserves block ids and vreg numbering. Honored only when
-/// AllocatorOptions::IncrementalLiveness is on; each allocation copies its
+/// preserves block ids and vreg numbering. Each allocation copies its
 /// seed, never mutates it.
 struct AnalysisSeeds {
   std::vector<const Liveness *> BaselineLiveness;
@@ -111,12 +110,12 @@ public:
 
 private:
   /// One whole-function allocation with an explicit allocator instance,
-  /// telemetry sink, optional baseline-liveness seed, and optional scratch
-  /// arena (all per-task in the parallel path).
+  /// telemetry sink, optional baseline-liveness seed, and scratch arena
+  /// (all per-task in the parallel path).
   FunctionAllocation allocateWith(RegAllocBase &Alloc, Function &F,
                                   const FrequencyInfo &Freq, Telemetry *T,
                                   const Liveness *SeedLV,
-                                  AllocationScratch *Scratch) const;
+                                  AllocationScratch &Scratch) const;
 
   MachineDescription MD;
   AllocatorOptions Opts;

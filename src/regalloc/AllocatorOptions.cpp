@@ -40,9 +40,8 @@ std::string AllocatorOptions::describe() const {
   return "unknown";
 }
 
-// Textual field names of the canonical serialized form. Enum spellings are
-// the single source of truth for both directions, so serialize -> parse
-// cannot drift.
+// Textual field names of the canonical key. Enum spellings are the single
+// source of truth for both directions, so key -> parse cannot drift.
 namespace {
 
 const char *kindName(AllocatorKind K) {
@@ -79,18 +78,6 @@ const char *orderingName(PriorityOrdering O) {
   return "full-sort";
 }
 
-const char *graphName(GraphRep G) {
-  switch (G) {
-  case GraphRep::Auto:
-    return "auto";
-  case GraphRep::Dense:
-    return "dense";
-  case GraphRep::Sparse:
-    return "sparse";
-  }
-  return "auto";
-}
-
 bool parseBool(const std::string &V, bool &Out) {
   if (V == "1")
     Out = true;
@@ -109,31 +96,6 @@ bool fail(std::string *Err, const std::string &Message) {
 
 } // namespace
 
-std::string ccra::serializeAllocatorOptions(const AllocatorOptions &Opts) {
-  std::ostringstream OS;
-  OS << "kind=" << kindName(Opts.Kind)                          //
-     << " optimistic=" << (Opts.Optimistic ? 1 : 0)             //
-     << " storage-class=" << (Opts.StorageClass ? 1 : 0)        //
-     << " benefit-simplify=" << (Opts.BenefitSimplify ? 1 : 0)  //
-     << " preference-decision=" << (Opts.PreferenceDecision ? 1 : 0)
-     << " bs-key=" << bsKeyName(Opts.BSKey)                     //
-     << " callee-model=" << calleeModelName(Opts.CalleeModel)   //
-     << " ordering=" << orderingName(Opts.Ordering)             //
-     << " aggressive-coalescing=" << (Opts.AggressiveCoalescing ? 1 : 0)
-     << " materialize=" << (Opts.MaterializeSaveRestore ? 1 : 0) //
-     << " verify=" << (Opts.Verify ? 1 : 0)                      //
-     << " verify-report-only=" << (Opts.VerifyReportOnly ? 1 : 0)
-     << " incremental-reconstruction="
-     << (Opts.IncrementalReconstruction ? 1 : 0)                //
-     << " incremental-liveness=" << (Opts.IncrementalLiveness ? 1 : 0)
-     << " scratch-arenas=" << (Opts.ScratchArenas ? 1 : 0)      //
-     << " graph=" << graphName(Opts.GraphMode)                  //
-     << " legacy-simplifier=" << (Opts.LegacySimplifier ? 1 : 0)
-     << " max-rounds=" << Opts.MaxRounds                        //
-     << " jobs=" << Opts.Jobs;
-  return OS.str();
-}
-
 std::string AllocatorOptions::canonicalKey() const {
   std::ostringstream OS;
   OS << "kind=" << kindName(Kind)                            //
@@ -145,8 +107,7 @@ std::string AllocatorOptions::canonicalKey() const {
      << " callee-model=" << calleeModelName(CalleeModel)     //
      << " ordering=" << orderingName(Ordering)               //
      << " aggressive-coalescing=" << (AggressiveCoalescing ? 1 : 0)
-     << " materialize=" << (MaterializeSaveRestore ? 1 : 0)  //
-     << " max-rounds=" << MaxRounds;
+     << " materialize=" << (MaterializeSaveRestore ? 1 : 0);
   return OS.str();
 }
 
@@ -208,43 +169,6 @@ bool ccra::parseAllocatorOptions(const std::string &Text, AllocatorOptions &Out,
       Ok = parseBool(Value, Out.AggressiveCoalescing);
     } else if (Key == "materialize") {
       Ok = parseBool(Value, Out.MaterializeSaveRestore);
-    } else if (Key == "verify") {
-      Ok = parseBool(Value, Out.Verify);
-    } else if (Key == "verify-report-only") {
-      Ok = parseBool(Value, Out.VerifyReportOnly);
-    } else if (Key == "incremental-reconstruction") {
-      Ok = parseBool(Value, Out.IncrementalReconstruction);
-    } else if (Key == "incremental-liveness") {
-      Ok = parseBool(Value, Out.IncrementalLiveness);
-    } else if (Key == "scratch-arenas") {
-      Ok = parseBool(Value, Out.ScratchArenas);
-    } else if (Key == "legacy-simplifier") {
-      Ok = parseBool(Value, Out.LegacySimplifier);
-    } else if (Key == "graph") {
-      if (Value == "auto")
-        Out.GraphMode = GraphRep::Auto;
-      else if (Value == "dense")
-        Out.GraphMode = GraphRep::Dense;
-      else if (Value == "sparse")
-        Out.GraphMode = GraphRep::Sparse;
-      else
-        Ok = false;
-    } else if (Key == "max-rounds" || Key == "jobs") {
-      unsigned N = 0;
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        Ok = false;
-      } else {
-        try {
-          unsigned long Wide = std::stoul(Value);
-          N = static_cast<unsigned>(Wide);
-          Ok = static_cast<unsigned long>(N) == Wide;
-        } catch (const std::exception &) {
-          Ok = false;
-        }
-      }
-      if (Ok)
-        (Key == "jobs" ? Out.Jobs : Out.MaxRounds) = N;
     } else {
       return fail(Err, "unknown option key '" + Key + "'");
     }

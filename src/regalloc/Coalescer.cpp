@@ -127,7 +127,7 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
     InterferenceGraph IG;
     {
       Telemetry::ScopedTimer Timer(T, telemetry::BuildGraphPhase);
-      IG = InterferenceGraph::build(F, LV, LRS, &S, Req.GraphMode);
+      IG = InterferenceGraph::build(F, LV, LRS, &S);
     }
 
     // --- Phase 1: decide merges and deletions (code untouched) ------------
@@ -286,17 +286,6 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
           LV.recomputeRegister(F, Rep, UE, Kill);
         }
       }
-#ifdef CCRA_COALESCER_SELFCHECK
-      {
-        Function &Check = F;
-        VRegClasses &CheckClasses = Classes;
-        // The maintained solution must equal a fresh run on the code as
-        // the next pass will name it.
-        canonicalize(Check, CheckClasses);
-        assert(LV == Liveness::compute(Check) &&
-               "incremental liveness diverged from fresh compute");
-      }
-#endif
     } else {
       LVValid = false;
     }
@@ -314,18 +303,6 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
   LV = Liveness::compute(F);
   ++Stats.LivenessComputes;
   OutLRS = LiveRangeSet::build(F, LV, Freq, Classes);
-  OutIG = InterferenceGraph::build(F, LV, OutLRS, &S, Req.GraphMode);
+  OutIG = InterferenceGraph::build(F, LV, OutLRS, &S);
   return Stats;
-}
-
-CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
-                             const MachineDescription &MD,
-                             const FrequencyInfo &Freq, Liveness &LV,
-                             bool Aggressive) {
-  CoalesceRequest Req;
-  Req.Aggressive = Aggressive;
-  Req.IncrementalLiveness = false;
-  LiveRangeSet LRS;
-  InterferenceGraph IG;
-  return run(F, Classes, MD, Freq, LV, Req, LRS, IG);
 }

@@ -44,7 +44,6 @@
 #ifndef CCRA_REGALLOC_INTERFERENCEGRAPH_H
 #define CCRA_REGALLOC_INTERFERENCEGRAPH_H
 
-#include "regalloc/GraphRep.h"
 #include "regalloc/LiveRange.h"
 #include "support/BitVector.h"
 
@@ -55,6 +54,15 @@ namespace ccra {
 
 class AllocationScratch;
 class Liveness;
+
+/// How InterferenceGraph stores the edge relation (see above). The engine
+/// always builds Auto; forcing Dense or Sparse is for tests, the fuzz
+/// component check and bench/perf_scaling.
+enum class GraphRep {
+  Auto, ///< Dense up to DenseNodeThreshold nodes, Sparse above.
+  Dense,
+  Sparse,
+};
 
 class InterferenceGraph {
 public:

@@ -64,6 +64,8 @@ struct LiveRange {
   /// Ids of the CallSites this range is live across, ascending.
   std::vector<unsigned> CrossedCalls;
 
+  bool operator==(const LiveRange &Other) const = default;
+
   double spillCost() const {
     return NoSpill ? InfiniteSpillCost : WeightedRefs;
   }

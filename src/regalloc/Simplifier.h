@@ -13,16 +13,13 @@
 /// Optimistic (Briggs) mode pushes the blocked pick instead of spilling it;
 /// the spill decision is deferred to color assignment (§8).
 ///
-/// Two implementations share these semantics bit-for-bit:
-///
-///  - run(): worklist-driven. Unconstrained nodes live in a (key, index)
-///    min-heap over keys cached once per run; constrained nodes in a dense
-///    set. Deactivating a node decrements neighbor degrees and migrates a
-///    neighbor that drops below its color limit from the constrained set to
-///    the heap, so a full pass costs O((V + E) log V) instead of the
-///    reference's O(V^2).
-///  - runReference(): the original rescan-everything loop, retained as the
-///    equivalence oracle for tests and the perf_grid legacy arm.
+/// run() is worklist-driven. Unconstrained nodes live in a (key, index)
+/// min-heap over keys cached once per run; constrained nodes in a dense
+/// set. Deactivating a node decrements neighbor degrees and migrates a
+/// neighbor that drops below its color limit from the constrained set to
+/// the heap, so a full pass costs O((V + E) log V) instead of the O(V^2)
+/// rescan-everything loop it replaced. That loop survives only as a test
+/// oracle, referenceSimplify() in fuzz/Oracle.h.
 ///
 /// Identical output is an invariant, not an accident: every tie in both
 /// implementations resolves to the lowest node index (the heap orders by
@@ -61,13 +58,6 @@ public:
 
   static SimplifyResult run(const AllocationContext &Ctx, bool Optimistic,
                             const KeyFn &Key = nullptr);
-
-  /// The O(V^2) reference implementation. Produces byte-identical results
-  /// to run() on every input; kept for the equivalence tests and the
-  /// AllocatorOptions::LegacySimplifier escape hatch.
-  static SimplifyResult runReference(const AllocationContext &Ctx,
-                                     bool Optimistic,
-                                     const KeyFn &Key = nullptr);
 };
 
 } // namespace ccra

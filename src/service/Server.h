@@ -59,8 +59,9 @@
 ///   (per-request cost varies ~20x across modules). Admission (tier
 ///   lookup, clone or parse and verify) is timed as serve.admit; the
 ///   allocation through the response encode as serve.batch. Requests run
-///   at Jobs=1 (canonicalKey() does not carry Jobs), so the engine uses a
-///   call-local scratch arena and needs no thread pool.
+///   at Jobs=1 (the wire cannot set Jobs or any other execution field),
+///   so the engine uses a call-local scratch arena and needs no thread
+///   pool.
 /// - **Backpressure.** Each shard's queue is bounded (QueueCapacity split
 ///   evenly); when full an arriving request is answered immediately with
 ///   an explicit SHED frame instead of being buffered without limit.

@@ -298,8 +298,8 @@ std::string ccra::encodeAllocRequest(const AllocRequest &R) {
          (R.Mode == FrequencyMode::Static ? "static" : "profile") + "\n";
   if (R.DeadlineMs > 0)
     Out += "deadline-ms: " + std::to_string(R.DeadlineMs) + "\n";
-  // canonicalKey, not serializeAllocatorOptions: the wire carries behavior,
-  // not execution strategy (see AllocRequest::Options).
+  // The wire carries behavior, not execution strategy (see
+  // AllocRequest::Options).
   Out += "options: " + R.Options.canonicalKey() + "\n";
   Out += "module:\n";
   Out += R.ModuleText;

@@ -208,7 +208,7 @@ TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
   EXPECT_EQ(Key, allocationCacheKey(Deadline));
   AllocRequest Exec = R;
   Exec.Options.Jobs = 16;
-  Exec.Options.ScratchArenas = !Exec.Options.ScratchArenas;
+  Exec.Options.Verify = !Exec.Options.Verify;
   EXPECT_EQ(Key, allocationCacheKey(Exec));
 }
 

@@ -36,8 +36,12 @@ struct CoalesceFixture {
     FrequencyInfo Freq = FrequencyInfo::compute(M, FrequencyMode::Profile);
     Classes.grow(F->numVRegs());
     Liveness LV;
+    CoalesceRequest Req;
+    Req.Aggressive = Aggressive;
+    LiveRangeSet LRS;
+    InterferenceGraph IG;
     CoalesceStats Stats =
-        Coalescer::run(*F, Classes, MD, Freq, LV, Aggressive);
+        Coalescer::run(*F, Classes, MD, Freq, LV, Req, LRS, IG);
     EXPECT_TRUE(verifyModule(M, nullptr));
     return Stats;
   }
@@ -123,16 +127,23 @@ TEST(CoalescerTest, ConservativeTestBlocksRiskyMergeAggressiveTakesIt) {
   VRegClasses Classes1(F1->numVRegs());
   Liveness LV1;
   MachineDescription Small(RegisterConfig(2, 2, 0, 0));
-  CoalesceStats Conservative =
-      Coalescer::run(*F1, Classes1, Small, Freq1, LV1, false);
+  CoalesceRequest ConservativeReq;
+  LiveRangeSet LRS1;
+  InterferenceGraph IG1;
+  CoalesceStats Conservative = Coalescer::run(
+      *F1, Classes1, Small, Freq1, LV1, ConservativeReq, LRS1, IG1);
 
   Module M2("m2");
   Function *F2 = Build(M2);
   FrequencyInfo Freq2 = FrequencyInfo::compute(M2, FrequencyMode::Profile);
   VRegClasses Classes2(F2->numVRegs());
   Liveness LV2;
-  CoalesceStats Aggressive =
-      Coalescer::run(*F2, Classes2, Small, Freq2, LV2, true);
+  CoalesceRequest AggressiveReq;
+  AggressiveReq.Aggressive = true;
+  LiveRangeSet LRS2;
+  InterferenceGraph IG2;
+  CoalesceStats Aggressive = Coalescer::run(*F2, Classes2, Small, Freq2, LV2,
+                                            AggressiveReq, LRS2, IG2);
 
   EXPECT_EQ(Conservative.CoalescedMoves, 0u);
   EXPECT_EQ(Aggressive.CoalescedMoves, 1u);
@@ -167,7 +178,10 @@ TEST(CoalescerTest, LivenessReturnedMatchesFinalCode) {
   FrequencyInfo Freq = FrequencyInfo::compute(Fx.M, FrequencyMode::Profile);
   Fx.Classes.grow(Fx.F->numVRegs());
   Liveness LV;
-  Coalescer::run(*Fx.F, Fx.Classes, Fx.MD, Freq, LV, false);
+  CoalesceRequest Req;
+  LiveRangeSet LRS;
+  InterferenceGraph IG;
+  Coalescer::run(*Fx.F, Fx.Classes, Fx.MD, Freq, LV, Req, LRS, IG);
   Liveness Fresh = Liveness::compute(*Fx.F);
   for (const auto &BB : Fx.F->blocks()) {
     EXPECT_TRUE(LV.liveIn(*BB) == Fresh.liveIn(*BB));

@@ -117,7 +117,14 @@ TEST(FuzzLattice, FreshSeedsPassAllOracles) {
     OO.Config = fuzzRegisterConfig(ConfigRng);
     OO.ParallelJobs = 2;
     OracleReport Report = runOracleLattice(*M, OO);
-    EXPECT_GT(Report.LegsRun, 10u);
+    // Four equivalence legs plus six soundness legs, and the component
+    // check on every function body.
+    EXPECT_EQ(Report.LegsRun, 10u);
+    unsigned Bodies = 0;
+    for (const auto &F : M->functions())
+      Bodies += F->isDeclaration() ? 0 : 1;
+    EXPECT_GT(Bodies, 0u);
+    EXPECT_EQ(Report.ComponentChecks, Bodies);
     for (const std::string &Line : Report.lines())
       ADD_FAILURE() << fuzzProfileName(P) << " seed " << Params.Seed << ": "
                     << Line;

@@ -222,34 +222,28 @@ TEST(ParallelAllocation, TelemetryCountersMatchSerial) {
 }
 
 TEST(ParallelAllocation, OptimizationsOnOffBitIdenticalAtAnyJobs) {
-  // The three throughput features — incremental liveness (with or without
-  // a cached baseline seed), scratch arenas, and the shared pool — are
-  // pure compute-sharing: allocations and costs must be bit-identical
-  // with all of them on or off, serial or parallel.
+  // The throughput features — function-level parallelism, the shared
+  // analysis cache with its baseline-liveness seeds, and the shared pool —
+  // are pure compute-sharing: cached, pooled and parallel allocations must
+  // be bit-identical to plain serial runs.
   std::unique_ptr<Module> M = generateRandomProgram(manyFunctionParams(91));
-  AllocatorOptions On = improvedOptions();
-  On.IncrementalLiveness = true;
-  On.ScratchArenas = true;
-  AllocatorOptions Off = On;
-  Off.IncrementalLiveness = false;
-  Off.ScratchArenas = false;
+  AllocatorOptions Opts = improvedOptions();
+  const RegisterConfig Config(6, 4, 2, 2);
 
   std::unique_ptr<Module> RefClone;
-  ModuleAllocationResult Ref = allocateClone(*M, 1, Off, RefClone);
+  ModuleAllocationResult Ref = allocateClone(*M, 1, Opts, RefClone);
+  ExperimentRun Plain =
+      runExperiment({M.get(), Config, Opts, FrequencyMode::Profile, 1});
   for (unsigned Jobs : {1u, 8u}) {
-    std::unique_ptr<Module> OnClone;
-    ModuleAllocationResult WithOn = allocateClone(*M, Jobs, On, OnClone);
-    expectIdenticalAllocations(*RefClone, Ref, *OnClone, WithOn);
+    std::unique_ptr<Module> ParClone;
+    ModuleAllocationResult Par = allocateClone(*M, Jobs, Opts, ParClone);
+    expectIdenticalAllocations(*RefClone, Ref, *ParClone, Par);
 
     // Through the harness, with the shared analysis cache and pool.
     ModuleAnalysisCache Cache;
     ThreadPool Pool(Jobs);
     ExperimentRun Cached = runExperiment(
-        {M.get(), RegisterConfig(6, 4, 2, 2), On, FrequencyMode::Profile,
-         Jobs},
-        &Cache, &Pool);
-    ExperimentRun Plain = runExperiment({M.get(), RegisterConfig(6, 4, 2, 2),
-                                         Off, FrequencyMode::Profile, 1});
+        {M.get(), Config, Opts, FrequencyMode::Profile, Jobs}, &Cache, &Pool);
     EXPECT_EQ(Cached.Result.Costs.total(), Plain.Result.Costs.total());
     EXPECT_EQ(Cached.Result.SpilledRanges, Plain.Result.SpilledRanges);
     EXPECT_EQ(Cached.Result.CoalescedMoves, Plain.Result.CoalescedMoves);

@@ -151,6 +151,21 @@ TEST(IRParser, RejectsMissingBrace) {
   EXPECT_NE(R.Errors[0].find("missing '}'"), std::string::npos);
 }
 
+TEST(IRParser, RejectsInstructionAfterTerminator) {
+  // Diagnosed before BasicBlock::append, which asserts on it.
+  ParseResult R = parseModule("module m\nfunc @main {\nentry:\n"
+                              "  %i0 = loadimm 1\n"
+                              "  ret %i0\n"
+                              "  %i1 = loadimm 2\n}\n");
+  EXPECT_FALSE(R.ok());
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("instruction after terminator in @main block "
+                             "entry"),
+            std::string::npos)
+      << R.Errors[0];
+  EXPECT_NE(R.Errors[0].find("line 6"), std::string::npos) << R.Errors[0];
+}
+
 TEST(IRParser, RejectsTextBeforeModule) {
   ParseResult R = parseModule("func @f (external)\n");
   EXPECT_FALSE(R.ok());

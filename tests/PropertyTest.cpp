@@ -186,10 +186,10 @@ TEST(AllocationRelations, OptimisticNeverSpillsMoreThanChaitin) {
 
 // --- AllocatorOptions textual round trip ---------------------------------------
 //
-// Fuzz reproducer headers embed the full serializeAllocatorOptions form, so
-// the round trip must be exact over the *whole* option space — every field,
-// including Jobs, the cost-model enums, and the legacy toggles. (The wire
-// protocol ships the behavior-only canonicalKey() instead; see below.)
+// canonicalKey() is the one textual form (wire protocol, `ccra_cc
+// --options`, cache keys). It carries the ten behavior fields; the four
+// execution fields are set from code only, so a trip through text resets
+// them to their defaults and their names do not parse.
 
 AllocatorOptions randomOptions(Rng &R) {
   AllocatorOptions O;
@@ -208,26 +208,31 @@ AllocatorOptions randomOptions(Rng &R) {
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
   O.IncrementalReconstruction = R.nextBool();
-  O.IncrementalLiveness = R.nextBool();
-  O.ScratchArenas = R.nextBool();
-  O.GraphMode = static_cast<GraphRep>(R.nextBelow(3));
-  O.LegacySimplifier = R.nextBool();
-  O.MaxRounds = static_cast<unsigned>(R.nextBelow(1000));
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
   return O;
 }
 
+/// \p O with the execution fields canonicalKey leaves out at defaults.
+AllocatorOptions behaviorOnly(AllocatorOptions O) {
+  const AllocatorOptions Defaults;
+  O.Verify = Defaults.Verify;
+  O.VerifyReportOnly = Defaults.VerifyReportOnly;
+  O.IncrementalReconstruction = Defaults.IncrementalReconstruction;
+  O.Jobs = Defaults.Jobs;
+  return O;
+}
+
 TEST(OptionsRoundTrip, RandomOptionSpaceIsExact) {
+  // All fourteen fields randomized: the ten behavior fields come back
+  // exactly, the four execution fields come back at their defaults.
   Rng R(20260806);
   for (int I = 0; I < 2000; ++I) {
     AllocatorOptions O = randomOptions(R);
-    std::string Text = serializeAllocatorOptions(O);
+    std::string Text = O.canonicalKey();
     AllocatorOptions Back;
     std::string Err;
     ASSERT_TRUE(parseAllocatorOptions(Text, Back, &Err)) << Text << ": " << Err;
-    EXPECT_TRUE(O == Back) << Text;
-    // The serialized form itself is canonical: a second trip is a fixpoint.
-    EXPECT_EQ(Text, serializeAllocatorOptions(Back));
+    EXPECT_TRUE(behaviorOnly(O) == Back) << Text;
   }
 }
 
@@ -239,26 +244,27 @@ TEST(OptionsRoundTrip, NamedConfigurationsAreExact) {
         priorityOptions(PriorityOrdering::SortUnconstrained), priorityOptions(),
         cbhOptions()}) {
     AllocatorOptions Back;
-    ASSERT_TRUE(parseAllocatorOptions(serializeAllocatorOptions(O), Back));
-    EXPECT_TRUE(O == Back) << serializeAllocatorOptions(O);
+    ASSERT_TRUE(parseAllocatorOptions(O.canonicalKey(), Back));
+    EXPECT_TRUE(O == Back) << O.canonicalKey();
   }
 }
 
 TEST(OptionsRoundTrip, TokensParseInAnyOrderAndOmittedFieldsDefault) {
   AllocatorOptions O;
-  ASSERT_TRUE(parseAllocatorOptions("jobs=7 kind=cbh", O));
+  ASSERT_TRUE(parseAllocatorOptions("materialize=0 kind=cbh", O));
   AllocatorOptions Expected;
   Expected.Kind = AllocatorKind::CBH;
-  Expected.Jobs = 7;
+  Expected.MaterializeSaveRestore = false;
   EXPECT_TRUE(O == Expected);
 
-  // Reversed full form parses to the same struct as the canonical order.
+  // The reversed key parses to the same struct as the canonical order.
   Rng R(99);
-  AllocatorOptions Sample = randomOptions(R);
-  std::istringstream IS(serializeAllocatorOptions(Sample));
+  AllocatorOptions Sample = behaviorOnly(randomOptions(R));
+  std::istringstream IS(Sample.canonicalKey());
   std::vector<std::string> Tokens;
   for (std::string T; IS >> T;)
     Tokens.push_back(T);
+  EXPECT_EQ(Tokens.size(), 10u);
   std::string Reversed;
   for (auto It = Tokens.rbegin(); It != Tokens.rend(); ++It)
     Reversed += (Reversed.empty() ? "" : " ") + *It;
@@ -273,7 +279,7 @@ TEST(OptionsRoundTrip, MalformedInputIsRejected) {
   EXPECT_FALSE(parseAllocatorOptions("kind=nonsense", O, &Err));
   EXPECT_FALSE(Err.empty());
   EXPECT_FALSE(parseAllocatorOptions("no-such-key=1", O));
-  EXPECT_FALSE(parseAllocatorOptions("jobs=notanumber", O));
+  EXPECT_FALSE(parseAllocatorOptions("bs-key=notakey", O));
   EXPECT_FALSE(parseAllocatorOptions("optimistic=2", O));
   EXPECT_FALSE(parseAllocatorOptions("=1", O));
   EXPECT_FALSE(parseAllocatorOptions("kind", O));
@@ -282,23 +288,41 @@ TEST(OptionsRoundTrip, MalformedInputIsRejected) {
   EXPECT_TRUE(O == AllocatorOptions());
 }
 
+TEST(OptionsRoundTrip, NonKeyNamesAreRejected) {
+  // The four execution fields and the five deleted comparison knobs: none
+  // of them is a key, so none can be set from the wire or `--options`.
+  for (const char *Name :
+       {"verify", "verify-report-only", "incremental-reconstruction", "jobs",
+        "incremental-liveness", "scratch-arenas", "graph",
+        "legacy-simplifier", "max-rounds"}) {
+    for (const char *Value : {"0", "1", "dense"}) {
+      std::string Token = std::string(Name) + "=" + Value;
+      AllocatorOptions O;
+      std::string Err;
+      EXPECT_FALSE(parseAllocatorOptions("kind=improved " + Token, O, &Err))
+          << Token;
+      EXPECT_NE(Err.find(std::string("'") + Name + "'"), std::string::npos)
+          << Token << ": " << Err;
+    }
+    EXPECT_EQ(AllocatorOptions().canonicalKey().find(std::string(Name) + "="),
+              std::string::npos)
+        << Name;
+  }
+}
+
 // --- AllocatorOptions::canonicalKey --------------------------------------
 //
-// The one true cache/serialization form: the wire protocol and the
-// allocation cache both key on it, so it must cover exactly the fields
-// that change WHAT is computed and be blind to every field that only
-// changes HOW. The determinism lattice (OracleTest) proves the excluded
-// fields never change results; these tests pin the key to that split.
+// The one textual form: the wire protocol and the allocation cache both
+// key on it, so it must cover exactly the fields that change WHAT is
+// computed and be blind to every field that only changes HOW. The oracle
+// lattice (FuzzTest) proves the excluded fields never change results;
+// these tests pin the key to that split.
 
-/// Rerandomizes every execution-strategy field canonicalKey excludes.
+/// Rerandomizes every execution field canonicalKey excludes.
 void scrambleExecutionFields(AllocatorOptions &O, Rng &R) {
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
   O.IncrementalReconstruction = R.nextBool();
-  O.IncrementalLiveness = R.nextBool();
-  O.ScratchArenas = R.nextBool();
-  O.GraphMode = static_cast<GraphRep>(R.nextBelow(3));
-  O.LegacySimplifier = R.nextBool();
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
 }
 
@@ -308,9 +332,7 @@ TEST(CanonicalKey, ExecutionStrategyNeverPerturbsTheKey) {
     AllocatorOptions A = randomOptions(R);
     AllocatorOptions B = A;
     scrambleExecutionFields(B, R);
-    EXPECT_EQ(A.canonicalKey(), B.canonicalKey())
-        << serializeAllocatorOptions(A) << " vs "
-        << serializeAllocatorOptions(B);
+    EXPECT_EQ(A.canonicalKey(), B.canonicalKey());
   }
 }
 
@@ -347,7 +369,6 @@ TEST(CanonicalKey, EveryBehaviorFieldPerturbsTheKey) {
       [](AllocatorOptions &O) {
         O.MaterializeSaveRestore = !O.MaterializeSaveRestore;
       },
-      [](AllocatorOptions &O) { O.MaxRounds += 1; },
   };
 
   Rng R(424242);
@@ -357,15 +378,14 @@ TEST(CanonicalKey, EveryBehaviorFieldPerturbsTheKey) {
     for (Mutator Mutate : Mutations) {
       AllocatorOptions B = A;
       Mutate(B);
-      EXPECT_NE(Key, B.canonicalKey()) << serializeAllocatorOptions(A);
+      EXPECT_NE(Key, B.canonicalKey()) << Key;
     }
   }
 }
 
 TEST(CanonicalKey, KeyIsAParsableFixpoint) {
   // The wire protocol ships the key and parses it with
-  // parseAllocatorOptions: the key must parse, reproduce every behavior
-  // field, and leave the execution fields at their defaults.
+  // parseAllocatorOptions: a second trip through text is a fixpoint.
   Rng R(7);
   for (int I = 0; I < 500; ++I) {
     AllocatorOptions A = randomOptions(R);
@@ -374,18 +394,6 @@ TEST(CanonicalKey, KeyIsAParsableFixpoint) {
     ASSERT_TRUE(parseAllocatorOptions(A.canonicalKey(), Back, &Err))
         << A.canonicalKey() << ": " << Err;
     EXPECT_EQ(A.canonicalKey(), Back.canonicalKey());
-
-    AllocatorOptions Expected = A;
-    AllocatorOptions Defaults;
-    Expected.Verify = Defaults.Verify;
-    Expected.VerifyReportOnly = Defaults.VerifyReportOnly;
-    Expected.IncrementalReconstruction = Defaults.IncrementalReconstruction;
-    Expected.IncrementalLiveness = Defaults.IncrementalLiveness;
-    Expected.ScratchArenas = Defaults.ScratchArenas;
-    Expected.GraphMode = Defaults.GraphMode;
-    Expected.LegacySimplifier = Defaults.LegacySimplifier;
-    Expected.Jobs = Defaults.Jobs;
-    EXPECT_TRUE(Expected == Back) << A.canonicalKey();
   }
 }
 

@@ -387,6 +387,79 @@ TEST(Service, MalformedModuleAnswersErrorAndKeepsConnection) {
   EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError));
 }
 
+/// Sends \p Payload as one raw AllocRequest frame — no client-side parse
+/// or option validation — and expects an Error frame back, returned in
+/// \p Out.
+void expectRawRequestRejected(ServiceClient &C, const std::string &Payload,
+                              ErrorResponse &Out) {
+  Frame F;
+  F.Type = FrameType::AllocRequest;
+  F.Payload = Payload;
+  std::string Bytes, Err;
+  encodeFrame(F, Bytes);
+  ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Err;
+  Frame In;
+  ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(In, &Err)) << Err;
+  ASSERT_EQ(FrameType::Error, In.Type) << In.Payload;
+  ASSERT_TRUE(parseError(In.Payload, Out));
+}
+
+TEST(Service, NonKeyOptionsAnswerErrorAndKeepServing) {
+  // The wire's `options:` line takes only canonicalKey() fields; an
+  // execution field or a deleted knob (max-rounds=0 would stop the engine
+  // before its first round) is a malformed request.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  const std::string Module = proxyRequest("eqntott").ModuleText;
+  for (const char *Key :
+       {"max-rounds=0", "legacy-simplifier=1", "graph=dense", "verify=0",
+        "jobs=8"}) {
+    SCOPED_TRACE(Key);
+    ErrorResponse E;
+    expectRawRequestRejected(C,
+                             "config: 9,7,3,3\nmode: profile\n"
+                             "options: kind=improved " +
+                                 std::string(Key) + "\nmodule:\n" + Module,
+                             E);
+    EXPECT_EQ("malformed", E.Code);
+    std::string Name(Key, std::string(Key).find('='));
+    EXPECT_NE(E.Message.find("'" + Name + "'"), std::string::npos)
+        << E.Message;
+  }
+
+  AllocRequest Good = proxyRequest("eqntott");
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  std::string Err;
+  EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError, &Err))
+      << Err;
+}
+
+TEST(Service, InstructionAfterTerminatorAnswersErrorAndKeepsServing) {
+  // The parser must diagnose it before BasicBlock::append asserts.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  ErrorResponse E;
+  expectRawRequestRejected(C,
+                           "config: 9,7,3,3\nmode: profile\n"
+                           "options: kind=improved\nmodule:\n"
+                           "module m\nfunc @main {\nentry:\n"
+                           "  %i0 = loadimm 1\n  ret %i0\n"
+                           "  %i1 = loadimm 2\n}\n",
+                           E);
+  EXPECT_EQ("malformed", E.Code);
+  EXPECT_NE(E.Message.find("instruction after terminator"),
+            std::string::npos)
+      << E.Message;
+
+  AllocRequest Good = proxyRequest("eqntott");
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  std::string Err;
+  EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError, &Err))
+      << Err;
+}
+
 TEST(Service, GarbageAndTornFramesNeverTakeTheServerDown) {
   LiveServer S;
 
@@ -1262,13 +1335,12 @@ TEST(ModuleTier, ModuleOverThePerEntryCapIsServedButNotRetained) {
 }
 
 TEST(ModuleTier, WarmModuleMissComputesNoLiveness) {
-  // The gate of the shared cold path: with IncrementalLiveness on, a
-  // response miss on a module the tier holds seeds round 1 from the
-  // entry's baseline liveness and never runs the liveness fixpoint.
+  // The gate of the shared cold path: a response miss on a module the
+  // tier holds seeds round 1 from the entry's baseline liveness and never
+  // runs the liveness fixpoint.
   LiveServer S;
   ServiceClient C = S.connect();
   AllocRequest Request = proxyRequest("sc");
-  Request.Options.IncrementalLiveness = true;
   Request.Config = RegisterConfig(9, 7, 3, 3);
   expectServedLikeInProcess(C, Request, Request.ModuleText, "cold module");
 

@@ -1,6 +1,7 @@
 //===- tests/SimplifierTest.cpp - Simplification phase unit tests ---------===//
 
 #include "TestUtil.h"
+#include "fuzz/Oracle.h"
 #include "regalloc/Simplifier.h"
 
 #include <gtest/gtest.h>
@@ -141,7 +142,7 @@ TEST(Simplifier, CascadingRemovalUnlocksNeighbors) {
 
 // --- Worklist vs reference equivalence ----------------------------------
 //
-// run() and runReference() must produce byte-identical results on every
+// run() and referenceSimplify() must produce byte-identical results on every
 // input: same stack, same spill set, same optimistic flags. The scenarios
 // below sweep seeds, both key strategies, optimistic on/off, NoSpill
 // flags, and refused-callee locking.
@@ -211,7 +212,7 @@ TEST(SimplifierEquivalence, WorklistMatchesReferenceAcrossSeedsKeysModes) {
         AllocationContext &Ctx = buildEquivalenceScenario(S, Seed, 40);
         expectIdenticalResults(
             Simplifier::run(Ctx, Optimistic, NK.Key),
-            Simplifier::runReference(Ctx, Optimistic, NK.Key));
+            referenceSimplify(Ctx, Optimistic, NK.Key));
       }
 }
 
@@ -225,7 +226,7 @@ TEST(SimplifierEquivalence, UniformKeysTieBreakToLowestIndex) {
   AllocationContext &Ctx = S.context();
   Simplifier::KeyFn Constant = [](const LiveRange &) { return 1.0; };
   SimplifyResult A = Simplifier::run(Ctx, false, Constant);
-  expectIdenticalResults(A, Simplifier::runReference(Ctx, false, Constant));
+  expectIdenticalResults(A, referenceSimplify(Ctx, false, Constant));
   std::vector<unsigned> Ascending(12);
   for (unsigned I = 0; I < 12; ++I)
     Ascending[I] = I;
@@ -243,7 +244,7 @@ TEST(SimplifierEquivalence, RefusedCalleeRegistersLockIdentically) {
                                PhysReg(RegBank::Int, 2),
                                PhysReg(RegBank::Float, 0)};
       expectIdenticalResults(Simplifier::run(Ctx, Optimistic, deltaBenefitKey),
-                             Simplifier::runReference(Ctx, Optimistic,
+                             referenceSimplify(Ctx, Optimistic,
                                                       deltaBenefitKey));
     }
 }
@@ -261,7 +262,7 @@ TEST(SimplifierEquivalence, EmergencyNoSpillPathMatches) {
   for (unsigned I = 0; I < 4; ++I)
     Ctx.LRS.range(I).NoSpill = true;
   SimplifyResult A = Simplifier::run(Ctx, false);
-  expectIdenticalResults(A, Simplifier::runReference(Ctx, false));
+  expectIdenticalResults(A, referenceSimplify(Ctx, false));
   EXPECT_TRUE(A.SpilledNodes.empty()); // NoSpill nodes are pushed, not spilled
   EXPECT_EQ(A.Stack.size(), 4u);
 }

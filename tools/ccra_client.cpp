@@ -21,8 +21,11 @@
 //        CI smoke: N requests (default 200) across C concurrent client
 //        connections (default 4), cycling 56 cases (each built-in proxy
 //        under four allocators), interleaving malformed frames (every
-//        Nth request opens a throwaway connection and writes garbage;
-//        default 17) and tiny deadlines (default 31). Every successful
+//        Nth request, default 17, opens a throwaway connection and writes
+//        in turn garbage, a torn frame, a well-formed request whose
+//        options carry a non-key field, and one whose module has an
+//        instruction after a terminator — the last two must be answered
+//        Error "malformed") and tiny deadlines (default 31). Every successful
 //        response is verified BIT-IDENTICAL to an in-process allocation of
 //        the same module/options. Exits non-zero on any mismatch, crash,
 //        or transport error on a valid request. When the server's hello
@@ -335,6 +338,7 @@ struct BurstCase {
 };
 
 std::string encodeGarbageTornFrame(unsigned Seed);
+std::string encodeHostileFrame(bool BadOptions);
 
 void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
                  const std::vector<BurstCase> &Cases,
@@ -363,26 +367,36 @@ void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
 
   for (unsigned I = Worker; I < Opts.Requests; I += Opts.Clients) {
     if (Opts.MalformedEvery && I % Opts.MalformedEvery == 0) {
-      // A torn/garbage frame burns its own throwaway connection: the
-      // server is expected to answer (or close on a torn header) and keep
-      // serving everyone else.
+      // A malformed frame burns its own throwaway connection: the server
+      // is expected to answer (or close on garbage or a torn header) and
+      // keep serving everyone else. A hostile payload in a well-formed
+      // frame must be answered with Error "malformed".
       ServiceClient Bad;
       if (!EP.connect(Bad, &Err)) {
         Fail("malformed-leg connect: " + Err);
         return;
       }
-      bool Torn = I % 2 == 1;
-      std::string Garbage = Torn
-                                ? encodeGarbageTornFrame(I)
-                                : std::string("\x13\x37not a frame at all", 19);
-      if (Bad.sendRawBytes(Garbage)) {
+      unsigned Kind = (I / Opts.MalformedEvery) % 4;
+      bool Torn = Kind == 1, Hostile = Kind >= 2;
+      std::string Bytes =
+          Kind == 0   ? std::string("\x13\x37not a frame at all", 19)
+          : Torn      ? encodeGarbageTornFrame(I)
+                      : encodeHostileFrame(/*BadOptions=*/Kind == 2);
+      if (Bad.sendRawBytes(Bytes)) {
         // Half-close after a torn frame: the server sees EOF mid-frame and
         // answers at once instead of at its mid-frame read budget.
         if (Torn)
           Bad.shutdownWrite();
         Frame Resp;
-        if (Bad.readResponse(Resp) == FrameReadStatus::Ok)
+        ErrorResponse E;
+        bool Answered = Bad.readResponse(Resp) == FrameReadStatus::Ok;
+        if (Answered)
           Tally.MalformedAnswered.fetch_add(1);
+        if (Hostile && !(Answered && Resp.Type == FrameType::Error &&
+                         parseError(Resp.Payload, E) &&
+                         E.Code == "malformed"))
+          Fail("request " + std::to_string(I) +
+               ": hostile payload not answered with Error \"malformed\"");
       }
       Bad.close();
       continue;
@@ -451,6 +465,23 @@ std::string encodeGarbageTornFrame(unsigned Seed) {
   std::string Bytes;
   encodeFrame(F, Bytes);
   return Bytes.substr(0, WireHeaderSize + (Seed % 10));
+}
+
+std::string encodeHostileFrame(bool BadOptions) {
+  // Well-formed frames whose payload the server must refuse: an option
+  // outside the canonical key, or a module with an instruction after its
+  // block's terminator.
+  Frame F;
+  F.Type = FrameType::AllocRequest;
+  F.Payload = std::string("config: 9,7,3,3\nmode: profile\noptions: "
+                          "kind=improved") +
+              (BadOptions ? " max-rounds=0" : "") +
+              "\nmodule:\nmodule hostile\nfunc @main {\nentry:\n"
+              "  %i0 = loadimm 1\n  ret %i0\n" +
+              (BadOptions ? "" : "  %i1 = loadimm 2\n") + "}\n";
+  std::string Bytes;
+  encodeFrame(F, Bytes);
+  return Bytes;
 }
 
 int runBurst(const Endpoint &EP, int Argc, char **Argv, int First) {

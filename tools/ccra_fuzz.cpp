@@ -1,10 +1,11 @@
 //===- tools/ccra_fuzz.cpp - Differential fuzzing driver ------------------===//
 //
 // Sweeps seeded random modules (workloads/FuzzGen.h) through the oracle
-// lattice (fuzz/Oracle.h): every optimization toggle the allocator has
-// grown is cross-checked against the baseline execution model, and every
-// leg is held to the soundness oracles (allocation verifier, IR verifier,
-// analytic-vs-measured cost reconciliation). On a mismatch the module is
+// lattice (fuzz/Oracle.h): every execution option the allocator offers
+// is cross-checked against the baseline execution model, the engine's
+// components against their references, and every leg is held to the
+// soundness oracles (allocation verifier, IR verifier, analytic-vs-measured
+// cost reconciliation). On a mismatch the module is
 // shrunk (fuzz/Shrinker.h) into a minimal reproducer and written to the
 // corpus directory; committed corpus files replay as tier-1 tests
 // (tests/FuzzTest.cpp).

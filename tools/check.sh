@@ -4,15 +4,19 @@
 # concurrency-sensitive tests — the thread pool, the parallel-vs-serial
 # determinism suite, and the telemetry recorder — under it; finally run
 # the Release-mode perf smokes: the grid-throughput benchmark
-# (bench/perf_grid) and the per-function scaling benchmark
-# (bench/perf_scaling), both of which exit non-zero if the optimized
-# paths (shared caches/arenas, sparse graphs, worklist simplifier) ever
-# diverge bit-for-bit from the legacy execution model; and last, the
-# time-boxed differential-fuzz smoke (tools/ccra_fuzz --smoke): a fixed
-# seed range through the full oracle lattice — the same range the CI
+# (bench/perf_grid), which exits non-zero if the shared cache/pool grid
+# ever diverges bit-for-bit from plain per-point runs, and the
+# per-function scaling benchmark (bench/perf_scaling), which exits
+# non-zero if the Auto graph + worklist simplifier ever build different
+# edges or a different stack than the dense graph + O(V^2) reference
+# simplifier; and last, the time-boxed differential-fuzz smoke
+# (tools/ccra_fuzz --smoke): a fixed seed range through the full oracle
+# lattice and its per-function component check — the same range the CI
 # smoke step sweeps, so a local pass predicts a CI pass; and the serving
 # stack's gates: a live ccra_serve daemon driven through a mixed client
-# burst (valid + malformed frames) and drained with SIGTERM, a cache
+# burst (valid frames, malformed frames, and well-formed frames with
+# hostile payloads that must be answered "malformed") and drained with
+# SIGTERM, a cache
 # smoke (a Zipfian burst against a cache-enabled sharded daemon that must
 # produce a nonzero hit rate with every response still bit-identical),
 # then the soak (bench/perf_service) whose every valid response must be
