@@ -10,7 +10,7 @@
 #   --build-dir=DIR      build tree holding tools/ccra_serve + ccra_client
 #   --requests=N         burst size (default 200)
 #   --clients=N          concurrent burst clients (default 4)
-#   --serve-args="..."   extra daemon flags (e.g. --shards=2)
+#   --serve-args="..."   extra daemon flags (e.g. --cache-bytes=0)
 #   --client-args="..."  extra burst flags (e.g. --zipf, --wire=v2)
 #   --stats              fetch STATS after the burst (sanity + coverage)
 

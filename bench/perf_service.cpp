@@ -18,7 +18,7 @@
 // unexplained failure, or unclean drain.
 //
 // Phase 3 is the caching-tier gate: a Zipfian workload (skew 1.1 over the
-// proxy x config x mode case population) against a cache-enabled, sharded
+// proxy x config x mode case population) against a cache-enabled
 // server. Every response — cached or cold — is still checked bit-identical
 // to in-process allocation, and the phase must clear a fixed floor of
 // 6,400 req/s (100x CommittedBaselineRps) with a nonzero hit rate. The
@@ -44,11 +44,11 @@
 // cost more than half again the allocation work it transports.
 //
 //   perf_service [--requests=N] [--clients=N] [--queue=N]
-//                [--pool-threads=N] [--zipf-requests=N] [--shards=N]
+//                [--pool-threads=N] [--zipf-requests=N]
 //                [--cache-bytes=N] [--c10k-connections=N]
 //                [--real-corpus-requests=N] [--real-corpus=DIR]
 //
-// Defaults: 10000 requests, 6 clients, 20000 Zipf requests, 2 shards,
+// Defaults: 10000 requests, 6 clients, 20000 Zipf requests,
 // 10000 idle connections — the soak gate CI runs (CI sizes the idle
 // crowd down to 5000 to stay within runner fd limits).
 //
@@ -105,7 +105,6 @@ struct SoakOptions {
   unsigned DeadlineEvery = 41;
   unsigned ShedEvery = 97;
   unsigned ZipfRequests = 20000;
-  unsigned Shards = 2;
   std::size_t CacheBytes = 64u << 20;
   unsigned C10kConnections = 10000;
   /// Phase 3b: Zipf-sampled serving of the REAL modules the C frontend
@@ -404,8 +403,8 @@ struct ZipfResult {
 };
 
 /// Phases 3 and 3b: the caching-tier gate. Pure allocation traffic
-/// sampled from a Zipfian distribution against a cache-enabled, sharded
-/// server; every response is still verified bit-identical to in-process
+/// sampled from a Zipfian distribution against a cache-enabled server;
+/// every response is still verified bit-identical to in-process
 /// allocation. With \p AlternateCodecs, odd requests ship the binary (v2)
 /// module so both wire paths carry the Zipf traffic.
 ZipfResult zipfPhase(const SoakOptions &Opts,
@@ -420,7 +419,6 @@ ZipfResult zipfPhase(const SoakOptions &Opts,
   Config.TcpPort = 0;
   Config.QueueCapacity = Opts.QueueCapacity;
   Config.PoolThreads = Opts.PoolThreads;
-  Config.Shards = Opts.Shards;
   Config.CacheBytes = Opts.CacheBytes;
   AllocationServer Server(Config);
   std::string Err;
@@ -828,9 +826,6 @@ int main(int Argc, char **Argv) {
       continue;
     if (Arg.rfind("--zipf-requests=", 0) == 0 && Unsigned(16, Opts.ZipfRequests))
       continue;
-    if (Arg.rfind("--shards=", 0) == 0 && Unsigned(9, Opts.Shards) &&
-        Opts.Shards > 0)
-      continue;
     if (Arg.rfind("--c10k-connections=", 0) == 0 &&
         Unsigned(19, Opts.C10kConnections))
       continue;
@@ -848,7 +843,7 @@ int main(int Argc, char **Argv) {
     }
     std::cerr << "usage: perf_service [--requests=N] [--clients=N] "
                  "[--queue=N] [--pool-threads=N]\n"
-                 "                    [--zipf-requests=N] [--shards=N] "
+                 "                    [--zipf-requests=N] "
                  "[--cache-bytes=N] [--c10k-connections=N]\n"
                  "                    [--real-corpus-requests=N] "
                  "[--real-corpus=DIR]\n";
@@ -962,7 +957,7 @@ int main(int Argc, char **Argv) {
             << ", gate <= 1.5: " << (BatchLean ? "pass" : "FAIL") << ")\n";
 
   std::cout << "== zipf phase: " << Opts.ZipfRequests << " requests, "
-            << Opts.Clients << " clients, " << Opts.Shards << " shards, "
+            << Opts.Clients << " clients, "
             << (Opts.CacheBytes >> 20) << " MiB cache ==\n"
             << "ok:          " << Zipf.Ok << '\n'
             << "failures:    " << Zipf.Failures << '\n'
@@ -1033,7 +1028,6 @@ int main(int Argc, char **Argv) {
        << "  \"bit_identical\": "
        << (BitIdentical && ZipfBitIdentical ? "true" : "false") << ",\n"
        << "  \"drain_clean\": " << (DrainClean ? "true" : "false") << ",\n"
-       << "  \"shards\": " << Opts.Shards << ",\n"
        << "  \"cache_bytes\": " << Opts.CacheBytes << ",\n"
        << "  \"zipf_requests\": " << Opts.ZipfRequests << ",\n"
        << "  \"zipf_ok\": " << Zipf.Ok << ",\n"

@@ -2,6 +2,8 @@
 
 #include "frontend/Parser.h"
 
+#include <string>
+
 using namespace ccra;
 using namespace ccra::cc;
 
@@ -41,6 +43,32 @@ private:
                        T.is(TokenKind::Eof) ? "" : T.Text);
   }
 
+  /// Deepest statement/expression tree the parser builds. Sema, IRGen and
+  /// the AST's destructors recurse once per level, so input nested tens of
+  /// thousands deep would overflow the stack; the corpus nests under 20.
+  static constexpr unsigned MaxDepth = 256;
+
+  /// Tree levels entered by one parse call, given back when it returns.
+  class DepthScope {
+  public:
+    explicit DepthScope(ParserImpl &P) : P(P), Saved(P.Depth) {}
+    ~DepthScope() { P.Depth = Saved; }
+    /// One level deeper at \p At; false, diagnosed, past MaxDepth.
+    bool deeper(const Token &At) {
+      if (P.Depth == MaxDepth) {
+        P.error("nesting exceeds " + std::to_string(MaxDepth) + " levels",
+                At);
+        return false;
+      }
+      ++P.Depth;
+      return true;
+    }
+
+  private:
+    ParserImpl &P;
+    unsigned Saved;
+  };
+
   bool parseTopLevel(TranslationUnit &TU);
   bool parseGlobal(TranslationUnit &TU, Type Ty, const Token &NameTok);
   bool parseFunction(TranslationUnit &TU, const Token &NameTok);
@@ -57,6 +85,7 @@ private:
   const std::vector<Token> &Tokens;
   std::vector<Diagnostic> &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;
 };
 
 /// Binding power of a (left-associative) binary operator, or -1.
@@ -261,6 +290,9 @@ StmtPtr ParserImpl::parseDecl() {
 
 StmtPtr ParserImpl::parseStmt() {
   const Token &T = peek();
+  DepthScope Scope(*this);
+  if (!Scope.deeper(T))
+    return nullptr;
   switch (T.Kind) {
   case TokenKind::LBrace:
     return parseCompound();
@@ -371,6 +403,9 @@ ExprPtr ParserImpl::parseExpr() { return parseAssignment(); }
 
 ExprPtr ParserImpl::parseAssignment() {
   const Token &Start = peek();
+  DepthScope Scope(*this);
+  if (!Scope.deeper(Start))
+    return nullptr;
   ExprPtr Lhs = parseBinary(1);
   if (!Lhs)
     return nullptr;
@@ -390,11 +425,15 @@ ExprPtr ParserImpl::parseBinary(int MinPrec) {
   ExprPtr Lhs = parseUnary();
   if (!Lhs)
     return nullptr;
+  // Each operator nests the expression so far one level deeper.
+  DepthScope Scope(*this);
   while (true) {
     const Token &Op = peek();
     int Prec = binaryPrecedence(Op.Kind);
     if (Prec < MinPrec)
       return Lhs;
+    if (!Scope.deeper(Op))
+      return nullptr;
     advance();
     ExprPtr Rhs = parseBinary(Prec + 1);
     if (!Rhs)
@@ -411,6 +450,9 @@ ExprPtr ParserImpl::parseUnary() {
   const Token &T = peek();
   if (T.is(TokenKind::Minus) || T.is(TokenKind::Not) ||
       T.is(TokenKind::Star)) {
+    DepthScope Scope(*this);
+    if (!Scope.deeper(T))
+      return nullptr;
     advance();
     ExprPtr Operand = parseUnary();
     if (!Operand)
@@ -427,7 +469,10 @@ ExprPtr ParserImpl::parsePostfix() {
   ExprPtr E = parsePrimary();
   if (!E)
     return nullptr;
+  DepthScope Scope(*this);
   while (check(TokenKind::LBracket)) {
+    if (!Scope.deeper(peek()))
+      return nullptr;
     const Token &Open = advance();
     ExprPtr Subscript = parseExpr();
     if (!Subscript || !expect(TokenKind::RBracket, "after array subscript"))

@@ -5,6 +5,7 @@
 #include "ir/IRPrinter.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -86,6 +87,8 @@ private:
   // Per-function state.
   std::map<std::string, BasicBlock *> BlocksByName;
   std::map<unsigned, RegBank> BankOfVReg;
+  /// Bytes of the current function's body text: register ids stay below.
+  std::size_t BodyBytes = 0;
   /// Calls awaiting callee resolution at end of module. Stored as
   /// (block, instruction index): instruction vectors may reallocate while
   /// the block is still being filled.
@@ -194,7 +197,9 @@ bool Parser::parseBody(Function &F) {
   std::vector<std::pair<unsigned, std::string>> Body;
   std::string Line;
   bool Closed = false;
+  BodyBytes = 0;
   while (nextLine(Line)) {
+    BodyBytes += Line.size() + 1;
     std::string Text = trim(Line);
     if (Text == "}") {
       Closed = true;
@@ -262,7 +267,7 @@ bool Parser::parseBody(Function &F) {
 
   // Materialize the register table now that every reference is known, so
   // printed ids survive the round trip (ids never referenced become
-  // integer-bank placeholders).
+  // integer-bank placeholders; parseReg bounded the ids).
   unsigned MaxId = BankOfVReg.empty() ? 0 : BankOfVReg.rbegin()->first + 1;
   for (unsigned Id = 0; Id < MaxId; ++Id) {
     auto It = BankOfVReg.find(Id);
@@ -279,10 +284,28 @@ VirtReg Parser::parseReg(Function &F, std::string Token) {
     return VirtReg();
   }
   RegBank Bank = Token[1] == 'i' ? RegBank::Int : RegBank::Float;
+  // Digits only (strtoull also takes a sign or blanks), and the id must
+  // fit: narrowing a wider one would alias a small id (%i4294967296 as
+  // %i0).
+  const char *Digits = Token.c_str() + 2;
   char *End = nullptr;
-  unsigned long Id = std::strtoul(Token.c_str() + 2, &End, 10);
-  if (*End != '\0') {
+  errno = 0;
+  unsigned long long Id = std::strtoull(Digits, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*Digits)) || *End != '\0') {
     error("bad register id in '" + Token + "'", Token);
+    return VirtReg();
+  }
+  if (errno == ERANGE || Id >= VirtReg::InvalidId) {
+    error("register id out of range in '" + Token + "'", Token);
+    return VirtReg();
+  }
+  // The table gets a placeholder for every id below the largest, so an id
+  // past the body's length is a memory bomb, not a function: refuse it, as
+  // the binary decoder bounds its table by the bytes remaining.
+  if (Id >= BodyBytes) {
+    error("register id in '" + Token + "' exceeds the " +
+              std::to_string(BodyBytes) + "-byte function body",
+          Token);
     return VirtReg();
   }
   (void)F;

@@ -4,12 +4,23 @@
 
 #include "ir/IRPrinter.h"
 
-#include <cmath>
 #include <set>
 
 using namespace ccra;
 
 namespace {
+
+/// A block's edge probabilities may sum short of 1 by up to this much: the
+/// lost mass leaks out of the function, which only helps the block
+/// frequency solve (analysis/Frequency.h).
+constexpr double ProbabilityShortfall = 1e-6;
+/// ...but exceed 1 by no more than rounding: excess mass can cancel an
+/// exit and make the frequency system singular.
+constexpr double ProbabilityExcess = 1e-12;
+/// The least probability an edge needs to count as a way out of a cycle.
+/// A smaller exit vanishes when the solve subtracts the cycle's mass from
+/// 1, leaving the system singular.
+constexpr double MinExitProbability = 1e-9;
 
 class FunctionVerifier {
 public:
@@ -35,6 +46,7 @@ private:
                   const char *Role);
   void checkDefsExistForUses();
   void checkPredConsistency();
+  void checkEveryBlockCanExit();
 
   const Function &F;
   std::vector<std::string> *Errors;
@@ -52,6 +64,8 @@ bool FunctionVerifier::run() {
     checkBlock(*BB);
   checkDefsExistForUses();
   checkPredConsistency();
+  if (!Failed)
+    checkEveryBlockCanExit();
   return !Failed;
 }
 
@@ -96,7 +110,7 @@ void FunctionVerifier::checkBlock(const BasicBlock &BB) {
         error("block " + BB.getName() + " has foreign successor");
       Total += E.Probability;
     }
-    if (std::abs(Total - 1.0) > 1e-6)
+    if (Total < 1.0 - ProbabilityShortfall || Total > 1.0 + ProbabilityExcess)
       error("block " + BB.getName() + " edge probabilities sum to " +
             std::to_string(Total));
   }
@@ -298,6 +312,53 @@ void FunctionVerifier::checkPredConsistency() {
         error("pred/succ lists disagree between " + BB->getName() + " and " +
               E.Succ->getName());
     }
+  }
+}
+
+void FunctionVerifier::checkEveryBlockCanExit() {
+  // A block reachable from the entry that cannot reach a 'ret' along
+  // edges of at least MinExitProbability lies in a cycle no execution
+  // leaves: the block-frequency equations are then singular. Walk back
+  // from the returns over those edges, then forward from the entry over
+  // every edge.
+  std::vector<bool> CanExit(F.numBlocks(), false);
+  std::vector<const BasicBlock *> Work;
+  for (const auto &BB : F.blocks())
+    if (BB->successors().empty()) {
+      CanExit[BB->getId()] = true;
+      Work.push_back(BB.get());
+    }
+  while (!Work.empty()) {
+    const BasicBlock *BB = Work.back();
+    Work.pop_back();
+    for (const BasicBlock *Pred : BB->predecessors()) {
+      if (CanExit[Pred->getId()])
+        continue;
+      for (const CfgEdge &E : Pred->successors())
+        if (E.Succ == BB && E.Probability >= MinExitProbability) {
+          CanExit[Pred->getId()] = true;
+          Work.push_back(Pred);
+          break;
+        }
+    }
+  }
+
+  std::vector<bool> Reached(F.numBlocks(), false);
+  Reached[F.getEntryBlock()->getId()] = true;
+  Work.push_back(F.getEntryBlock());
+  while (!Work.empty()) {
+    const BasicBlock *BB = Work.back();
+    Work.pop_back();
+    if (!CanExit[BB->getId()]) {
+      error("block " + BB->getName() +
+            " cannot reach a 'ret' along edges of probability >= 1e-9");
+      return;
+    }
+    for (const CfgEdge &E : BB->successors())
+      if (!Reached[E.Succ->getId()]) {
+        Reached[E.Succ->getId()] = true;
+        Work.push_back(E.Succ);
+      }
   }
 }
 

@@ -88,7 +88,7 @@ public:
   /// Publishes one successful allocation. \p IrHeader is the module header
   /// line of the printModule output; \p Functions holds one record per
   /// module function, in module order. Re-inserting an existing key is a
-  /// no-op (two shards can race to publish the same miss).
+  /// no-op (two workers race to publish the same miss).
   void insert(const std::string &Key, const std::string &IrHeader,
               const CostBreakdown &Totals, const TelemetrySnapshot &Telemetry,
               std::vector<FunctionRecord> Functions);

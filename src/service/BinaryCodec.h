@@ -7,8 +7,8 @@
 /// (ir/IRBinary.h) in place of v1's `module:` text section.
 ///
 /// Negotiation: a server advertising `codec-max: 2` in its Hello accepts
-/// AllocRequestV2 frames; anything older treats the frame type as
-/// malformed, so clients must check HelloInfo::MaxCodec first
+/// AllocRequestV2 frames; a server without the codec treats the frame
+/// type as malformed, so clients must check HelloInfo::MaxCodec first
 /// (ServiceClient does). Responses are textual AllocResponse frames for
 /// both codecs — the bit-identity contract is stated over response text,
 /// and the fuzz harness holds the two ingestion paths byte-equivalent:

@@ -89,8 +89,8 @@ RpcStatus ServiceClient::allocate(const AllocRequest &Request,
                                   std::string *Err) {
   Frame Req;
   if (!Request.ModuleBinary.empty()) {
-    // Codec v2 is negotiated, never assumed: a pre-v1.2 server would
-    // reject the frame type as malformed and drop the stream.
+    // Codec v2 is negotiated, never assumed: a server without it would
+    // reject the frame type as malformed.
     if (Hello.MaxCodec < 2) {
       if (Err)
         *Err = "server does not accept binary modules (codec-max " +

@@ -58,7 +58,7 @@ public:
   /// A request with ModuleBinary set goes out as an AllocRequestV2 frame;
   /// that requires the server's Hello to advertise codec-max >= 2 (check
   /// hello().MaxCodec before building binary requests — a request against
-  /// an older server fails as Transport without sending anything).
+  /// a server without it fails as Transport without sending anything).
   RpcStatus allocate(const AllocRequest &Request, AllocResponse &Out,
                      ErrorResponse &ServerError, std::string *Err = nullptr);
 

@@ -433,7 +433,7 @@ void EventLoop::beginDrain() {
   for (std::uint64_t Id : Victims)
     closeConn(Id);
   // All admissions happen on this thread, so after this callback returns
-  // no new work can ever reach the shard queues: the workers' exit
+  // no new work can ever reach the request queue: the workers' exit
   // condition (admissions closed + empty queue) is now monotone.
   if (OnDrainStarted)
     OnDrainStarted();

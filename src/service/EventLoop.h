@@ -19,9 +19,9 @@
 ///   and a write budget so a client that stops reading loses its
 ///   connection, never the loop.
 /// - The **server** (via FrameHandler, called on the loop thread) owns
-///   payloads and policy: parse, cache lookup, admission to the shard
-///   queues, SHED, drain refusal. A handler that admits work returns
-///   InFlight; a shard worker later hands the finished frame back with
+///   payloads and policy: parse, cache lookup, admission to the request
+///   queue, SHED, drain refusal. A handler that admits work returns
+///   InFlight; a worker later hands the finished frame back with
 ///   postResponse(), the loop's cross-thread completion path (mutex queue
 ///   + eventfd doorbell).
 ///

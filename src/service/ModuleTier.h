@@ -13,8 +13,8 @@
 /// point does.
 ///
 /// Keying mirrors the response cache: the wire codec tag plus the exact
-/// module bytes, hash-addressed (the caller passes the FNV-1a 64 it has
-/// already computed for shard dispatch) and compared exactly on lookup, so
+/// module bytes, hash-addressed (the caller passes the FNV-1a 64 it
+/// computed once at admission) and compared exactly on lookup, so
 /// a hash collision costs one string compare, never a wrong module. Each
 /// entry owns its analysis cache because that cache is keyed by Module
 /// pointer: one server-wide cache could hand an evicted module's analyses

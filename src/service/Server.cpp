@@ -13,7 +13,6 @@
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <optional>
 
 using namespace ccra;
@@ -72,12 +71,6 @@ bool AllocationServer::start(std::string *Err) {
     return false;
   BoundPort = Listener.boundPort();
 
-  unsigned NumShards = std::max(1u, Config.Shards);
-  PerShardCapacity = std::max(1u, Config.QueueCapacity / NumShards);
-  Ring = ConsistentHashRing(NumShards);
-  for (unsigned I = 0; I < NumShards; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-
   if (!Loop.start(
           std::move(Listener), helloFrame(),
           [this](std::uint64_t ConnId, Frame &In) {
@@ -86,66 +79,47 @@ bool AllocationServer::start(std::string *Err) {
           [this] {
             // Runs on the loop thread after drain processing: every
             // enqueue also runs there, so once this flag is visible the
-            // queues can only shrink.
+            // queue can only shrink.
             AdmissionsClosed.store(true);
-            notifyAllShards();
+            notifyWorkers();
           },
-          Err)) {
-    Shards.clear();
+          Err))
     return false;
-  }
 
   Started.store(true);
   unsigned TotalThreads = Config.PoolThreads ? Config.PoolThreads
                                              : ThreadPool::defaultParallelism();
-  unsigned PerShardThreads = std::max(1u, TotalThreads / NumShards);
-  for (auto &S : Shards)
-    for (unsigned I = 0; I < PerShardThreads; ++I)
-      S->Workers.emplace_back([this, SP = S.get()] { workerLoop(*SP); });
+  for (unsigned I = 0; I < TotalThreads; ++I)
+    Workers.emplace_back([this] { workerLoop(); });
   return true;
 }
 
-void AllocationServer::notifyAllShards() {
-  for (auto &S : Shards) {
-    { std::lock_guard<std::mutex> Lock(S->QueueMutex); }
-    S->QueueReady.notify_all();
-  }
+void AllocationServer::notifyWorkers() {
+  { std::lock_guard<std::mutex> Lock(QueueMutex); }
+  QueueReady.notify_all();
 }
 
 void AllocationServer::requestDrain() {
   Draining.store(true);
   Loop.requestDrain();
-  notifyAllShards();
+  notifyWorkers();
 }
 
 void AllocationServer::wait() {
   Loop.wait();
-  for (auto &S : Shards)
-    for (std::thread &W : S->Workers)
-      if (W.joinable())
-        W.join();
+  for (std::thread &W : Workers)
+    if (W.joinable())
+      W.join();
 }
 
 TelemetrySnapshot AllocationServer::stats() const {
   TelemetrySnapshot S = Telem.snapshot();
-  std::size_t TotalDepth = 0;
-  for (std::size_t I = 0; I < Shards.size(); ++I) {
-    const Shard &Sh = *Shards[I];
-    std::size_t Depth;
-    {
-      std::lock_guard<std::mutex> Lock(Sh.QueueMutex);
-      Depth = Sh.Queue.size();
-    }
-    TotalDepth += Depth;
-    std::string Prefix = "shard." + std::to_string(I);
-    S.Counters[Prefix + ".queue_depth"] = static_cast<double>(Depth);
-    S.Counters[Prefix + ".dispatched"] =
-        static_cast<double>(Sh.Dispatched.load());
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    S.Counters["serve.queue_depth"] = static_cast<double>(Queue.size());
   }
-  S.Counters["serve.queue_depth"] = static_cast<double>(TotalDepth);
   S.Counters[telemetry::ServeOpenConnections] =
       static_cast<double>(Loop.openConnections());
-  S.Counters[telemetry::ShardCount] = static_cast<double>(Shards.size());
 
   AllocationCacheStats CS = Cache.stats();
   S.Counters[telemetry::CacheHits] = static_cast<double>(CS.Hits);
@@ -172,9 +146,7 @@ Frame AllocationServer::helloFrame() const {
   H.Protocol = WireVersion;
   H.MaxPayloadBytes = Config.MaxPayloadBytes;
   H.QueueCapacity = Config.QueueCapacity;
-  H.ProtocolMinor = WireMinorVersion;
   H.CacheEnabled = Cache.enabled();
-  H.Shards = std::max(1u, Config.Shards);
   H.MaxCodec = WireMaxCodec;
   Frame F;
   F.Type = FrameType::Hello;
@@ -234,25 +206,20 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
     }
   }
 
-  // Consistent-hash dispatch on the module bytes alone (not the full
-  // cache key): every configuration of a hot module lands on one shard.
-  const std::string &ShardKey = Pending->Binary
-                                    ? Pending->Request.ModuleBinary
-                                    : Pending->Request.ModuleText;
-  Pending->ModuleHash = fnv1a64(ShardKey);
-  Shard &Sh = *Shards[Ring.shardFor(Pending->ModuleHash)];
-  Sh.Dispatched.fetch_add(1, std::memory_order_relaxed);
+  Pending->ModuleHash = fnv1a64(Pending->Binary
+                                     ? Pending->Request.ModuleBinary
+                                     : Pending->Request.ModuleText);
 
-  // Admission control: bounded per-shard queue, explicit SHED on overflow.
+  // Admission control: bounded queue, explicit SHED on overflow.
   bool Shed = false;
   {
-    std::lock_guard<std::mutex> Lock(Sh.QueueMutex);
-    Shed = Sh.Queue.size() >= PerShardCapacity ||
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    Shed = Queue.size() >= Config.QueueCapacity ||
            (Hooks.ForceQueueOverflow && Hooks.ForceQueueOverflow());
     if (!Shed) {
-      Sh.Queue.push_back(std::move(Pending));
+      Queue.push_back(std::move(Pending));
       Telem.noteMax(telemetry::ServePeakQueue,
-                    static_cast<double>(Sh.Queue.size()));
+                    static_cast<double>(Queue.size()));
     }
   }
   if (Shed) {
@@ -260,10 +227,10 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
     Frame Out;
     Out.Type = FrameType::Shed;
     Out.Payload = "queue full (capacity " +
-                  std::to_string(PerShardCapacity) + "); retry later";
+                  std::to_string(Config.QueueCapacity) + "); retry later";
     return reply(std::move(Out));
   }
-  Sh.QueueReady.notify_one();
+  QueueReady.notify_one();
 
   // A worker always answers every queued request, so an InFlight
   // connection is never stranded: the response arrives via postResponse
@@ -271,15 +238,15 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   return {FrameAction::InFlight, Frame()};
 }
 
-void AllocationServer::workerLoop(Shard &S) {
+void AllocationServer::workerLoop() {
   for (;;) {
     std::unique_ptr<PendingRequest> Taken;
     {
-      std::unique_lock<std::mutex> Lock(S.QueueMutex);
-      S.QueueReady.wait_for(
+      std::unique_lock<std::mutex> Lock(QueueMutex);
+      QueueReady.wait_for(
           Lock, std::chrono::milliseconds(PollIntervalMs),
-          [&] { return !S.Queue.empty() || AdmissionsClosed.load(); });
-      if (Hooks.BeforeBatch && !S.Queue.empty()) {
+          [&] { return !Queue.empty() || AdmissionsClosed.load(); });
+      if (Hooks.BeforeBatch && !Queue.empty()) {
         // Tests stall here (queue untouched) to expire deadlines or pile
         // up overflow deterministically. Another worker may empty the
         // queue meanwhile, so it is re-checked below.
@@ -287,7 +254,7 @@ void AllocationServer::workerLoop(Shard &S) {
         Hooks.BeforeBatch();
         Lock.lock();
       }
-      if (S.Queue.empty()) {
+      if (Queue.empty()) {
         // AdmissionsClosed is set on the loop thread after its drain
         // processing, and every enqueue happens on that same thread —
         // so empty-after-closed is a stable exit, not a race window.
@@ -295,8 +262,8 @@ void AllocationServer::workerLoop(Shard &S) {
           return;
         continue;
       }
-      Taken = std::move(S.Queue.front());
-      S.Queue.pop_front();
+      Taken = std::move(Queue.front());
+      Queue.pop_front();
     }
     try {
       serve(*Taken);

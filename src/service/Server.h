@@ -10,11 +10,9 @@
 ///
 ///   event loop (ONE thread, epoll) ──> content-addressed cache
 ///     accepts, reassembles frames,       │hit          │miss
-///     parses request headers ◄── responses ◄┘  consistent-hash ring
-///     SHED / errors written in line              │
-///                                     shard 0 .. shard N-1, each:
-///                                       bounded queue
-///                                       PoolThreads / N workers, each
+///     parses request headers ◄── responses ◄┘          │
+///     SHED / errors written in line              bounded queue
+///                                       PoolThreads workers, each
 ///                                       pulling ONE request:
 ///                                         module tier ─hit─> clone
 ///                                           │miss
@@ -50,21 +48,17 @@
 ///   retain (over its per-entry cap, or the tier is off) is allocated in
 ///   place by its worker, its sole owner. The tier gets an eighth of
 ///   CacheBytes, the response cache the rest.
-/// - **Sharding.** Cold requests dispatch to one of Config.Shards worker
-///   shards through a consistent-hash ring over the module-bytes hash.
-///   Shards live in this process and share the one cache with no
-///   coherence protocol, since responses are deterministic.
-/// - **Workers.** Each shard's workers pull one request at a time, so no
-///   queued request waits behind a slow neighbour while a worker is idle
-///   (per-request cost varies ~20x across modules). Admission (tier
-///   lookup, clone or parse and verify) is timed as serve.admit; the
-///   allocation through the response encode as serve.batch. Requests run
-///   at Jobs=1 (the wire cannot set Jobs or any other execution field),
-///   so the engine uses a call-local scratch arena and needs no thread
-///   pool.
-/// - **Backpressure.** Each shard's queue is bounded (QueueCapacity split
-///   evenly); when full an arriving request is answered immediately with
-///   an explicit SHED frame instead of being buffered without limit.
+/// - **Workers.** PoolThreads workers share the one queue and each pulls
+///   one request at a time, so no queued request waits behind a slow
+///   neighbour while a worker is idle (per-request cost varies ~20x across
+///   modules). Admission (tier lookup, clone or parse and verify) is timed
+///   as serve.admit; the allocation through the response encode as
+///   serve.batch. Requests run at Jobs=1 (the wire cannot set Jobs or any
+///   other execution field), so the engine uses a call-local scratch arena
+///   and needs no thread pool.
+/// - **Backpressure.** The queue holds at most QueueCapacity requests;
+///   when full an arriving request is answered immediately with an
+///   explicit SHED frame instead of being buffered without limit.
 /// - **Deadlines.** A request may carry `deadline-ms`; if it is still
 ///   queued when the deadline expires it is answered with an Error frame
 ///   ("deadline") instead of occupying the engine.
@@ -72,17 +66,16 @@
 ///   SIGTERM to it) stops accepting, drops connections owed nothing,
 ///   finishes in-flight work, flushes those responses, then closes
 ///   everything; wait() returns once the server is fully quiesced.
-///   Workers exit once the loop confirms admissions are closed and their
+///   Workers exit once the loop confirms admissions are closed and the
 ///   queue is empty — all enqueues happen on the loop thread, so that
 ///   confirmation is a simple happens-before, not a count of connections.
 ///
 /// A STATS request returns the server-wide telemetry: "serve."
-/// operational counters, the "cache." (response cache and, as
-/// "cache.module_*", the module tier) and "shard." namespaces, plus the
-/// merged engine telemetry of everything allocated. ServerTestHooks
-/// mirrors the fuzz subsystem's InjectedFault: tests force queue overflow,
-/// mid-request worker failure, and worker stalls without needing to win
-/// races.
+/// operational counters, the "cache." namespace (response cache and, as
+/// "cache.module_*", the module tier), plus the merged engine telemetry
+/// of everything allocated. ServerTestHooks mirrors the fuzz subsystem's
+/// InjectedFault: tests force queue overflow, mid-request worker failure,
+/// and worker stalls without needing to win races.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,7 +85,6 @@
 #include "service/AllocationCache.h"
 #include "service/EventLoop.h"
 #include "service/ModuleTier.h"
-#include "service/Sharding.h"
 #include "service/WireProtocol.h"
 #include "support/Telemetry.h"
 
@@ -116,15 +108,12 @@ struct ServerConfig {
   std::string UnixPath;
   int TcpPort = 0;
 
-  unsigned PoolThreads = 0;  ///< total worker threads (0 = hardware),
-                             ///< split evenly across shards
-  unsigned QueueCapacity = 64; ///< total; split evenly across shards
+  unsigned PoolThreads = 0;    ///< worker threads (0 = hardware)
+  unsigned QueueCapacity = 64; ///< queued requests beyond which SHED
   std::size_t MaxPayloadBytes = 16u << 20;
   int WriteTimeoutMs = 5000; ///< slow-client response write budget
   int AcceptBacklog = 64;
 
-  /// Worker shards behind the consistent-hash dispatcher.
-  unsigned Shards = 1;
   /// Budget of both caches: the module tier gets an eighth, the response
   /// cache the rest; 0 disables both.
   std::size_t CacheBytes = 64u << 20;
@@ -137,7 +126,7 @@ struct ServerTestHooks {
   /// Fail this request mid-worker → Error("fault") response; every other
   /// request is served normally.
   std::function<bool(const AllocRequest &)> FailRequest;
-  /// Called by a worker that found its queue non-empty, before it pops a
+  /// Called by a worker that found the queue non-empty, before it pops a
   /// request (tests stall here to make deadlines expire deterministically).
   std::function<void()> BeforeBatch;
 };
@@ -169,9 +158,9 @@ public:
   /// TCP only: the port actually bound (for TcpPort = 0).
   int boundPort() const { return BoundPort; }
 
-  /// Server-wide telemetry: "serve." counters, the "cache." (both tiers)
-  /// and "shard." namespaces, and merged engine telemetry. What a STATS
-  /// request returns.
+  /// Server-wide telemetry: "serve." counters, the "cache." namespace
+  /// (both tiers), and merged engine telemetry. What a STATS request
+  /// returns.
   TelemetrySnapshot stats() const;
 
 private:
@@ -182,8 +171,7 @@ private:
     /// allocationCacheKey of the request; empty when the cache is off.
     /// Computed once at admission, reused for the publish.
     std::string CacheKey;
-    /// fnv1a64 of the module bytes, computed once for shard dispatch and
-    /// reused as the module tier's hash.
+    /// fnv1a64 of the module bytes: the module tier's key.
     std::uint64_t ModuleHash = 0;
     std::chrono::steady_clock::time_point Arrival;
     /// The event-loop connection awaiting this response; the worker
@@ -191,45 +179,37 @@ private:
     std::uint64_t ConnId = 0;
   };
 
-  /// One worker shard: a bounded queue and the workers that drain it.
-  struct Shard {
-    mutable std::mutex QueueMutex;
-    std::condition_variable QueueReady;
-    std::deque<std::unique_ptr<PendingRequest>> Queue;
-    std::vector<std::thread> Workers;
-    std::atomic<std::uint64_t> Dispatched{0};
-  };
-
   /// The event loop's frame handler: everything between a reassembled
   /// frame and a queued PendingRequest (runs on the loop thread).
   FrameDisposition handleFrame(std::uint64_t ConnId, Frame &In);
-  void workerLoop(Shard &S);
+  void workerLoop();
   /// Answers \p P: admission checks, module-tier lookup (or parse and
   /// verify), allocation, cache publish, response. Every path posts
   /// exactly one response, as its last step; an exception means nothing
   /// was posted.
   void serve(PendingRequest &P);
   Frame helloFrame() const;
-  /// Wakes every shard's workers (drain signal).
-  void notifyAllShards();
+  /// Wakes every worker (drain signal).
+  void notifyWorkers();
 
   ServerConfig Config;
   ServerTestHooks Hooks;
   Telemetry Telem;
 
   EventLoop Loop;
-  std::vector<std::unique_ptr<Shard>> Shards;
-  ConsistentHashRing Ring;
+  mutable std::mutex QueueMutex;
+  std::condition_variable QueueReady;
+  std::deque<std::unique_ptr<PendingRequest>> Queue;
+  std::vector<std::thread> Workers;
   AllocationCache Cache;
   ModuleTier Tier;
-  unsigned PerShardCapacity = 0;
   int BoundPort = -1;
 
   std::atomic<bool> Started{false};
   std::atomic<bool> Draining{false};
   /// Set on the loop thread once drain processing is done — after which
   /// no enqueue can ever happen again (they all run on that thread).
-  /// Workers exit when this is set and their queue is empty.
+  /// Workers exit when this is set and the queue is empty.
   std::atomic<bool> AdmissionsClosed{false};
 };
 

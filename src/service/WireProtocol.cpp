@@ -223,18 +223,8 @@ std::string ccra::encodeHello(const HelloInfo &H) {
   Out += "protocol: " + std::to_string(H.Protocol) + "\n";
   Out += "max-payload: " + std::to_string(H.MaxPayloadBytes) + "\n";
   Out += "queue: " + std::to_string(H.QueueCapacity) + "\n";
-  if (H.ProtocolMinor > 0) {
-    // v1.1 capability fields; a v1.0 hello carries none of them and a
-    // v1.0 parser skips them as unknown keys.
-    Out += "minor: " + std::to_string(H.ProtocolMinor) + "\n";
-    Out += "cache: " + std::string(H.CacheEnabled ? "1" : "0") + "\n";
-    Out += "shards: " + std::to_string(H.Shards) + "\n";
-  }
-  if (H.ProtocolMinor > 1) {
-    // v1.2: codec negotiation. Same discipline — old parsers skip it, and
-    // its absence parses as "text only" (MaxCodec = 1).
-    Out += "codec-max: " + std::to_string(H.MaxCodec) + "\n";
-  }
+  Out += "cache: " + std::string(H.CacheEnabled ? "1" : "0") + "\n";
+  Out += "codec-max: " + std::to_string(H.MaxCodec) + "\n";
   return Out;
 }
 
@@ -264,16 +254,8 @@ bool ccra::parseHello(const std::string &Payload, HelloInfo &Out,
       if (!parseUnsigned(Value, N))
         return fail(Err, "bad queue");
       Out.QueueCapacity = static_cast<unsigned>(N);
-    } else if (Key == "minor") {
-      if (!parseUnsigned(Value, N))
-        return fail(Err, "bad minor");
-      Out.ProtocolMinor = static_cast<std::uint16_t>(N);
     } else if (Key == "cache") {
       Out.CacheEnabled = Value == "1";
-    } else if (Key == "shards") {
-      if (!parseUnsigned(Value, N))
-        return fail(Err, "bad shards");
-      Out.Shards = static_cast<unsigned>(N);
     } else if (Key == "codec-max") {
       if (!parseUnsigned(Value, N))
         return fail(Err, "bad codec-max");

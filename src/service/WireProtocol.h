@@ -44,17 +44,10 @@
 namespace ccra {
 
 inline constexpr std::uint32_t WireMagic = 0x41524343; // "CCRA" in LE bytes
+/// The frame-header version: a hard compatibility gate (readFrame rejects
+/// a mismatch). Client and server are built from one tree, so the Hello
+/// carries no minor version; its parser still skips unknown keys.
 inline constexpr std::uint16_t WireVersion = 1;
-/// Protocol minor version, advertised as a Hello payload field rather than
-/// in the frame header: the header version is a hard compatibility gate
-/// (readFrame rejects a mismatch), while minor revisions only ADD payload
-/// fields that old peers ignore. v1.1 adds the cache/shard capability
-/// fields to Hello and the "cache."/"shard." counter namespaces to STATS.
-/// v1.2 adds the `codec-max` Hello field and the AllocRequestV2 frame
-/// (binary module payload; see service/BinaryCodec.h) — a client must see
-/// `codec-max: 2` before sending one, so a v1.1 server is never handed a
-/// frame type it would reject as malformed.
-inline constexpr std::uint16_t WireMinorVersion = 2;
 inline constexpr std::size_t WireHeaderSize = 16;
 
 /// Highest module codec this build speaks: 1 = textual `.ccra` payloads,
@@ -139,17 +132,12 @@ struct HelloInfo {
   std::uint16_t Protocol = WireVersion;
   std::size_t MaxPayloadBytes = 0;
   unsigned QueueCapacity = 0;
-  /// v1.1 capability fields. Version-gated: emitted only when
-  /// ProtocolMinor > 0, ignored (left at their v1.0 zero defaults) by old
-  /// parsers, and defaulted to zero when a v1.0 server omits them — both
-  /// directions of a mixed-version conversation keep working.
-  std::uint16_t ProtocolMinor = 0;
   bool CacheEnabled = false; ///< content-addressed allocation cache on
-  unsigned Shards = 0;       ///< worker shards behind the dispatcher
-  /// v1.2: highest module codec the server accepts (1 when a pre-v1.2
-  /// server omits the field). Clients send AllocRequestV2 only when >= 2.
+  /// Highest module codec the server accepts (1 when the field is
+  /// absent). Clients send AllocRequestV2 only when >= 2.
   std::uint16_t MaxCodec = 1;
 };
+/// Emits every field. parseHello ignores keys it does not know.
 std::string encodeHello(const HelloInfo &H);
 bool parseHello(const std::string &Payload, HelloInfo &Out,
                 std::string *Err = nullptr);

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// FNV-1a 64-bit content hashing, shared by the content-addressed
-/// allocation cache (service/AllocationCache.h) and the consistent-hash
-/// shard ring (service/Sharding.h). Not cryptographic: every
+/// allocation cache (service/AllocationCache.h) and the module tier
+/// (service/ModuleTier.h). Not cryptographic: every
 /// hash-addressed structure in this codebase stores its full key material
 /// and compares it on lookup, so a collision costs one extra comparison,
 /// never a wrong answer.

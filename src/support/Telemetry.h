@@ -195,13 +195,11 @@ inline constexpr const char *ServePeakConnections = "serve.peak_connections";
 /// event loop. The companion to ServeConnections (a lifetime total).
 inline constexpr const char *ServeOpenConnections = "serve.open_connections";
 
-// Content-addressed allocation cache ("cache." namespace) and shard
-// dispatch ("shard." namespace): the serving tier's cache-and-shard
-// telemetry, reported through STATS since wire protocol v1.1. Operational
-// like "serve." — hit/miss split depends on arrival order, never on
-// allocation results (which are deterministic and therefore cacheable in
-// the first place). Per-shard keys are dynamic: "shard.<i>.queue_depth"
-// and "shard.<i>.dispatched" for each shard index i.
+// Content-addressed allocation cache ("cache." namespace): the serving
+// tier's cache telemetry, reported through STATS. Operational like
+// "serve." — hit/miss split depends on arrival order, never on allocation
+// results (which are deterministic and therefore cacheable in the first
+// place).
 inline constexpr const char *CacheHits = "cache.hits";
 inline constexpr const char *CacheMisses = "cache.misses";
 inline constexpr const char *CacheEvictions = "cache.evictions";
@@ -216,7 +214,6 @@ inline constexpr const char *CacheModuleMisses = "cache.module_misses";
 inline constexpr const char *CacheModuleEvictions = "cache.module_evictions";
 inline constexpr const char *CacheModuleEntries = "cache.module_entries";
 inline constexpr const char *CacheModuleBytes = "cache.module_bytes";
-inline constexpr const char *ShardCount = "shard.count";
 
 // Phase timers.
 inline constexpr const char *CoalescePhase = "coalesce";

@@ -1,17 +1,14 @@
-//===- tests/CacheTest.cpp - Allocation cache + shard ring coverage -------===//
+//===- tests/CacheTest.cpp - Allocation cache + module tier coverage ------===//
 //
-// Tier-1 coverage for the caching-and-sharding tier (src/service/):
+// Tier-1 coverage for the caching tier (src/service/):
 //
 //  - AllocationCache unit behavior: miss-then-hit replay, per-function
 //    reassembly (declarations included), the byte-bounded LRU eviction
 //    policy, oversized-entry rejection, disabled-cache semantics, and
-//    idempotent re-insertion (the publish race two shards can run);
+//    idempotent re-insertion (the publish race two workers can run);
 //  - allocationCacheKey covers exactly the result-affecting request fields
 //    and is blind to admission control (DeadlineMs) and execution
 //    strategy (Jobs et al.);
-//  - ConsistentHashRing: determinism across instances, full shard
-//    coverage, rough balance, single-shard degeneration, and bounded key
-//    movement when the shard count grows;
 //  - ModuleTier unit behavior: keying on codec plus exact bytes (never on
 //    the hash alone), LRU eviction by charge, the per-entry cap, evicted
 //    entries kept alive for their holders;
@@ -32,7 +29,6 @@
 #include "service/Client.h"
 #include "service/ModuleTier.h"
 #include "service/Server.h"
-#include "service/Sharding.h"
 #include "support/Hash.h"
 #include "workloads/SpecProxies.h"
 
@@ -175,7 +171,7 @@ TEST(AllocationCacheUnit, ReinsertingAnExistingKeyIsANoOp) {
   SampleEntry E("twice");
   E.insertInto(Cache);
   const std::size_t Bytes = Cache.stats().Bytes;
-  E.insertInto(Cache); // the two-shards-publish-the-same-miss race
+  E.insertInto(Cache); // two workers publishing the same miss
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(1u, S.Modules);
@@ -210,54 +206,6 @@ TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
   Exec.Options.Jobs = 16;
   Exec.Options.Verify = !Exec.Options.Verify;
   EXPECT_EQ(Key, allocationCacheKey(Exec));
-}
-
-// --- consistent-hash ring ------------------------------------------------
-
-TEST(ShardRing, IsDeterministicCoversAllShardsAndRoughlyBalances) {
-  ConsistentHashRing Ring(4);
-  ConsistentHashRing Twin(4);
-  std::vector<unsigned> Load(4, 0);
-  const unsigned Keys = 10000;
-  for (unsigned I = 0; I < Keys; ++I) {
-    std::uint64_t H = fnv1a64("module key " + std::to_string(I));
-    unsigned Shard = Ring.shardFor(H);
-    ASSERT_LT(Shard, 4u);
-    // Pure function of (shard count, key): a rebuilt ring agrees, which is
-    // what lets restarts and tests reason about placement.
-    EXPECT_EQ(Shard, Twin.shardFor(H));
-    ++Load[Shard];
-  }
-  for (unsigned S = 0; S < 4; ++S)
-    EXPECT_GT(Load[S], Keys / 20)
-        << "shard " << S << " got under 5% of a uniform keyspace";
-}
-
-TEST(ShardRing, SingleShardDegeneratesToZero) {
-  ConsistentHashRing Ring(1);
-  EXPECT_EQ(1u, Ring.shards());
-  for (unsigned I = 0; I < 100; ++I)
-    EXPECT_EQ(0u, Ring.shardFor(fnv1a64(std::to_string(I))));
-  // Shards == 0 is clamped, not UB.
-  ConsistentHashRing Zero(0);
-  EXPECT_EQ(1u, Zero.shards());
-  EXPECT_EQ(0u, Zero.shardFor(42));
-}
-
-TEST(ShardRing, GrowingTheRingMovesOnlyAFractionOfKeys) {
-  // The property that makes consistent hashing worth its vnodes: going
-  // 4 -> 5 shards must not reshuffle the world (modulo hashing would move
-  // ~80% of keys; the ring should move roughly 1/5, asserted loosely).
-  ConsistentHashRing Four(4), Five(5);
-  const unsigned Keys = 10000;
-  unsigned Moved = 0;
-  for (unsigned I = 0; I < Keys; ++I) {
-    std::uint64_t H = fnv1a64("stable key " + std::to_string(I));
-    if (Four.shardFor(H) != Five.shardFor(H))
-      ++Moved;
-  }
-  EXPECT_GT(Moved, 0u);
-  EXPECT_LT(Moved, Keys / 2) << "ring growth reshuffled over half the keys";
 }
 
 // --- concurrency (exercised under TSan by tools/check.sh) ----------------
@@ -422,9 +370,7 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
     ADD_FAILURE() << E;
   ASSERT_FALSE(Entries.empty());
 
-  ServerConfig Config;
-  Config.Shards = 2;
-  AllocationServer Server(Config);
+  AllocationServer Server{ServerConfig()};
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
   ServiceClient C;

@@ -140,6 +140,44 @@ TEST(FrontendParser, MissingCloseParen) {
   EXPECT_NE(Diags[0].Message.find("expected ')'"), std::string::npos);
 }
 
+TEST(FrontendParser, NestingPastTheLimitIsDiagnosed) {
+  // Each of these segfaulted at 50,000 levels: parse, Sema, IRGen and the
+  // AST's destructors all recurse once per level.
+  auto Repeat = [](const std::string &Piece, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I < N; ++I)
+      Out += Piece;
+    return Out;
+  };
+  const unsigned N = 50000;
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"parentheses", "int main() { return " + Repeat("(", N) + "1" +
+                          Repeat(")", N) + "; }\n"},
+      {"unary minus", "int main() { return " + Repeat("-", N) + "1; }\n"},
+      {"blocks", "int main() { " + Repeat("{", N) + Repeat("}", N) +
+                     " return 0; }\n"},
+      {"if", "int main() { int a; a = 0; " + Repeat("if (a) ", N) +
+                 "a = 1; return a; }\n"},
+      {"operator chain",
+       "int main() { return 1" + Repeat(" + 1", N) + "; }\n"}};
+  for (const auto &[Name, Source] : Cases) {
+    SCOPED_TRACE(Name);
+    std::vector<Diagnostic> Diags = expectDiags(Source);
+    EXPECT_NE(Diags[0].Message.find("nesting exceeds 256 levels"),
+              std::string::npos)
+        << Diags[0].render();
+    EXPECT_EQ(1u, Diags[0].Line);
+    EXPECT_GT(Diags[0].Column, 0u);
+  }
+
+  // Well inside the limit still compiles.
+  CompileResult R = Frontend::compile(
+      "int main() { return " + Repeat("(", 200) + "-1" + Repeat(")", 200) +
+          "; }\n",
+      "t");
+  EXPECT_TRUE(R.ok()) << firstDiag(R.Diags);
+}
+
 TEST(FrontendParser, RenderedDiagnosticMatchesIRParserShape) {
   // Frontend and IR-parser diagnostics share support/Diagnostic.h, so both
   // render as "line L:C: message ...".

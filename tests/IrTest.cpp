@@ -2,6 +2,7 @@
 
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
@@ -196,6 +197,41 @@ TEST(VerifierTest, RejectsBadProbabilitySum) {
   Entry->addSuccessor(Next, 0.4); // sums to 0.8
   std::vector<std::string> Errors;
   EXPECT_FALSE(verifyFunction(F, &Errors));
+}
+
+TEST(VerifierTest, RejectsCycleWithoutExit) {
+  // The loop's only exit has probability 0, so the block-frequency system
+  // is singular; the solve used to assert on it after verification passed.
+  auto LoopModule = [](const std::string &LoopSuccs) {
+    ParseResult R = parseModule(
+        "module m\nfunc @main {\nentry:\n  %i0 = loadimm 1\n  br\n"
+        "  ; succs: loop(1)\nloop:\n  %i1 = cmp %i0, %i0\n  condbr %i1\n"
+        "  ; succs: " +
+        LoopSuccs + "\ndone:\n  ret %i0\n}\n");
+    EXPECT_TRUE(R.ok());
+    return std::move(R.M);
+  };
+  // An exit too small to survive 1 - 1 in doubles is no exit, and an
+  // excess over 1 can cancel one: both leave the system singular too.
+  for (const auto &[Succs, Why] :
+       {std::pair<std::string, std::string>{"loop(1) done(0)",
+                                            "cannot reach a 'ret'"},
+        {"loop(1) done(1e-300)", "cannot reach a 'ret'"},
+        {"loop(1) done(1e-7)", "probabilities sum to"}}) {
+    SCOPED_TRACE(Succs);
+    std::vector<std::string> Errors;
+    std::unique_ptr<Module> Trapped = LoopModule(Succs);
+    ASSERT_TRUE(Trapped);
+    EXPECT_FALSE(verifyModule(*Trapped, &Errors));
+    ASSERT_FALSE(Errors.empty());
+    EXPECT_NE(Errors.front().find(Why), std::string::npos) << Errors.front();
+  }
+
+  // A real exit makes it admissible.
+  std::unique_ptr<Module> Exiting = LoopModule("loop(0.75) done(0.25)");
+  ASSERT_TRUE(Exiting);
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(verifyModule(*Exiting, &Errors)) << Errors.front();
 }
 
 TEST(VerifierTest, RejectsWrongOperandBank) {

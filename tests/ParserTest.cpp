@@ -1,14 +1,21 @@
 //===- tests/ParserTest.cpp - Textual IR parser tests ---------------------===//
 
+#include "fuzz/Corpus.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/SpecProxies.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
+
+#ifndef CCRA_SOURCE_DIR
+#define CCRA_SOURCE_DIR "."
+#endif
 
 using namespace ccra;
 
@@ -166,6 +173,43 @@ TEST(IRParser, RejectsInstructionAfterTerminator) {
   EXPECT_NE(R.Errors[0].find("line 6"), std::string::npos) << R.Errors[0];
 }
 
+TEST(IRParser, RejectsRegisterIdsThatDoNotFit) {
+  // strtoul's result used to be narrowed to unsigned, so %i4294967296
+  // aliased %i0 and this use without a definition verified.
+  for (const char *Reg : {"%i4294967296", "%i4294967295",
+                          "%i99999999999999999999999", "%i-1", "%i+0"}) {
+    SCOPED_TRACE(Reg);
+    ParseResult R = parseModule("module m\nfunc @main {\nentry:\n"
+                                "  %i0 = loadimm 1\n  ret " +
+                                std::string(Reg) + "\n}\n");
+    EXPECT_FALSE(R.ok());
+    ASSERT_FALSE(R.Diags.empty());
+    EXPECT_EQ(5u, R.Diags[0].Line);
+    EXPECT_EQ(Reg, R.Diags[0].Near);
+  }
+}
+
+TEST(IRParser, RejectsRegisterIdsPastTheBodyLength) {
+  // Every id below the largest gets a placeholder register, so this
+  // 72-byte module used to build a 400M-entry table (seconds, gigabytes).
+  const std::string Bomb = "module m\nfunc @main {\nentry:\n"
+                           "  %i400000000 = loadimm 1\n  ret %i400000000\n}\n";
+  auto Start = std::chrono::steady_clock::now();
+  ParseResult R = parseModule(Bomb);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(1));
+  EXPECT_FALSE(R.ok());
+  ASSERT_FALSE(R.Errors.empty());
+  EXPECT_NE(R.Errors[0].find("-byte function body"),
+            std::string::npos)
+      << R.Errors[0];
+
+  // Sparse ids within the body's length still parse, placeholders and all.
+  R = parseModule("module m\nfunc @main {\nentry:\n"
+                  "  %i20 = loadimm 1\n  ret %i20\n}\n");
+  ASSERT_TRUE(R.ok()) << R.Errors.front();
+  EXPECT_EQ(21u, R.M->getFunction("main")->numVRegs());
+}
+
 TEST(IRParser, RejectsTextBeforeModule) {
   ParseResult R = parseModule("func @f (external)\n");
   EXPECT_FALSE(R.ok());
@@ -196,6 +240,43 @@ TEST(IRParser, RoundTripsRandomPrograms) {
     ASSERT_TRUE(R.ok()) << (R.Errors.empty() ? "" : R.Errors.front());
     EXPECT_EQ(printToString(*R.M), Text);
     EXPECT_TRUE(verifyModule(*R.M, nullptr));
+  }
+}
+
+TEST(IRParser, PrintParsePrintIsStableOnCorpusAndFuzzGen) {
+  std::vector<std::string> Errors;
+  std::vector<CorpusEntry> Corpus =
+      loadCorpusDir(std::string(CCRA_SOURCE_DIR) + "/fuzz/corpus", Errors);
+  for (const std::string &E : Errors)
+    ADD_FAILURE() << E;
+  ASSERT_FALSE(Corpus.empty());
+  std::vector<std::pair<std::string, std::unique_ptr<Module>>> Modules;
+  for (CorpusEntry &E : Corpus)
+    Modules.emplace_back(E.Path, std::move(E.M));
+  for (FuzzProfile Profile : allFuzzProfiles())
+    for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+      for (unsigned Scale : {1u, 8u}) {
+        if (Scale == 8 && Seed > 1)
+          continue;
+        FuzzGenParams Params;
+        Params.Seed = Seed;
+        Params.Profile = Profile;
+        Params.SizeScale = Scale;
+        Modules.emplace_back(std::string(fuzzProfileName(Profile)) + "/" +
+                                 std::to_string(Seed) + "x" +
+                                 std::to_string(Scale),
+                             generateFuzzModule(Params));
+      }
+
+  for (const auto &[Name, M] : Modules) {
+    SCOPED_TRACE(Name);
+    std::string Text = printToString(*M);
+    ParseResult R = parseModule(Text);
+    ASSERT_TRUE(R.ok()) << R.Errors.front();
+    EXPECT_EQ(Text, printToString(*R.M));
+    std::vector<std::string> VerifyErrors;
+    EXPECT_TRUE(verifyModule(*R.M, &VerifyErrors))
+        << (VerifyErrors.empty() ? "" : VerifyErrors.front());
   }
 }
 

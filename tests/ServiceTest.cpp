@@ -39,6 +39,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <sys/socket.h>
 #include <thread>
@@ -435,22 +436,21 @@ TEST(Service, NonKeyOptionsAnswerErrorAndKeepServing) {
       << Err;
 }
 
-TEST(Service, InstructionAfterTerminatorAnswersErrorAndKeepsServing) {
-  // The parser must diagnose it before BasicBlock::append asserts.
+/// Sends \p Module to a live server as one raw request, expects Error
+/// "malformed" naming \p Needle, then expects a healthy request on the
+/// same connection to be served.
+void expectModuleRejectedThenServing(const std::string &Module,
+                                     const std::string &Needle) {
   LiveServer S;
   ServiceClient C = S.connect();
   ErrorResponse E;
   expectRawRequestRejected(C,
                            "config: 9,7,3,3\nmode: profile\n"
-                           "options: kind=improved\nmodule:\n"
-                           "module m\nfunc @main {\nentry:\n"
-                           "  %i0 = loadimm 1\n  ret %i0\n"
-                           "  %i1 = loadimm 2\n}\n",
+                           "options: kind=improved\nmodule:\n" +
+                               Module,
                            E);
   EXPECT_EQ("malformed", E.Code);
-  EXPECT_NE(E.Message.find("instruction after terminator"),
-            std::string::npos)
-      << E.Message;
+  EXPECT_NE(E.Message.find(Needle), std::string::npos) << E.Message;
 
   AllocRequest Good = proxyRequest("eqntott");
   AllocResponse Response;
@@ -458,6 +458,41 @@ TEST(Service, InstructionAfterTerminatorAnswersErrorAndKeepsServing) {
   std::string Err;
   EXPECT_EQ(RpcStatus::Ok, C.allocate(Good, Response, ServerError, &Err))
       << Err;
+}
+
+TEST(Service, InstructionAfterTerminatorAnswersErrorAndKeepsServing) {
+  // The parser must diagnose it before BasicBlock::append asserts.
+  expectModuleRejectedThenServing("module m\nfunc @main {\nentry:\n"
+                                  "  %i0 = loadimm 1\n  ret %i0\n"
+                                  "  %i1 = loadimm 2\n}\n",
+                                  "instruction after terminator");
+}
+
+TEST(Service, LoopWithoutExitAnswersErrorAndKeepsServing) {
+  // Verified, then aborted the daemon in the profile-mode frequency solve.
+  expectModuleRejectedThenServing(
+      "module m\nfunc @main {\nentry:\n  %i0 = loadimm 1\n  br\n"
+      "  ; succs: loop(1)\nloop:\n  %i1 = cmp %i0, %i0\n  condbr %i1\n"
+      "  ; succs: loop(1) done(0)\ndone:\n  ret %i0\n}\n",
+      "cannot reach a 'ret'");
+}
+
+TEST(Service, WideRegisterIdAnswersErrorAndKeepsServing) {
+  // Used to alias %i0, so a use without a definition was allocated.
+  expectModuleRejectedThenServing(
+      "module m\nfunc @main {\nentry:\n  ret %i4294967296\n}\n",
+      "register id out of range");
+}
+
+TEST(Service, RegisterIdBombAnswersErrorAndKeepsServing) {
+  // Used to take seconds and gigabytes of placeholder registers.
+  auto Start = std::chrono::steady_clock::now();
+  expectModuleRejectedThenServing("module m\nfunc @main {\nentry:\n"
+                                  "  %i400000000 = loadimm 1\n"
+                                  "  ret %i400000000\n}\n",
+                                  "-byte function body");
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::seconds(5));
 }
 
 TEST(Service, GarbageAndTornFramesNeverTakeTheServerDown) {
@@ -616,10 +651,11 @@ TEST(Service, StalledBatcherExpiresDeadlines) {
 
 TEST(Service, ParkedRequestBlocksNeitherOtherWorkersNorHits) {
   // Request A parks inside its worker until released. With two workers,
-  // a second cold request and a cache hit must both be answered while A
-  // is still parked, and A must then complete bit-identical. Every read is
-  // bounded by the client timeout, so head-of-line blocking fails the test
-  // instead of hanging it.
+  // a second cold request, a cache hit and a cold request for A's own
+  // module at another config must all be answered while A is still
+  // parked, and A must then complete bit-identical. Every read is bounded
+  // by the client timeout, so head-of-line blocking fails the test instead
+  // of hanging it.
   struct Latch {
     std::mutex M;
     std::condition_variable CV;
@@ -632,8 +668,10 @@ TEST(Service, ParkedRequestBlocksNeitherOtherWorkersNorHits) {
     }
   } L;
   ServerTestHooks Hooks;
+  const RegisterConfig ParkedConfig = AllocRequest().Config;
   Hooks.FailRequest = [&](const AllocRequest &R) {
-    if (R.ModuleText.find("module li") != std::string::npos) {
+    if (R.ModuleText.find("module li") != std::string::npos &&
+        R.Config == ParkedConfig) {
       std::unique_lock<std::mutex> Lock(L.M);
       L.Parked = true;
       L.CV.notify_all();
@@ -691,6 +729,19 @@ TEST(Service, ParkedRequestBlocksNeitherOtherWorkersNorHits) {
   // B's cold run and its hit; A is still parked.
   EXPECT_EQ(2.0, Stats.count(telemetry::ServeResponsesOk));
 
+  // The same module as A at another config: a queue keyed on the module
+  // would hold it behind A, but the one queue hands it to the free worker.
+  AllocRequest Sibling = A;
+  Sibling.Config = RegisterConfig(6, 4, 2, 2);
+  ASSERT_NE(ParkedConfig, Sibling.Config);
+  expectedAllocation(Sibling.ModuleText, Sibling, ExpectedIr, ExpectedTotals);
+  ServiceClient CS = S.connect();
+  CS.setTimeoutMs(TimeoutMs);
+  ASSERT_EQ(RpcStatus::Ok, CS.allocate(Sibling, Response, ServerError, &Err))
+      << "same-module request blocked behind the parked one: " << Err;
+  EXPECT_EQ(ExpectedIr, Response.AllocatedIr);
+  EXPECT_TRUE(ExpectedTotals == Response.Totals);
+
   L.release();
   Frame In;
   ASSERT_EQ(FrameReadStatus::Ok, CA.readResponse(In, &Err)) << Err;
@@ -735,64 +786,74 @@ TEST(Service, DrainFinishesInFlightWorkAndRefusesNew) {
   S.reset();
 }
 
-// --- cache and shards (wire v1.1) ----------------------------------------
+// --- cache ---------------------------------------------------------------
 
-TEST(WireCodec, HelloMinorVersionFieldsAreVersionGated) {
-  // A v1.0 hello (ProtocolMinor == 0) must not emit the v1.1 keys, and a
-  // v1.0 payload parsed by a v1.1 client must land on the defaults — the
-  // two directions of the mixed-version contract.
-  HelloInfo Old;
-  Old.ServerInfo = "old server";
-  Old.ProtocolMinor = 0;
-  std::string OldPayload = encodeHello(Old);
-  EXPECT_EQ(std::string::npos, OldPayload.find("minor:"));
-  EXPECT_EQ(std::string::npos, OldPayload.find("cache:"));
-  EXPECT_EQ(std::string::npos, OldPayload.find("shards:"));
+TEST(WireCodec, HelloEmitsEveryFieldAndSkipsUnknownKeys) {
+  HelloInfo H;
+  H.ServerInfo = "server x";
+  H.MaxPayloadBytes = 1234;
+  H.QueueCapacity = 7;
+  H.CacheEnabled = true;
+  H.MaxCodec = WireMaxCodec;
+  const std::string Payload = encodeHello(H);
+  EXPECT_EQ("server: server x\nprotocol: 1\nmax-payload: 1234\nqueue: 7\n"
+            "cache: 1\ncodec-max: 2\n",
+            Payload);
 
-  HelloInfo ParsedOld;
-  std::string Err;
-  ASSERT_TRUE(parseHello(OldPayload, ParsedOld, &Err)) << Err;
-  EXPECT_EQ(0u, ParsedOld.ProtocolMinor);
-  EXPECT_FALSE(ParsedOld.CacheEnabled);
-  EXPECT_EQ(0u, ParsedOld.Shards);
-
-  // v1.1 round-trips its capability fields...
-  HelloInfo New;
-  New.ServerInfo = "new server";
-  New.ProtocolMinor = WireMinorVersion;
-  New.CacheEnabled = true;
-  New.Shards = 4;
-  HelloInfo ParsedNew;
-  ASSERT_TRUE(parseHello(encodeHello(New), ParsedNew, &Err)) << Err;
-  EXPECT_EQ(WireMinorVersion, ParsedNew.ProtocolMinor);
-  EXPECT_TRUE(ParsedNew.CacheEnabled);
-  EXPECT_EQ(4u, ParsedNew.Shards);
-
-  // ...and an old client's parser (which ignores unknown keys) survives a
-  // v1.1 payload: the same parse simply never sees the keys it predates.
-  HelloInfo Tolerant;
-  ASSERT_TRUE(parseHello("server: x\nfuture-key: whatever\n", Tolerant, &Err))
-      << Err;
-  EXPECT_EQ("x", Tolerant.ServerInfo);
+  // Keys this build does not know (a retired `minor:` among them) are
+  // skipped, so the parse lands on exactly the emitted fields.
+  for (const std::string &Text :
+       {Payload, "minor: 2\n" + Payload + "future-key: whatever\n"}) {
+    HelloInfo Parsed;
+    std::string Err;
+    ASSERT_TRUE(parseHello(Text, Parsed, &Err)) << Err;
+    EXPECT_EQ(H.ServerInfo, Parsed.ServerInfo);
+    EXPECT_EQ(H.Protocol, Parsed.Protocol);
+    EXPECT_EQ(H.MaxPayloadBytes, Parsed.MaxPayloadBytes);
+    EXPECT_EQ(H.QueueCapacity, Parsed.QueueCapacity);
+    EXPECT_TRUE(Parsed.CacheEnabled);
+    EXPECT_EQ(WireMaxCodec, Parsed.MaxCodec);
+  }
 }
 
-TEST(Service, HelloAdvertisesCacheAndShards) {
+TEST(Service, HelloAdvertisesCache) {
   {
-    LiveServer S; // defaults: cache on, one shard
+    LiveServer S; // defaults: cache on
     ServiceClient C = S.connect();
-    EXPECT_EQ(WireMinorVersion, C.hello().ProtocolMinor);
     EXPECT_TRUE(C.hello().CacheEnabled);
-    EXPECT_EQ(1u, C.hello().Shards);
   }
   {
     ServerConfig Config;
     Config.CacheBytes = 0;
-    Config.Shards = 3;
     LiveServer S(Config);
     ServiceClient C = S.connect();
     EXPECT_FALSE(C.hello().CacheEnabled);
-    EXPECT_EQ(3u, C.hello().Shards);
   }
+}
+
+TEST(Service, StatsReportOneQueue) {
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Request = proxyRequest("eqntott");
+  AllocResponse Response;
+  ErrorResponse ServerError;
+  ASSERT_EQ(RpcStatus::Ok, C.allocate(Request, Response, ServerError));
+
+  TelemetrySnapshot Stats;
+  ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
+  ASSERT_TRUE(Stats.Counters.count("serve.queue_depth"));
+  EXPECT_EQ(0.0, Stats.count("serve.queue_depth"));
+  // Every dotted key belongs to the server's namespaces or the engine's:
+  // no per-queue keys.
+  const std::set<std::string> Namespaces = {"serve", "cache", "alloc",
+                                            "sched"};
+  for (const auto *Map : {&Stats.Counters, &Stats.TimersMs})
+    for (const auto &[Key, Value] : *Map) {
+      std::size_t Dot = Key.find('.');
+      if (Dot != std::string::npos) {
+        EXPECT_TRUE(Namespaces.count(Key.substr(0, Dot))) << Key;
+      }
+    }
 }
 
 TEST(Service, RepeatRequestServedFromCacheByteIdentical) {
@@ -857,63 +918,7 @@ TEST(Service, OptionsPerturbationMissesCache) {
   EXPECT_EQ(2.0, Stats.count(telemetry::CacheInsertions));
 }
 
-TEST(Service, ShardedDispatchStaysBitIdentical) {
-  ServerConfig Config;
-  Config.Shards = 3;
-  LiveServer S(Config);
-  ServiceClient C = S.connect();
-
-  TelemetrySnapshot Stats;
-  ErrorResponse ServerError;
-  ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
-  EXPECT_EQ(3.0, Stats.count(telemetry::ShardCount));
-
-  unsigned Sent = 0;
-  for (const std::string &Proxy : specProxyNames()) {
-    AllocRequest Request = proxyRequest(Proxy);
-    std::string ExpectedIr;
-    CostBreakdown ExpectedTotals;
-    expectedAllocation(Request.ModuleText, Request, ExpectedIr,
-                       ExpectedTotals);
-    AllocResponse Response;
-    std::string Err;
-    ASSERT_EQ(RpcStatus::Ok, C.allocate(Request, Response, ServerError, &Err))
-        << Proxy << ": " << Err;
-    EXPECT_EQ(ExpectedIr, Response.AllocatedIr) << Proxy;
-    EXPECT_TRUE(ExpectedTotals == Response.Totals) << Proxy;
-    ++Sent;
-  }
-
-  // Every cold request was dispatched to exactly one shard.
-  ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
-  double Dispatched = 0;
-  for (unsigned I = 0; I < 3; ++I)
-    Dispatched +=
-        Stats.count("shard." + std::to_string(I) + ".dispatched");
-  EXPECT_EQ(static_cast<double>(Sent), Dispatched);
-}
-
-// --- wire codec v2: binary modules (wire v1.2) ---------------------------
-
-TEST(WireCodec, HelloCodecMaxIsVersionGated) {
-  // Pre-v1.2 hellos carry no codec-max key and parse as text-only; a
-  // v1.2 hello advertises the binary codec explicitly.
-  HelloInfo Old;
-  Old.ProtocolMinor = 1;
-  Old.MaxCodec = 2; // must still be suppressed below the gating minor
-  EXPECT_EQ(std::string::npos, encodeHello(Old).find("codec-max:"));
-
-  HelloInfo Parsed;
-  std::string Err;
-  ASSERT_TRUE(parseHello(encodeHello(Old), Parsed, &Err)) << Err;
-  EXPECT_EQ(1u, Parsed.MaxCodec) << "absent codec-max must mean text-only";
-
-  HelloInfo New;
-  New.ProtocolMinor = WireMinorVersion;
-  New.MaxCodec = WireMaxCodec;
-  ASSERT_TRUE(parseHello(encodeHello(New), Parsed, &Err)) << Err;
-  EXPECT_EQ(WireMaxCodec, Parsed.MaxCodec);
-}
+// --- wire codec v2: binary modules --------------------------------------
 
 TEST(Service, HelloAdvertisesBinaryCodec) {
   LiveServer S;

@@ -11,9 +11,8 @@
 //        Allocate one module (IR file, '-' for stdin, or a built-in proxy
 //        name) on the server; print the cost breakdown (and the allocated
 //        IR with --emit-ir). --wire=v2 ships the module in the binary
-//        codec (an AllocRequestV2 frame) when the server's hello
-//        advertises codec-max >= 2, falling back to textual v1 with a
-//        notice otherwise; responses are identical either way.
+//        codec (an AllocRequestV2 frame); responses are identical either
+//        way.
 //     stats
 //        Print the server-wide telemetry snapshot (JSON).
 //     burst [--requests=N] [--clients=N] [--malformed-every=N]
@@ -223,11 +222,7 @@ int runAlloc(const Endpoint &EP, int Argc, char **Argv, int First) {
     return 1;
   }
   if (WireV2) {
-    if (Client.hello().MaxCodec < 2) {
-      std::cerr << "ccra_client: server speaks codec-max "
-                << Client.hello().MaxCodec
-                << "; falling back to textual v1\n";
-    } else if (!encodeModuleBinary(*M, Request.ModuleBinary, &Err)) {
+    if (!encodeModuleBinary(*M, Request.ModuleBinary, &Err)) {
       std::cerr << "ccra_client: cannot binary-encode module: " << Err
                 << "; falling back to textual v1\n";
       Request.ModuleBinary.clear();
@@ -292,9 +287,9 @@ struct BurstOptions {
   unsigned MalformedEvery = 17;
   unsigned DeadlineEvery = 31;
   bool Zipf = false;
-  /// Ship modules in the binary codec (AllocRequestV2) when the server
-  /// advertises codec-max >= 2; the bit-identity check is unchanged, so a
-  /// v2 burst proves both ingestion paths produce the same bytes.
+  /// Ship modules in the binary codec (AllocRequestV2); the bit-identity
+  /// check is unchanged, so a v2 burst proves both ingestion paths produce
+  /// the same bytes.
   bool WireV2 = false;
 };
 
@@ -358,12 +353,6 @@ void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
     Fail("connect: " + Err);
     return;
   }
-  bool UseV2 = Opts.WireV2 && Client.hello().MaxCodec >= 2;
-  if (Opts.WireV2 && !UseV2 && Worker == 0) {
-    std::lock_guard<std::mutex> Lock(LogMutex);
-    std::cerr << "ccra_client: server speaks codec-max "
-              << Client.hello().MaxCodec << "; burst falls back to v1\n";
-  }
 
   for (unsigned I = Worker; I < Opts.Requests; I += Opts.Clients) {
     if (Opts.MalformedEvery && I % Opts.MalformedEvery == 0) {
@@ -406,7 +395,7 @@ void burstWorker(const Endpoint &EP, const BurstOptions &Opts,
                                 ? Cases[I % Cases.size()]
                                 : Cases[sampleZipf(ZipfTable, ZipfRng)];
     AllocRequest Request = Case.Request;
-    if (UseV2) {
+    if (Opts.WireV2) {
       Request.ModuleBinary = Case.ModuleBinary;
       Request.ModuleText.clear();
     }
@@ -574,16 +563,15 @@ int runBurst(const Endpoint &EP, int Argc, char **Argv, int First) {
     return 1;
   }
 
-  // The cache assertions. A v1.0 server never advertises the capability,
-  // so mixed-version runs skip them.
+  // The cache assertions, skipped against a daemon run with its caches
+  // off.
   ServiceClient Client;
   std::string Err;
   if (!EP.connect(Client, &Err)) {
     std::cerr << "ccra_client: burst stats connect: " << Err << '\n';
     return 1;
   }
-  bool CacheCapable =
-      Client.hello().ProtocolMinor >= 1 && Client.hello().CacheEnabled;
+  bool CacheCapable = Client.hello().CacheEnabled;
   TelemetrySnapshot Snapshot;
   ErrorResponse ServerError;
   if (Client.stats(Snapshot, ServerError, &Err) != RpcStatus::Ok) {

@@ -3,23 +3,19 @@
 // The allocation engine as a long-lived daemon: binds a Unix-domain or
 // loopback-TCP socket, speaks the framed protocol of service/WireProtocol.h,
 // answers repeat requests from a content-addressed allocation cache,
-// consistent-hashes cold requests across in-process shards whose workers
-// each allocate one request at a time, sheds load when a shard's bounded
-// queue overflows, and drains gracefully on SIGTERM/SIGINT (stops
-// accepting, finishes in-flight work, flushes responses, exits 0).
+// queues cold requests for workers that each allocate one request at a
+// time, sheds load when the bounded queue overflows, and drains gracefully
+// on SIGTERM/SIGINT (stops accepting, finishes in-flight work, flushes
+// responses, exits 0).
 //
 //   ccra_serve [options]
 //     --unix=PATH        listen on a Unix-domain socket at PATH
 //     --port=N           listen on 127.0.0.1:N (default; 0 = ephemeral,
 //                        the chosen port is printed on stdout)
-//     --pool-threads=N   worker threads, split across shards
-//                        (default 0 = hardware)
-//     --queue=N          request queue capacity, split across shards
-//                        (default 64)
+//     --pool-threads=N   worker threads (default 0 = hardware)
+//     --queue=N          request queue capacity (default 64)
 //     --max-payload=N    per-frame payload limit in bytes (default 16 MiB)
 //     --write-timeout=MS slow-client response write budget (default 5000)
-//     --shards=N         in-process dispatch shards (default 1); requests
-//                        route by consistent hash of the module text
 //     --cache-bytes=N    budget of both caches in bytes (default 64 MiB):
 //                        an eighth for parsed modules, the rest for
 //                        responses; 0 disables both
@@ -53,8 +49,8 @@ void onStopSignal(int) { StopRequested.store(true); }
 void printUsage() {
   std::cerr << "usage: ccra_serve [--unix=PATH | --port=N] [--pool-threads=N]\n"
                "                  [--queue=N] [--max-payload=N]\n"
-               "                  [--write-timeout=MS] [--shards=N]\n"
-               "                  [--cache-bytes=N] [--version]\n";
+               "                  [--write-timeout=MS] [--cache-bytes=N]\n"
+               "                  [--version]\n";
 }
 
 bool parseUnsigned(const std::string &Arg, std::size_t Prefix, unsigned &Out) {
@@ -102,11 +98,6 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       Config.WriteTimeoutMs = static_cast<int>(V);
-    } else if (Arg.rfind("--shards=", 0) == 0) {
-      if (!parseUnsigned(Arg, 9, Config.Shards) || Config.Shards == 0) {
-        printUsage();
-        return 2;
-      }
     } else if (Arg.rfind("--cache-bytes=", 0) == 0) {
       if (!parseUnsigned(Arg, 14, V)) {
         printUsage();

@@ -17,7 +17,7 @@
 # burst (valid frames, malformed frames, and well-formed frames with
 # hostile payloads that must be answered "malformed") and drained with
 # SIGTERM, a cache
-# smoke (a Zipfian burst against a cache-enabled sharded daemon that must
+# smoke (a Zipfian burst against a cache-enabled daemon that must
 # produce a nonzero hit rate with every response still bit-identical),
 # then the soak (bench/perf_service) whose every valid response must be
 # bit-identical to in-process allocation and whose Zipf phase must clear
@@ -89,8 +89,7 @@ cmake --build build-release -j "$JOBS" --target ccra_serve ccra_client \
 # daemon's STATS report a nonzero cache hit count AND every response
 # (cached or cold) is bit-identical to in-process allocation.
 .github/scripts/service_smoke.sh --build-dir=build-release \
-      --requests=300 --clients=4 --serve-args="--shards=2" \
-      --client-args="--zipf"
+      --requests=300 --clients=4 --client-args="--zipf"
 # The same mixed burst over the binary module codec (wire v2).
 .github/scripts/service_smoke.sh --build-dir=build-release \
       --requests=200 --clients=4 --client-args="--wire=v2"
