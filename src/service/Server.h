@@ -22,7 +22,7 @@
 /// - **Connections.** service/EventLoop.h multiplexes every client over
 ///   one epoll thread: connection count is decoupled from thread count,
 ///   so ten thousand mostly-idle connections cost table entries, not
-///   stacks (the C10k soak in bench/perf_service.cpp holds exactly that).
+///   stacks (Service.ManyIdleConnectionsPlusActiveWork parks 5,000).
 ///   Frame reassembly, write buffering, and both deadline classes (the
 ///   mid-frame budget and the slow-client write budget) live there.
 /// - **Admission.** The loop's frame handler parses the request header

@@ -7,9 +7,15 @@
 
 #include "TestUtil.h"
 #include "core/AllocatorFactory.h"
+#include "core/EngineBuilder.h"
+#include "ir/IRParser.h"
 #include "regalloc/AllocationVerifier.h"
+#include "workloads/FuzzGen.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace ccra;
 
@@ -182,6 +188,35 @@ TEST(Priority, AllOrderingsProduceValidAssignments) {
     // Spills are allowed (5 ranges, 3 registers); register clashes are not.
     for (const std::string &E : Report.Errors)
       EXPECT_EQ(E.find("share register"), std::string::npos) << E;
+  }
+}
+
+TEST(Priority, MovesReloadTempHoldersToColorAnUnspillableRange) {
+  // A benchmark fuzz module (and its shrunk reproducer) at (6,4,0,0) with
+  // profile frequencies: coloring in priority order left every float
+  // register held by unspillable reload temps, so no neighbor could be
+  // spilled and the arm aborted "cannot color unspillable reload temp".
+  // Verify stays on, so an unsound assignment fails here too.
+  std::ifstream In(std::string(CCRA_SOURCE_DIR) +
+                   "/fuzz/corpus/"
+                   "repro-call-dense-seed13776463903726723901.ccra");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  ParseResult Repro = parseModule(Text.str());
+  ASSERT_TRUE(Repro.ok());
+  FuzzGenParams Params;
+  Params.Seed = 13776463903726723901ull;
+  Params.Profile = FuzzProfile::CallDense;
+  Params.SizeScale = 8;
+  std::vector<std::unique_ptr<Module>> Modules;
+  Modules.push_back(std::move(Repro.M));
+  Modules.push_back(generateFuzzModule(Params));
+  for (const std::unique_ptr<Module> &M : Modules) {
+    FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
+    AllocationEngine Engine = EngineBuilder(RegisterConfig(6, 4, 0, 0))
+                                  .options(priorityOptions())
+                                  .build();
+    EXPECT_GT(Engine.allocateModule(*M, Freq).Totals.total(), 0.0);
   }
 }
 

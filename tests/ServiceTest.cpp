@@ -35,14 +35,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace ccra;
@@ -344,13 +348,20 @@ TEST(Service, CorpusReplaysBitIdenticalOverTheWire) {
     expectedAllocation(Request.ModuleText, Request, ExpectedIr,
                        ExpectedTotals);
 
-    AllocResponse Response;
-    ErrorResponse ServerError;
-    std::string Err;
-    ASSERT_EQ(RpcStatus::Ok, C.allocate(Request, Response, ServerError, &Err))
-        << Entry.Path << ": " << Err;
-    EXPECT_EQ(ExpectedIr, Response.AllocatedIr) << Entry.Path;
-    EXPECT_TRUE(ExpectedTotals == Response.Totals) << Entry.Path;
+    // The text codec, then the same module as CIR2: the same bytes back.
+    AllocRequest Binary = Request;
+    Binary.ModuleText.clear();
+    ASSERT_TRUE(encodeModuleBinary(*Entry.M, Binary.ModuleBinary))
+        << Entry.Path;
+    for (const AllocRequest *Sent : {&Request, &Binary}) {
+      AllocResponse Response;
+      ErrorResponse ServerError;
+      std::string Err;
+      ASSERT_EQ(RpcStatus::Ok, C.allocate(*Sent, Response, ServerError, &Err))
+          << Entry.Path << ": " << Err;
+      EXPECT_EQ(ExpectedIr, Response.AllocatedIr) << Entry.Path;
+      EXPECT_TRUE(ExpectedTotals == Response.Totals) << Entry.Path;
+    }
   }
 }
 
@@ -1100,37 +1111,127 @@ TEST(Service, V2GarbageAndTornFramesNeverTakeTheServerDown) {
 // --- event loop: connection scaling --------------------------------------
 
 TEST(Service, ManyIdleConnectionsPlusActiveWork) {
-  // The event loop decouples connection count from thread count: hundreds
-  // of idle peers must cost nothing but a file descriptor each while
-  // allocations proceed on other connections, and drain must sweep the
-  // idle crowd without waiting on any of them.
-  LiveServer S;
+  // The event loop decouples connection count from thread count: 5,000
+  // idle peers must cost nothing but a file descriptor each while
+  // allocations proceed on other connections. Then a drain under load:
+  // every answer to the looping clients is a bit-identical Ok, a SHED (one
+  // admission in 7 is forced to overflow), a deadline, "draining" or a
+  // closed connection; the drain sweeps the idle crowd without waiting on
+  // any of them, and later connects are refused.
+  constexpr unsigned IdleConnections = 5000;
+  // This process holds both ends of every connection.
+  rlimit Limit{};
+  ASSERT_EQ(0, getrlimit(RLIMIT_NOFILE, &Limit));
+  Limit.rlim_cur = Limit.rlim_max;
+  setrlimit(RLIMIT_NOFILE, &Limit);
+  ASSERT_EQ(0, getrlimit(RLIMIT_NOFILE, &Limit));
+  ASSERT_GE(Limit.rlim_cur, rlim_t{2 * IdleConnections + 512})
+      << "RLIMIT_NOFILE " << Limit.rlim_cur << " cannot hold "
+      << IdleConnections << " connections at both ends";
 
-  std::vector<ServiceClient> Idle(200);
+  ServerConfig Config;
+  Config.UnixPath = ::testing::TempDir() + "ccra-idle-" +
+                    std::to_string(::getpid()) + ".sock";
+  Config.CacheBytes = 0; // every request reaches the admission queue
+  std::atomic<unsigned> Admissions{0};
+  ServerTestHooks Hooks;
+  Hooks.ForceQueueOverflow = [&] { return Admissions.fetch_add(1) % 7 == 6; };
+  LiveServer S(Config, Hooks);
+  const std::string &Path = Config.UnixPath;
+
+  std::vector<Socket> Idle;
   std::string Err;
-  for (auto &C : Idle)
-    ASSERT_TRUE(C.connectTcp(S.Server.boundPort(), &Err)) << Err;
+  for (unsigned I = 0; I < IdleConnections; ++I) {
+    Idle.push_back(Socket::connectUnix(Path, &Err));
+    ASSERT_TRUE(Idle.back().valid()) << "idle connection " << I << ": " << Err;
+  }
 
-  ServiceClient Active = S.connect();
-  AllocRequest Request = proxyRequest("eqntott");
+  struct Case {
+    AllocRequest Request;
+    std::string Ir;
+    CostBreakdown Totals;
+  };
+  std::vector<Case> Cases;
+  for (const char *Proxy : {"eqntott", "li"}) {
+    Case &C = Cases.emplace_back();
+    C.Request = proxyRequest(Proxy);
+    expectedAllocation(C.Request.ModuleText, C.Request, C.Ir, C.Totals);
+  }
+
+  ServiceClient Active;
+  ASSERT_TRUE(Active.connectUnix(Path, &Err)) << Err;
   AllocResponse Response;
   ErrorResponse ServerError;
-  ASSERT_EQ(RpcStatus::Ok, Active.allocate(Request, Response, ServerError));
+  RpcStatus Status = RpcStatus::Shed;
+  while (Status == RpcStatus::Shed)
+    Status = Active.allocate(Cases[0].Request, Response, ServerError);
+  ASSERT_EQ(RpcStatus::Ok, Status);
+  EXPECT_EQ(Cases[0].Ir, Response.AllocatedIr);
 
   TelemetrySnapshot Stats;
   ASSERT_EQ(RpcStatus::Ok, Active.stats(Stats, ServerError));
-  EXPECT_GE(Stats.count(telemetry::ServeOpenConnections), 201.0);
-  EXPECT_GE(Stats.count(telemetry::ServePeakConnections), 201.0);
+  EXPECT_GE(Stats.count(telemetry::ServeOpenConnections),
+            IdleConnections + 1.0);
+  EXPECT_GE(Stats.count(telemetry::ServePeakConnections),
+            IdleConnections + 1.0);
+  Active.close();
+
+  std::atomic<unsigned> Ok{0}, Shed{0}, Divergent{0}, Unexplained{0};
+  std::vector<std::thread> Clients;
+  for (unsigned W = 0; W < 4; ++W)
+    Clients.emplace_back([&, W] {
+      ServiceClient C;
+      std::string CErr;
+      if (!C.connectUnix(Path, &CErr)) {
+        ++Unexplained;
+        return;
+      }
+      for (unsigned I = W;; ++I) {
+        const Case &Sent = Cases[I % Cases.size()];
+        AllocRequest Request = Sent.Request;
+        Request.DeadlineMs = I % 5 == 0 ? 1 : 0;
+        AllocResponse Out;
+        ErrorResponse E;
+        switch (C.allocate(Request, Out, E, &CErr)) {
+        case RpcStatus::Ok:
+          ++Ok;
+          if (Out.AllocatedIr != Sent.Ir || !(Out.Totals == Sent.Totals))
+            ++Divergent;
+          continue;
+        case RpcStatus::Shed:
+          ++Shed;
+          continue;
+        case RpcStatus::Rejected:
+          if (E.Code == "deadline" && Request.DeadlineMs)
+            continue;
+          if (E.Code != "draining")
+            ++Unexplained;
+          return;
+        case RpcStatus::Transport:
+          return; // closed by the drain
+        }
+      }
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   // Drain with every idle connection still open: the loop closes them
   // immediately rather than waiting out any per-connection timeout.
   auto Start = std::chrono::steady_clock::now();
   S.Server.requestDrain();
+  for (std::thread &T : Clients)
+    T.join();
   S.Server.wait();
   auto ElapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - Start)
                        .count();
-  EXPECT_LT(ElapsedMs, 5000) << "drain waited on idle connections";
+  EXPECT_LT(ElapsedMs, 10000) << "drain waited on idle connections";
+  EXPECT_GT(Ok.load(), 0u);
+  EXPECT_GT(Shed.load(), 0u);
+  EXPECT_EQ(0u, Divergent.load());
+  EXPECT_EQ(0u, Unexplained.load());
+  ServiceClient Late;
+  EXPECT_FALSE(Late.connectUnix(Path, &Err));
+  std::remove(Path.c_str());
 }
 
 TEST(Service, DrainInterruptsSilentAndMidFramePeers) {
@@ -1187,6 +1288,28 @@ TelemetrySnapshot serverStats(ServiceClient &C) {
   ErrorResponse ServerError;
   EXPECT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
   return Stats;
+}
+
+TEST(Service, PriorityReproducerIsServedAndServingContinues) {
+  // Under the priority arm with profile frequencies this module left every
+  // float register held by unspillable reload temps, and the worker
+  // aborted the daemon: "cannot color unspillable reload temp".
+  std::ifstream In(std::string(CCRA_SOURCE_DIR) +
+                   "/fuzz/corpus/"
+                   "repro-call-dense-seed13776463903726723901.ccra");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  AllocRequest Request;
+  Request.Options = priorityOptions();
+  Request.Config = RegisterConfig(6, 4, 0, 0);
+  Request.Mode = FrequencyMode::Profile;
+  Request.ModuleText = Text.str();
+
+  LiveServer S;
+  ServiceClient C = S.connect();
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "reproducer");
+  AllocRequest Next = proxyRequest("eqntott");
+  expectServedLikeInProcess(C, Next, Next.ModuleText, "next request");
 }
 
 std::vector<AllocatorOptions> paperAllocators() {
