@@ -159,9 +159,48 @@ PhysReg AssignmentState::stealRegisterFor(unsigned RangeId) {
     }
   }
   if (BestNeighbor < 0)
-    return PhysReg();
+    return moveHoldersFor(RangeId);
   PhysReg Freed = Assignment[BestNeighbor].Reg;
   unassign(static_cast<unsigned>(BestNeighbor));
   spill(static_cast<unsigned>(BestNeighbor));
   return Freed;
+}
+
+PhysReg AssignmentState::moveHoldersFor(unsigned RangeId) {
+  RegBank Bank = Ctx.LRS.range(RangeId).Bank;
+  for (unsigned Index = 0; Index < Ctx.MD.numRegs(Bank); ++Index) {
+    PhysReg Freed(Bank, Index);
+    if (isForbidden(RangeId, Freed))
+      continue;
+    std::vector<unsigned> Holders;
+    for (unsigned Neighbor : Ctx.IG.neighbors(RangeId))
+      if (Decided[Neighbor] && Assignment[Neighbor].isRegister() &&
+          Assignment[Neighbor].Reg == Freed)
+        Holders.push_back(Neighbor);
+    // With RangeId on Freed, each holder may take any register but Freed.
+    for (unsigned Holder : Holders)
+      unassign(Holder);
+    assign(RangeId, Freed);
+    std::vector<PhysReg> Moved;
+    for (unsigned Holder : Holders) {
+      const LiveRange &HLR = Ctx.LRS.range(Holder);
+      RegKindPref Pref = HLR.benefitCallee() > HLR.benefitCaller()
+                             ? RegKindPref::Callee
+                             : RegKindPref::Caller;
+      PhysReg Reg = pickRegister(Holder, Pref);
+      if (!Reg.isValid())
+        break;
+      assign(Holder, Reg);
+      Moved.push_back(Reg);
+    }
+    unassign(RangeId);
+    if (Moved.size() == Holders.size())
+      return Freed;
+    for (std::size_t I = 0; I < Holders.size(); ++I) {
+      if (I < Moved.size())
+        unassign(Holders[I]);
+      assign(Holders[I], Freed);
+    }
+  }
+  return PhysReg();
 }

@@ -64,8 +64,12 @@ public:
   const std::vector<unsigned> &usersOf(PhysReg Reg) const;
 
   /// Steal fallback for unspillable reload temporaries: spills the assigned
-  /// neighbor of \p RangeId with the smallest spill cost and returns its
-  /// register. Returns an invalid register if no neighbor can be displaced.
+  /// neighbor of \p RangeId with the smallest spill cost that alone holds
+  /// its register, and returns that register. When no such neighbor exists,
+  /// moves every neighbor holding some register to other registers free
+  /// for them and returns the freed one: coloring in a greedy order can
+  /// leave every register held by unspillable temps although no clique
+  /// forces it. Returns an invalid register if neither works.
   PhysReg stealRegisterFor(unsigned RangeId);
 
   /// Final assignment vector, indexed by live-range id.
@@ -75,6 +79,8 @@ public:
 private:
   unsigned regSlot(PhysReg Reg) const;
   bool isForbidden(unsigned RangeId, PhysReg Reg) const;
+  /// The last steal fallback: frees a register by moving its holders.
+  PhysReg moveHoldersFor(unsigned RangeId);
 
   const AllocationContext &Ctx;
   std::vector<Location> Assignment;       // by live-range id
