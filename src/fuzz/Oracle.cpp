@@ -187,14 +187,15 @@ void diffAgainstBaseline(const LegCapture &Base, const LegCapture &Leg,
                std::to_string(BaseFA.CalleeRegsPaid) + "/" +
                std::to_string(FA.CalleeRegsPaid));
     if (BaseFA.VRegLocations.size() != FA.VRegLocations.size())
-      Fail("location-diff", "@" + Name + " decided " +
+      Fail("location-diff", "@" + Name + " recorded " +
                                 std::to_string(FA.VRegLocations.size()) +
                                 " vregs, baseline " +
                                 std::to_string(BaseFA.VRegLocations.size()));
-    for (const auto &[V, Loc] : BaseFA.VRegLocations) {
-      auto LIt = FA.VRegLocations.find(V);
-      if (LIt == FA.VRegLocations.end() ||
-          !locationsEqual(LIt->second, Loc)) {
+    for (std::size_t V = 0; V < BaseFA.VRegLocations.size(); ++V) {
+      const std::optional<Location> &Loc = BaseFA.VRegLocations[V];
+      if (V >= FA.VRegLocations.size() ||
+          FA.VRegLocations[V].has_value() != Loc.has_value() ||
+          (Loc && !locationsEqual(*FA.VRegLocations[V], *Loc))) {
         Fail("location-diff", "@" + Name + " vreg " + std::to_string(V) +
                                   " placed differently");
         break;
@@ -229,8 +230,9 @@ bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
 /// copies, final liveness, live ranges, graph edges), the dense against
 /// the sparse graph, and the worklist against the O(V^2) reference
 /// simplifier (pessimistic and optimistic, in id order and under the §5
-/// key). The engine runs one path through each component; this is where
-/// the others live.
+/// key), and CBH's worklist simplification against its rescan. The
+/// engine runs one path through each component; this is where the others
+/// live.
 void checkComponents(const Module &M, const OracleOptions &OO,
                      OracleReport &Report) {
   MachineDescription MD(OO.Config);
@@ -299,6 +301,14 @@ void checkComponents(const Module &M, const OracleOptions &OO,
           if (!Optimistic && Key)
             Spiller = std::move(A);
         }
+      CBHSimplifyResult CBH = CBHAllocator::simplify(Ctx);
+      CBHSimplifyResult RefCBH = referenceCBHSimplify(Ctx);
+      Check(CBH.Stack == RefCBH.Stack &&
+                CBH.SpilledNodes == RefCBH.SpilledNodes &&
+                CBH.PushedBlocked == RefCBH.PushedBlocked &&
+                std::equal(CBH.Unlocked, CBH.Unlocked + NumRegBanks,
+                           RefCBH.Unlocked),
+            "cbh-simplify-reference");
       if (Spiller.SpilledNodes.empty())
         break;
 
@@ -498,6 +508,113 @@ SimplifyResult ccra::referenceSimplify(const AllocationContext &Ctx,
       Result.SpilledNodes.push_back(V);
     }
     Deactivate(V);
+    --Remaining;
+  }
+  return Result;
+}
+
+CBHSimplifyResult ccra::referenceCBHSimplify(const AllocationContext &Ctx) {
+  const LiveRangeSet &LRS = Ctx.LRS;
+  const InterferenceGraph &IG = Ctx.IG;
+  const MachineDescription &MD = Ctx.MD;
+  unsigned NumNodes = IG.numNodes();
+
+  CBHSimplifyResult Result;
+  Result.PushedBlocked.assign(NumNodes, false);
+  Result.Stack.reserve(NumNodes);
+
+  std::vector<unsigned> Degree(NumNodes);
+  std::vector<bool> Active(NumNodes, true);
+  unsigned ActivePerBank[NumRegBanks] = {0, 0};
+  unsigned LockedCalleeCount[NumRegBanks];
+  for (unsigned B = 0; B < NumRegBanks; ++B)
+    LockedCalleeCount[B] = MD.calleeCount(static_cast<RegBank>(B));
+  for (unsigned I = 0; I < NumNodes; ++I) {
+    const LiveRange &LR = LRS.range(I);
+    Degree[I] = IG.degree(I) + MD.calleeCount(LR.Bank) +
+                (LR.ContainsCall ? MD.callerCount(LR.Bank) : 0);
+    ++ActivePerBank[static_cast<unsigned>(LR.Bank)];
+  }
+
+  double CalleeNodeCost = 2.0 * Ctx.EntryFreq;
+  auto Deactivate = [&](unsigned Node) {
+    Active[Node] = false;
+    --ActivePerBank[static_cast<unsigned>(LRS.range(Node).Bank)];
+    for (unsigned Neighbor : IG.neighbors(Node))
+      if (Active[Neighbor])
+        --Degree[Neighbor];
+  };
+  auto UnlockCallee = [&](RegBank Bank) {
+    unsigned BankIdx = static_cast<unsigned>(Bank);
+    assert(LockedCalleeCount[BankIdx] > 0 && "no locked register to unlock");
+    --LockedCalleeCount[BankIdx];
+    ++Result.Unlocked[BankIdx];
+    for (unsigned I = 0; I < NumNodes; ++I)
+      if (Active[I] && LRS.range(I).Bank == Bank)
+        --Degree[I];
+  };
+
+  unsigned Remaining = NumNodes;
+  while (Remaining > 0) {
+    int Best = -1;
+    for (unsigned I = 0; I < NumNodes; ++I) {
+      if (Active[I] && Degree[I] < MD.numRegs(LRS.range(I).Bank)) {
+        Best = static_cast<int>(I);
+        break;
+      }
+    }
+    if (Best >= 0) {
+      Result.Stack.push_back(static_cast<unsigned>(Best));
+      Deactivate(static_cast<unsigned>(Best));
+      --Remaining;
+      continue;
+    }
+
+    int Victim = -1;
+    double VictimMetric = std::numeric_limits<double>::infinity();
+    for (unsigned I = 0; I < NumNodes; ++I) {
+      if (!Active[I] || LRS.range(I).NoSpill)
+        continue;
+      double Metric = LRS.range(I).spillCost() /
+                      static_cast<double>(std::max(Degree[I], 1u));
+      if (Victim < 0 || Metric < VictimMetric) {
+        Victim = static_cast<int>(I);
+        VictimMetric = Metric;
+      }
+    }
+    int CalleeBank = -1;
+    double CalleeMetric = std::numeric_limits<double>::infinity();
+    for (unsigned B = 0; B < NumRegBanks; ++B) {
+      if (LockedCalleeCount[B] == 0 || ActivePerBank[B] == 0)
+        continue;
+      double Metric =
+          CalleeNodeCost / static_cast<double>(std::max(ActivePerBank[B], 1u));
+      if (Metric < CalleeMetric) {
+        CalleeBank = static_cast<int>(B);
+        CalleeMetric = Metric;
+      }
+    }
+
+    if (CalleeBank >= 0 && (Victim < 0 || CalleeMetric <= VictimMetric)) {
+      UnlockCallee(static_cast<RegBank>(CalleeBank));
+      continue;
+    }
+    if (Victim >= 0) {
+      Result.SpilledNodes.push_back(static_cast<unsigned>(Victim));
+      Deactivate(static_cast<unsigned>(Victim));
+      --Remaining;
+      continue;
+    }
+    unsigned BestDegree = ~0u;
+    unsigned Pick = 0;
+    for (unsigned I = 0; I < NumNodes; ++I)
+      if (Active[I] && Degree[I] < BestDegree) {
+        Pick = I;
+        BestDegree = Degree[I];
+      }
+    Result.Stack.push_back(Pick);
+    Result.PushedBlocked[Pick] = true;
+    Deactivate(Pick);
     --Remaining;
   }
   return Result;

@@ -20,7 +20,8 @@
 ///   incremental vs. recompute-every-pass coalescing (classes, deleted
 ///   copies, final liveness, live ranges, graph edges), the dense vs. the
 ///   sparse interference graph, and the worklist vs. the O(V^2) reference
-///   simplifier (stack and spill set). Findings are reported under the
+///   simplifier (stack and spill set), for Chaitin's simplification and
+///   for CBH's. Findings are reported under the
 ///   leg name "component".
 ///
 /// - **Soundness oracles.** Every leg — including configurations with
@@ -42,6 +43,7 @@
 
 #include "analysis/Frequency.h"
 #include "regalloc/AllocatorOptions.h"
+#include "regalloc/CBHAllocator.h"
 #include "regalloc/Simplifier.h"
 #include "target/MachineDescription.h"
 
@@ -110,6 +112,15 @@ OracleReport runOracleLattice(const Module &M, const OracleOptions &Opts);
 SimplifyResult referenceSimplify(const AllocationContext &Ctx,
                                  bool Optimistic,
                                  const Simplifier::KeyFn &Key = nullptr);
+
+/// The O(V^2) CBH simplification that the worklist CBHAllocator::simplify
+/// replaced, kept as its oracle: each step takes the lowest-index active
+/// node whose effective degree is below its bank's register count, else
+/// spills the cheapest ordinary range or unlocks a callee-save register.
+/// Identical to CBHAllocator::simplify on every input (stack, spills,
+/// blocked pushes and unlocks); the component check and
+/// tests/SimplifierTest.cpp compare against it.
+CBHSimplifyResult referenceCBHSimplify(const AllocationContext &Ctx);
 
 } // namespace ccra
 

@@ -256,7 +256,7 @@ private:
            std::find(I.Uses.begin(), I.Uses.end(), V) != I.Uses.end();
   }
 
-  static void strip(std::vector<VirtReg> &Regs, VirtReg V) {
+  static void strip(RegList &Regs, VirtReg V) {
     Regs.erase(std::remove(Regs.begin(), Regs.end(), V), Regs.end());
   }
 

@@ -43,7 +43,7 @@ void putPhysReg(std::string &Out, PhysReg R) {
   putVarint(Out, R.Index);
 }
 
-void putRegList(std::string &Out, const std::vector<VirtReg> &Regs) {
+void putRegList(std::string &Out, const RegList &Regs) {
   putVarint(Out, Regs.size());
   for (VirtReg R : Regs)
     putVarint(Out, R.Id);

@@ -171,7 +171,9 @@ IRBuilder::buildCall(Function *Callee, const std::vector<VirtReg> &Args,
   Instruction I(Opcode::Call);
   I.Callee = Callee;
   I.CalleeName = Callee->getName();
-  I.Uses = Args;
+  I.Uses.reserve(Args.size());
+  for (VirtReg Arg : Args)
+    I.Uses.push_back(Arg);
   std::vector<VirtReg> Results;
   for (RegBank Bank : ReturnBanks) {
     VirtReg R = F.createVReg(Bank);

@@ -13,11 +13,11 @@
 #ifndef CCRA_IR_INSTRUCTION_H
 #define CCRA_IR_INSTRUCTION_H
 
+#include "ir/RegList.h"
 #include "ir/Register.h"
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ccra {
 
@@ -108,8 +108,8 @@ const OpcodeInfo &getOpcodeInfo(Opcode Op);
 /// via the Phys field.
 struct Instruction {
   Opcode Op;
-  std::vector<VirtReg> Defs;
-  std::vector<VirtReg> Uses;
+  RegList Defs;
+  RegList Uses;
 
   /// Immediate payload for LoadImm/FLoadImm (value is irrelevant to
   /// allocation; kept for printing and the cycle model).

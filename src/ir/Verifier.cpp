@@ -40,7 +40,7 @@ private:
   void checkInstruction(const BasicBlock &BB, const Instruction &I,
                         bool IsLast);
   void checkOperandSignature(const BasicBlock &BB, const Instruction &I);
-  bool checkRegs(const std::vector<VirtReg> &Regs, const BasicBlock &BB,
+  bool checkRegs(const RegList &Regs, const BasicBlock &BB,
                  const Instruction &I);
   void expectBank(const Instruction &I, VirtReg R, RegBank Bank,
                   const char *Role);
@@ -125,7 +125,7 @@ void FunctionVerifier::checkInstruction(const BasicBlock &BB,
   checkOperandSignature(BB, I);
 }
 
-bool FunctionVerifier::checkRegs(const std::vector<VirtReg> &Regs,
+bool FunctionVerifier::checkRegs(const RegList &Regs,
                                  const BasicBlock &BB, const Instruction &I) {
   for (VirtReg R : Regs) {
     if (!R.isValid() || R.Id >= F.numVRegs()) {

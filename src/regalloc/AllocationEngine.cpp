@@ -84,7 +84,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
     CarriedLV = *SeedLV;
     CarriedLVValid = true;
   }
-  unsigned LivenessComputes = 0, IncrementalLVUpdates = 0;
+  unsigned LivenessComputes = 0, CoalescePasses = 0;
 
   for (unsigned Round = 1; Round <= MaxRounds; ++Round) {
     Out.Rounds = Round;
@@ -120,7 +120,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
             Coalescer::run(F, Classes, MD, Freq, Ctx.LV, Req, Ctx.LRS, Ctx.IG);
         Out.CoalescedMoves += CS.CoalescedMoves;
         LivenessComputes += CS.LivenessComputes;
-        IncrementalLVUpdates += CS.IncrementalLVUpdates;
+        CoalescePasses += CS.Passes;
       }
       Classes.grow(F.numVRegs());
     }
@@ -158,6 +158,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       SpilledClasses.emplace_back();
     }
     if (!SpilledClasses.empty()) {
+      Out.VRegLocations.resize(F.numVRegs());
       for (unsigned V = 0; V < F.numVRegs(); ++V) {
         int RangeId = Ctx.LRS.rangeIdOf(VirtReg(V));
         if (RangeId < 0 || SpillIndexOfRange[RangeId] < 0)
@@ -168,8 +169,9 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       Out.SpilledRanges += static_cast<unsigned>(SpilledClasses.size());
 
       // Graph reconstruction (§2): if the next round's coalescing phase
-      // would be a no-op (no copies remain — spill code never adds any),
-      // patch this round's state instead of rebuilding from scratch.
+      // would be a no-op (no copies remain: spill code adds none, but
+      // conservative coalescing may have kept some), patch this round's
+      // state instead of rebuilding from scratch.
       bool Incremental = Opts.IncrementalReconstruction &&
                          GraphReconstructor::hasNoCopies(F);
       if (Incremental) {
@@ -206,6 +208,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
 
     // Converged: record locations, materialize the call-cost overhead,
     // account, verify.
+    Out.VRegLocations.resize(F.numVRegs());
     for (unsigned V = 0; V < F.numVRegs(); ++V) {
       int RangeId = Ctx.LRS.rangeIdOf(VirtReg(V));
       if (RangeId >= 0)
@@ -244,7 +247,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       T->addCount(telemetry::CoalescedMoves, Out.CoalescedMoves);
       T->addCount(telemetry::CalleeRegsPaid, Out.CalleeRegsPaid);
       T->addCount(telemetry::LivenessComputes, LivenessComputes);
-      T->addCount(telemetry::LivenessIncrementalUpdates, IncrementalLVUpdates);
+      T->addCount(telemetry::CoalescePasses, CoalescePasses);
     }
     // Converged: the graph dies with the context — donate its capacity to
     // the next function sharing this arena.

@@ -13,6 +13,8 @@
 
 #include "ir/Register.h"
 
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,8 +67,9 @@ struct CostBreakdown {
 /// Result of allocating one function.
 struct FunctionAllocation {
   /// Final storage location of every virtual register that ever existed in
-  /// the function (including spill temporaries).
-  std::unordered_map<unsigned, Location> VRegLocations;
+  /// the function (including spill temporaries), indexed by vreg id. An
+  /// empty entry is a register no live range held (see locationOf).
+  std::vector<std::optional<Location>> VRegLocations;
 
   CostBreakdown Costs;
 
@@ -81,10 +84,22 @@ struct FunctionAllocation {
   unsigned CoalescedMoves = 0;  ///< Copies removed by the coalescer.
   unsigned CalleeRegsPaid = 0;  ///< Callee-save registers saved/restored.
 
+  /// Where \p R ended up; memory for a register without a recorded
+  /// location.
   Location locationOf(VirtReg R) const {
-    auto It = VRegLocations.find(R.Id);
-    return It == VRegLocations.end() ? Location::inMemory() : It->second;
+    if (R.Id < VRegLocations.size() && VRegLocations[R.Id])
+      return *VRegLocations[R.Id];
+    return Location::inMemory();
   }
+};
+
+/// Thrown by an allocation whose register configuration cannot hold some
+/// instruction's operands at once (an unspillable reload temporary found
+/// no register). The input is at fault, not the allocator: callers answer
+/// it with a diagnostic.
+class UncolorableError : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Result of allocating a whole module.

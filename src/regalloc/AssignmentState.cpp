@@ -2,6 +2,8 @@
 
 #include "regalloc/AssignmentState.h"
 
+#include "ir/Function.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -12,6 +14,8 @@ AssignmentState::AssignmentState(const AllocationContext &Ctx) : Ctx(Ctx) {
   Assignment.assign(NumRanges, Location::inMemory());
   Decided.assign(NumRanges, false);
   CalleeOnly.assign(NumRanges, false);
+  assert(Ctx.MD.config().fitsRegisterMasks() &&
+         "register bank wider than a taken-register mask");
   unsigned Slots =
       Ctx.MD.numRegs(RegBank::Int) + Ctx.MD.numRegs(RegBank::Float);
   Locked.assign(Slots, false);
@@ -41,21 +45,22 @@ bool AssignmentState::isForbidden(unsigned RangeId, PhysReg Reg) const {
   return false;
 }
 
-PhysReg AssignmentState::pickRegister(unsigned RangeId, RegKindPref Pref,
-                                      bool AllowOtherKind) const {
-  const LiveRange &LR = Ctx.LRS.range(RangeId);
-  RegBank Bank = LR.Bank;
-
-  // Registers taken by already-colored interfering live ranges.
-  std::vector<bool> Taken(Ctx.MD.numRegs(Bank), false);
+std::uint64_t AssignmentState::takenMask(unsigned RangeId) const {
+  std::uint64_t Taken = 0;
   for (unsigned Neighbor : Ctx.IG.neighbors(RangeId)) {
     const Location &Loc = Assignment[Neighbor];
     if (Decided[Neighbor] && Loc.isRegister())
-      Taken[Loc.Reg.Index] = true;
+      Taken |= std::uint64_t(1) << Loc.Reg.Index;
   }
+  return Taken;
+}
 
+PhysReg AssignmentState::pickRegister(unsigned RangeId, RegKindPref Pref,
+                                      bool AllowOtherKind) const {
+  RegBank Bank = Ctx.LRS.range(RangeId).Bank;
+  const std::uint64_t Taken = takenMask(RangeId);
   auto Usable = [&](PhysReg Reg) {
-    return !Taken[Reg.Index] && !isForbidden(RangeId, Reg);
+    return !((Taken >> Reg.Index) & 1) && !isForbidden(RangeId, Reg);
   };
 
   auto TryCaller = [&]() -> PhysReg {
@@ -116,15 +121,10 @@ const std::vector<unsigned> &AssignmentState::usersOf(PhysReg Reg) const {
 
 bool AssignmentState::hasReusableCalleeReg(unsigned RangeId) const {
   RegBank Bank = Ctx.LRS.range(RangeId).Bank;
-  std::vector<bool> Taken(Ctx.MD.numRegs(Bank), false);
-  for (unsigned Neighbor : Ctx.IG.neighbors(RangeId)) {
-    const Location &Loc = Assignment[Neighbor];
-    if (Decided[Neighbor] && Loc.isRegister())
-      Taken[Loc.Reg.Index] = true;
-  }
+  const std::uint64_t Taken = takenMask(RangeId);
   for (unsigned I = 0; I < Ctx.MD.calleeCount(Bank); ++I) {
     PhysReg Reg = Ctx.MD.calleeSaveReg(Bank, I);
-    if (!Users[regSlot(Reg)].empty() && !Taken[Reg.Index] &&
+    if (!Users[regSlot(Reg)].empty() && !((Taken >> Reg.Index) & 1) &&
         !isForbidden(RangeId, Reg))
       return true;
   }
@@ -164,6 +164,19 @@ PhysReg AssignmentState::stealRegisterFor(unsigned RangeId) {
   unassign(static_cast<unsigned>(BestNeighbor));
   spill(static_cast<unsigned>(BestNeighbor));
   return Freed;
+}
+
+void AssignmentState::assignStolen(unsigned RangeId) {
+  assert(Ctx.LRS.range(RangeId).NoSpill && "only reload temps steal");
+  PhysReg Reg = stealRegisterFor(RangeId);
+  if (!Reg.isValid())
+    throw UncolorableError(
+        "@" + Ctx.F.getName() + ": register config " +
+        Ctx.MD.config().label() + " cannot color an unspillable " +
+        regBankName(Ctx.LRS.range(RangeId).Bank) +
+        " reload temporary (too few registers for one instruction's "
+        "operands)");
+  assign(RangeId, Reg);
 }
 
 PhysReg AssignmentState::moveHoldersFor(unsigned RangeId) {

@@ -14,6 +14,7 @@
 #include "regalloc/AllocationContext.h"
 #include "target/MachineDescription.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace ccra {
@@ -72,12 +73,20 @@ public:
   /// forces it. Returns an invalid register if neither works.
   PhysReg stealRegisterFor(unsigned RangeId);
 
+  /// Assigns unspillable \p RangeId the register stealRegisterFor frees.
+  /// Throws UncolorableError when none can be freed: the configuration
+  /// has too few registers for some instruction's operands.
+  void assignStolen(unsigned RangeId);
+
   /// Final assignment vector, indexed by live-range id.
   std::vector<Location> takeAssignment() { return std::move(Assignment); }
   const std::vector<Location> &assignment() const { return Assignment; }
 
 private:
   unsigned regSlot(PhysReg Reg) const;
+  /// Bit I set: an already-colored neighbor of \p RangeId holds register
+  /// I of its bank. Banks hold at most RegisterConfig::MaxBankRegs.
+  std::uint64_t takenMask(unsigned RangeId) const;
   bool isForbidden(unsigned RangeId, PhysReg Reg) const;
   /// The last steal fallback: frees a register by moving its holders.
   PhysReg moveHoldersFor(unsigned RangeId);

@@ -4,81 +4,83 @@
 
 #include "regalloc/AssignmentState.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
+#include <queue>
 
 using namespace ccra;
 
-void CBHAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
+CBHSimplifyResult CBHAllocator::simplify(const AllocationContext &Ctx) {
   const LiveRangeSet &LRS = Ctx.LRS;
   const InterferenceGraph &IG = Ctx.IG;
   const MachineDescription &MD = Ctx.MD;
   unsigned NumNodes = IG.numNodes();
 
+  CBHSimplifyResult Result;
+  Result.PushedBlocked.assign(NumNodes, false);
+  Result.Stack.reserve(NumNodes);
+
   // Effective degrees include the pseudo neighbors: every callee-save
   // register live range of the node's bank (they span the whole function),
   // and — for call-crossing ranges — every caller-save register.
-  std::vector<bool> Crossing(NumNodes);
-  std::vector<unsigned> Degree(NumNodes);
+  std::vector<unsigned> Degree(NumNodes), Limit(NumNodes);
   std::vector<bool> Active(NumNodes, true);
   unsigned ActivePerBank[NumRegBanks] = {0, 0};
   unsigned LockedCalleeCount[NumRegBanks];
   for (unsigned B = 0; B < NumRegBanks; ++B)
     LockedCalleeCount[B] = MD.calleeCount(static_cast<RegBank>(B));
-  std::vector<std::vector<bool>> CalleeLocked = {
-      std::vector<bool>(MD.calleeCount(RegBank::Int), true),
-      std::vector<bool>(MD.calleeCount(RegBank::Float), true)};
 
+  // Eligible nodes (effective degree below the bank's register count),
+  // lowest index on top. A node is pushed once, when it becomes eligible,
+  // and stays active until popped: the blocked paths below run only on an
+  // empty heap.
+  std::priority_queue<unsigned, std::vector<unsigned>, std::greater<unsigned>>
+      Eligible;
   for (unsigned I = 0; I < NumNodes; ++I) {
     const LiveRange &LR = LRS.range(I);
-    Crossing[I] = LR.ContainsCall;
-    unsigned BankIdx = static_cast<unsigned>(LR.Bank);
     Degree[I] = IG.degree(I) + MD.calleeCount(LR.Bank) +
-                (Crossing[I] ? MD.callerCount(LR.Bank) : 0);
-    ++ActivePerBank[BankIdx];
+                (LR.ContainsCall ? MD.callerCount(LR.Bank) : 0);
+    Limit[I] = MD.numRegs(LR.Bank);
+    ++ActivePerBank[static_cast<unsigned>(LR.Bank)];
+    if (Degree[I] < Limit[I])
+      Eligible.push(I);
   }
 
   double CalleeNodeCost = 2.0 * Ctx.EntryFreq;
 
+  // An active node's degree counts every pseudo and active neighbor it
+  // loses, so it never underflows.
+  auto LowerDegree = [&](unsigned Node) {
+    if (Degree[Node]-- == Limit[Node])
+      Eligible.push(Node);
+  };
   auto Deactivate = [&](unsigned Node) {
     Active[Node] = false;
     --ActivePerBank[static_cast<unsigned>(LRS.range(Node).Bank)];
     for (unsigned Neighbor : IG.neighbors(Node))
       if (Active[Neighbor])
-        --Degree[Neighbor];
+        LowerDegree(Neighbor);
   };
   auto UnlockCallee = [&](RegBank Bank) {
     unsigned BankIdx = static_cast<unsigned>(Bank);
     assert(LockedCalleeCount[BankIdx] > 0 && "no locked register to unlock");
-    for (unsigned J = 0; J < CalleeLocked[BankIdx].size(); ++J)
-      if (CalleeLocked[BankIdx][J]) {
-        CalleeLocked[BankIdx][J] = false;
-        break;
-      }
     --LockedCalleeCount[BankIdx];
+    ++Result.Unlocked[BankIdx];
     for (unsigned I = 0; I < NumNodes; ++I)
       if (Active[I] && LRS.range(I).Bank == Bank)
-        --Degree[I];
+        LowerDegree(I);
   };
-
-  // --- Simplification over ordinary nodes -------------------------------
-  std::vector<unsigned> Stack;
-  std::vector<bool> PushedBlocked(NumNodes, false);
-  std::vector<unsigned> SpilledNodes;
-  Stack.reserve(NumNodes);
 
   unsigned Remaining = NumNodes;
   while (Remaining > 0) {
-    int Best = -1;
-    for (unsigned I = 0; I < NumNodes; ++I) {
-      if (Active[I] && Degree[I] < MD.numRegs(LRS.range(I).Bank)) {
-        Best = static_cast<int>(I);
-        break;
-      }
-    }
-    if (Best >= 0) {
-      Stack.push_back(static_cast<unsigned>(Best));
-      Deactivate(static_cast<unsigned>(Best));
+    if (!Eligible.empty()) {
+      unsigned Best = Eligible.top();
+      Eligible.pop();
+      assert(Active[Best] && "eligible node left the graph before its pop");
+      Result.Stack.push_back(Best);
+      Deactivate(Best);
       --Remaining;
       continue;
     }
@@ -117,7 +119,7 @@ void CBHAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
       continue;
     }
     if (Victim >= 0) {
-      SpilledNodes.push_back(static_cast<unsigned>(Victim));
+      Result.SpilledNodes.push_back(static_cast<unsigned>(Victim));
       Deactivate(static_cast<unsigned>(Victim));
       --Remaining;
       continue;
@@ -131,49 +133,54 @@ void CBHAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
         Pick = I;
         BestDegree = Degree[I];
       }
-    Stack.push_back(Pick);
-    PushedBlocked[Pick] = true;
+    Result.Stack.push_back(Pick);
+    Result.PushedBlocked[Pick] = true;
     Deactivate(Pick);
     --Remaining;
   }
+  return Result;
+}
+
+void CBHAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
+  const LiveRangeSet &LRS = Ctx.LRS;
+  const MachineDescription &MD = Ctx.MD;
+  CBHSimplifyResult Simp = simplify(Ctx);
 
   // --- Color assignment ---------------------------------------------------
   AssignmentState State(Ctx);
   RR.PayUnusedCallee = true;
   for (unsigned B = 0; B < NumRegBanks; ++B) {
     RegBank Bank = static_cast<RegBank>(B);
-    for (unsigned J = 0; J < CalleeLocked[B].size(); ++J) {
-      if (CalleeLocked[B][J])
+    for (unsigned J = 0; J < MD.calleeCount(Bank); ++J) {
+      if (J >= Simp.Unlocked[B])
         State.lockRegister(MD.calleeSaveReg(Bank, J));
       else
         RR.ForcedCalleePaid.push_back(MD.calleeSaveReg(Bank, J));
     }
   }
-  for (unsigned Node : SpilledNodes)
+  for (unsigned Node : Simp.SpilledNodes)
     State.spill(Node);
-  for (unsigned I = 0; I < NumNodes; ++I)
-    if (Crossing[I])
+  for (unsigned I = 0; I < LRS.numRanges(); ++I)
+    if (LRS.range(I).ContainsCall)
       State.restrictToCalleeSave(I);
 
-  for (auto It = Stack.rbegin(), E = Stack.rend(); It != E; ++It) {
+  for (auto It = Simp.Stack.rbegin(), E = Simp.Stack.rend(); It != E; ++It) {
     unsigned Node = *It;
     const LiveRange &LR = LRS.range(Node);
     // Crossing ranges may only take callee-save registers (the restriction
     // filters caller-save candidates); non-crossing ranges prefer
     // caller-save, which is free.
     RegKindPref Pref =
-        Crossing[Node] ? RegKindPref::Callee : RegKindPref::Caller;
+        LR.ContainsCall ? RegKindPref::Callee : RegKindPref::Caller;
     PhysReg Reg = State.pickRegister(Node, Pref);
     if (Reg.isValid()) {
       State.assign(Node, Reg);
       continue;
     }
-    assert(PushedBlocked[Node] &&
+    assert(Simp.PushedBlocked[Node] &&
            "CBH: guaranteed-colorable node found no color");
     if (LR.NoSpill) {
-      Reg = State.stealRegisterFor(Node);
-      assert(Reg.isValid() && "CBH: cannot color unspillable reload temp");
-      State.assign(Node, Reg);
+      State.assignStolen(Node);
     } else {
       State.spill(Node);
     }

@@ -38,9 +38,7 @@ void ChaitinAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
       assert(Simp.PushedOptimistically[Node] &&
              "guaranteed-colorable node found no color");
       if (LR.NoSpill) {
-        Reg = State.stealRegisterFor(Node);
-        assert(Reg.isValid() && "cannot color unspillable reload temp");
-        State.assign(Node, Reg);
+        State.assignStolen(Node);
       } else {
         State.spill(Node);
       }

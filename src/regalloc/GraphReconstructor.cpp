@@ -160,40 +160,3 @@ void GraphReconstructor::apply(const Function &F, const FrequencyInfo &Freq,
   IG.recycle(S);
   IG = std::move(NewIG);
 }
-
-#ifdef CCRA_RECONSTRUCT_SELFCHECK
-#include "analysis/Liveness.h"
-#include "regalloc/VRegClasses.h"
-#include <cstdio>
-namespace ccra {
-void reconstructSelfCheck(const Function &F, const FrequencyInfo &Freq,
-                          const Liveness &LV, const LiveRangeSet &LRS,
-                          const InterferenceGraph &IG) {
-  VRegClasses Classes(F.numVRegs());
-  Liveness FreshLV = Liveness::compute(F);
-  LiveRangeSet FreshLRS = LiveRangeSet::build(F, FreshLV, Freq, Classes);
-  if (FreshLRS.numRanges() != LRS.numRanges()) {
-    std::fprintf(stderr, "SELF-CHECK: range count %u vs %u\n", LRS.numRanges(), FreshLRS.numRanges());
-    return;
-  }
-  for (unsigned I = 0; I < LRS.numRanges(); ++I) {
-    const LiveRange &A = LRS.range(I);
-    const LiveRange &B = FreshLRS.range(I);
-    if (A.Root != B.Root) std::fprintf(stderr, "SELF-CHECK %u: root %u vs %u\n", I, A.Root.Id, B.Root.Id);
-    if (A.WeightedRefs != B.WeightedRefs) std::fprintf(stderr, "SELF-CHECK %u(v%u): refs %f vs %f\n", I, A.Root.Id, A.WeightedRefs, B.WeightedRefs);
-    if (A.CallerSaveCost != B.CallerSaveCost) std::fprintf(stderr, "SELF-CHECK %u(v%u): callerC %f vs %f\n", I, A.Root.Id, A.CallerSaveCost, B.CallerSaveCost);
-    if (A.CrossedCalls != B.CrossedCalls) std::fprintf(stderr, "SELF-CHECK %u(v%u): crossed %zu vs %zu\n", I, A.Root.Id, A.CrossedCalls.size(), B.CrossedCalls.size());
-    if (A.NoSpill != B.NoSpill) std::fprintf(stderr, "SELF-CHECK %u(v%u): nospill %d vs %d\n", I, A.Root.Id, A.NoSpill, B.NoSpill);
-    if (A.NumBlocks != B.NumBlocks) std::fprintf(stderr, "SELF-CHECK %u(v%u): blocks %u vs %u\n", I, A.Root.Id, A.NumBlocks, B.NumBlocks);
-  }
-  InterferenceGraph FreshIG = InterferenceGraph::build(F, FreshLV, FreshLRS);
-  for (unsigned I = 0; I < LRS.numRanges(); ++I)
-    if (IG.degree(I) != FreshIG.degree(I))
-      std::fprintf(stderr, "SELF-CHECK %u(v%u): degree %u vs %u\n", I, LRS.range(I).Root.Id, IG.degree(I), FreshIG.degree(I));
-  for (const auto &BB : F.blocks()) {
-    if (!(LV.liveOut(*BB) == FreshLV.liveOut(*BB)))
-      std::fprintf(stderr, "SELF-CHECK: liveOut differs in %s\n", BB->getName().c_str());
-  }
-}
-} // namespace ccra
-#endif

@@ -231,6 +231,12 @@ void InterferenceGraph::emitRows() {
     const auto [Lo, Hi] = RowSpans[A];
     std::vector<unsigned> &List = Adj[A];
     List.clear();
+    // Size the list once from the row's popcount instead of growing it
+    // by doubling.
+    size_t Degree = 0;
+    for (unsigned W = Lo; W < Hi; ++W)
+      Degree += static_cast<size_t>(std::popcount(Rows[Base + W]));
+    List.reserve(Degree);
     for (unsigned W = Lo; W < Hi; ++W)
       for (uint64_t Bits = Rows[Base + W]; Bits != 0; Bits &= Bits - 1)
         List.push_back(W * BitsPerWord + std::countr_zero(Bits));

@@ -5,7 +5,6 @@
 #include "regalloc/AssignmentState.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 using namespace ccra;
@@ -108,9 +107,7 @@ void PriorityAllocator::runRound(AllocationContext &Ctx, RoundResult &RR) {
       continue;
     }
     if (LR.NoSpill) {
-      Reg = State.stealRegisterFor(Node);
-      assert(Reg.isValid() && "cannot color unspillable reload temp");
-      State.assign(Node, Reg);
+      State.assignStolen(Node);
       continue;
     }
     State.spill(Node); // Out of colors: spill, never split.

@@ -356,9 +356,17 @@ void AllocationServer::serve(PendingRequest &P) {
   {
     Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
     Telemetry EngineTelem;
-    ModuleAllocationResult Result =
-        Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
-                 P.Request.Options.Jobs, EngineTelem);
+    ModuleAllocationResult Result;
+    try {
+      Result = Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
+                        P.Request.Options.Jobs, EngineTelem);
+    } catch (const UncolorableError &E) {
+      // The request's configuration is too small for its module: the
+      // input's fault, answered like any other malformed request.
+      Telem.addCount(telemetry::ServeMalformed);
+      Loop.postResponse(P.ConnId, errorFrame("malformed", E.what()));
+      return;
+    }
     TelemetrySnapshot ItemTelem = EngineTelem.takeSnapshot();
     Module *M = &Job->module();
 

@@ -3,7 +3,6 @@
 #include "service/WireProtocol.h"
 
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -305,10 +304,9 @@ bool ccra::parseAllocRequest(const std::string &Payload, AllocRequest &Out,
       break;
     }
     if (Key == "config") {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Value.c_str(), "%u,%u,%u,%u", &Ri, &Rf, &Ei, &Ef) != 4)
-        return fail(Err, "bad config '" + Value + "'");
-      Out.Config = RegisterConfig(Ri, Rf, Ei, Ef);
+      std::string ConfigErr;
+      if (!parseRegisterConfig(Value, Out.Config, &ConfigErr))
+        return fail(Err, ConfigErr);
     } else if (Key == "mode") {
       if (Value == "profile")
         Out.Mode = FrequencyMode::Profile;

@@ -140,9 +140,12 @@ inline constexpr const char *Experiments = "experiments";
 /// and incremental liveness on, at most one per allocation round (usually
 /// zero: rounds start from a seeded or incrementally-maintained solution).
 inline constexpr const char *LivenessComputes = "liveness_computes";
-/// Incremental liveness updates that replaced a full recompute.
-inline constexpr const char *LivenessIncrementalUpdates =
-    "liveness_incremental_updates";
+/// Coalescer passes, each of which rebuilds the live ranges and the
+/// interference graph (a coalescer run repeats passes until no copy
+/// merges). Every pass either recomputes liveness or updates it
+/// incrementally, so the incremental updates are coalesce_passes minus
+/// liveness_computes.
+inline constexpr const char *CoalescePasses = "coalesce_passes";
 
 // Scheduling/occupancy counters ("sched." namespace): excluded from the
 // determinism guarantee — they depend on which thread ran what and on

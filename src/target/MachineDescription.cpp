@@ -2,6 +2,8 @@
 
 #include "target/MachineDescription.h"
 
+#include <cstdio>
+
 using namespace ccra;
 
 std::string RegisterConfig::label() const {
@@ -9,6 +11,25 @@ std::string RegisterConfig::label() const {
          std::to_string(FloatCallerSave) + "," +
          std::to_string(IntCalleeSave) + "," +
          std::to_string(FloatCalleeSave) + ")";
+}
+
+bool ccra::parseRegisterConfig(const std::string &Text, RegisterConfig &Out,
+                               std::string *Err) {
+  unsigned Ri, Rf, Ei, Ef;
+  if (std::sscanf(Text.c_str(), "%u,%u,%u,%u", &Ri, &Rf, &Ei, &Ef) != 4) {
+    if (Err)
+      *Err = "bad config '" + Text + "', expected Ri,Rf,Ei,Ef";
+    return false;
+  }
+  RegisterConfig Config(Ri, Rf, Ei, Ef);
+  if (!Config.fitsRegisterMasks()) {
+    if (Err)
+      *Err = "config '" + Text + "' has a bank of more than " +
+             std::to_string(RegisterConfig::MaxBankRegs) + " registers";
+    return false;
+  }
+  Out = Config;
+  return true;
 }
 
 RegisterConfig ccra::minimalMipsConfig() { return RegisterConfig(6, 4, 0, 0); }

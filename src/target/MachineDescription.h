@@ -19,6 +19,7 @@
 
 #include "ir/Register.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,10 @@ namespace ccra {
 /// One calling-convention split of the two register files:
 /// (Ri,Rf) caller-save and (Ei,Ef) callee-save registers.
 struct RegisterConfig {
+  /// The widest bank the allocators support: color assignment tracks a
+  /// bank's taken registers in one 64-bit mask.
+  static constexpr unsigned MaxBankRegs = 64;
+
   unsigned IntCallerSave = 0;
   unsigned FloatCallerSave = 0;
   unsigned IntCalleeSave = 0;
@@ -47,6 +52,13 @@ struct RegisterConfig {
     return callerCount(Bank) + calleeCount(Bank);
   }
 
+  /// True when neither bank holds more than MaxBankRegs registers (summed
+  /// without wrapping). Every entry point rejects other configurations.
+  bool fitsRegisterMasks() const {
+    return std::uint64_t(IntCallerSave) + IntCalleeSave <= MaxBankRegs &&
+           std::uint64_t(FloatCallerSave) + FloatCalleeSave <= MaxBankRegs;
+  }
+
   /// "(Ri,Rf,Ei,Ef)" — the notation used throughout the benches.
   std::string label() const;
 
@@ -60,6 +72,12 @@ struct RegisterConfig {
     return !(*this == Other);
   }
 };
+
+/// Parses "Ri,Rf,Ei,Ef" (the --config flag and the wire's config line)
+/// into \p Out. Fails, with a message in \p Err, on anything else and on a
+/// bank wider than RegisterConfig::MaxBankRegs.
+bool parseRegisterConfig(const std::string &Text, RegisterConfig &Out,
+                         std::string *Err = nullptr);
 
 /// Answers every register-kind question the allocators ask about one
 /// RegisterConfig. Cheap to copy; all queries are O(1).

@@ -52,8 +52,29 @@ TEST(Engine, RecordsLocationsForEveryRegister) {
       .options(improvedOptions()).build();
   ModuleAllocationResult R = Engine.allocateModule(P.M, Freq);
   const FunctionAllocation &FA = R.PerFunction.at(P.MainF);
+  ASSERT_EQ(FA.VRegLocations.size(), P.MainF->numVRegs());
   for (unsigned V = 0; V < P.MainF->numVRegs(); ++V)
-    EXPECT_TRUE(FA.VRegLocations.count(V)) << 'v' << V;
+    EXPECT_TRUE(FA.VRegLocations[V].has_value()) << 'v' << V;
+}
+
+TEST(Engine, LocationOfAbsentRegisterIsMemory) {
+  FunctionAllocation FA;
+  EXPECT_TRUE(FA.locationOf(VirtReg(0)).isMemory());
+  FA.VRegLocations.resize(3);
+  FA.VRegLocations[1] = Location::inRegister(PhysReg(RegBank::Int, 2));
+  EXPECT_TRUE(FA.locationOf(VirtReg(0)).isMemory()) << "unrecorded entry";
+  EXPECT_EQ(FA.locationOf(VirtReg(1)).Reg, PhysReg(RegBank::Int, 2));
+  EXPECT_TRUE(FA.locationOf(VirtReg(3)).isMemory()) << "past the table";
+  EXPECT_TRUE(FA.locationOf(VirtReg(VirtReg::InvalidId)).isMemory());
+
+  SmallProgram P;
+  FrequencyInfo Freq = FrequencyInfo::compute(P.M, FrequencyMode::Profile);
+  AllocationEngine Engine = EngineBuilder(RegisterConfig(4, 2, 2, 2))
+      .options(improvedOptions()).build();
+  ModuleAllocationResult R = Engine.allocateModule(P.M, Freq);
+  const FunctionAllocation &Main = R.PerFunction.at(P.MainF);
+  EXPECT_TRUE(Main.locationOf(VirtReg(P.MainF->numVRegs())).isMemory());
+  EXPECT_TRUE(Main.locationOf(P.Hot).isRegister());
 }
 
 TEST(Engine, DeclarationsAreSkipped) {

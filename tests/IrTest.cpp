@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 using namespace ccra;
 
@@ -340,6 +342,114 @@ TEST(ClonerTest, MutatingCloneLeavesOriginalIntact) {
       .Imm = 99;
   EXPECT_EQ(printToString(M), Before);
   EXPECT_NE(printToString(*Clone), Before);
+}
+
+// --- RegList ---------------------------------------------------------------
+
+RegList regList(std::initializer_list<unsigned> Ids) {
+  RegList L;
+  for (unsigned Id : Ids)
+    L.push_back(VirtReg(Id));
+  return L;
+}
+
+std::vector<unsigned> idsOf(const RegList &L) {
+  std::vector<unsigned> Ids;
+  for (VirtReg R : L)
+    Ids.push_back(R.Id);
+  return Ids;
+}
+
+TEST(RegList, GrowsFromInlineToHeap) {
+  RegList L;
+  EXPECT_TRUE(L.empty());
+  EXPECT_TRUE(L.isInline());
+  L.push_back(VirtReg(7));
+  L.push_back(VirtReg(8));
+  EXPECT_TRUE(L.isInline()) << "two registers fit inline";
+  L.push_back(VirtReg(9));
+  EXPECT_FALSE(L.isInline());
+  for (unsigned Id = 10; Id < 40; ++Id)
+    L.push_back(VirtReg(Id));
+  ASSERT_EQ(L.size(), 33u);
+  for (unsigned I = 0; I < L.size(); ++I)
+    EXPECT_EQ(L[I].Id, 7 + I);
+
+  RegList R;
+  R.reserve(5);
+  EXPECT_FALSE(R.isInline()) << "reserving past two allocates";
+  EXPECT_TRUE(R.empty());
+}
+
+TEST(RegList, CopyIsDeepInlineAndOnHeap) {
+  for (unsigned N : {1u, 2u, 3u, 9u}) {
+    RegList A;
+    for (unsigned I = 0; I < N; ++I)
+      A.push_back(VirtReg(I));
+    RegList B(A);
+    EXPECT_EQ(A, B);
+    B[0] = VirtReg(100);
+    EXPECT_EQ(A[0].Id, 0u) << "copy shares storage at size " << N;
+    RegList C = regList({5, 6, 7, 8});
+    C = A;
+    EXPECT_EQ(idsOf(C), idsOf(A));
+    C.push_back(VirtReg(42));
+    EXPECT_EQ(A.size(), N);
+  }
+}
+
+TEST(RegList, MoveStealsHeapAndCopiesInline) {
+  RegList Heap = regList({1, 2, 3, 4});
+  const VirtReg *Storage = Heap.begin();
+  RegList Moved(std::move(Heap));
+  EXPECT_EQ(Moved.begin(), Storage) << "heap block moves, not copies";
+  EXPECT_EQ(idsOf(Moved), (std::vector<unsigned>{1, 2, 3, 4}));
+  EXPECT_TRUE(Heap.empty());
+  EXPECT_TRUE(Heap.isInline());
+  Heap.push_back(VirtReg(9)); // a moved-from list is usable
+  EXPECT_EQ(idsOf(Heap), (std::vector<unsigned>{9}));
+
+  RegList Inline = regList({5, 6});
+  RegList Target = regList({7, 8, 9});
+  Target = std::move(Inline);
+  EXPECT_TRUE(Target.isInline());
+  EXPECT_EQ(idsOf(Target), (std::vector<unsigned>{5, 6}));
+  EXPECT_TRUE(Inline.empty());
+}
+
+TEST(RegList, SelfAssignmentKeepsContents) {
+  for (RegList L : {regList({1}), regList({1, 2, 3, 4, 5})}) {
+    std::vector<unsigned> Before = idsOf(L);
+    RegList &Alias = L;
+    L = Alias;
+    EXPECT_EQ(idsOf(L), Before);
+    L = std::move(Alias);
+    EXPECT_EQ(idsOf(L), Before);
+  }
+}
+
+TEST(RegList, EraseRemovesRunsAndSingles) {
+  RegList L = regList({1, 2, 3, 2, 4, 2});
+  L.erase(std::remove(L.begin(), L.end(), VirtReg(2)), L.end());
+  EXPECT_EQ(idsOf(L), (std::vector<unsigned>{1, 3, 4}));
+  RegList::iterator Next = L.erase(L.begin());
+  EXPECT_EQ(Next, L.begin());
+  EXPECT_EQ(idsOf(L), (std::vector<unsigned>{3, 4}));
+  L.erase(L.begin(), L.end());
+  EXPECT_TRUE(L.empty());
+}
+
+TEST(RegList, EqualityComparesContentsNotStorage) {
+  RegList Inline = regList({1, 2});
+  RegList Heap;
+  Heap.reserve(8);
+  Heap.push_back(VirtReg(1));
+  Heap.push_back(VirtReg(2));
+  EXPECT_TRUE(Inline == Heap);
+  Heap.push_back(VirtReg(3));
+  EXPECT_FALSE(Inline == Heap);
+  EXPECT_FALSE(regList({1, 2}) == regList({2, 1}));
+  EXPECT_TRUE(RegList() == RegList());
 }
 
 } // namespace

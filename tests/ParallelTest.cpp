@@ -165,10 +165,13 @@ void expectIdenticalAllocations(const Module &Serial,
     EXPECT_EQ(RA.Costs.total(), RB.Costs.total());
     ASSERT_EQ(RA.VRegLocations.size(), RB.VRegLocations.size())
         << "@" << FA->getName();
-    for (const auto &[VReg, LocA] : RA.VRegLocations) {
-      auto It = RB.VRegLocations.find(VReg);
-      ASSERT_NE(It, RB.VRegLocations.end());
-      const Location &LocB = It->second;
+    for (std::size_t VReg = 0; VReg < RA.VRegLocations.size(); ++VReg) {
+      ASSERT_EQ(RA.VRegLocations[VReg].has_value(),
+                RB.VRegLocations[VReg].has_value());
+      if (!RA.VRegLocations[VReg])
+        continue;
+      const Location &LocA = *RA.VRegLocations[VReg];
+      const Location &LocB = *RB.VRegLocations[VReg];
       EXPECT_EQ(LocA.isRegister(), LocB.isRegister());
       if (LocA.isRegister() && LocB.isRegister()) {
         EXPECT_EQ(LocA.Reg, LocB.Reg);

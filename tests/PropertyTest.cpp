@@ -139,7 +139,7 @@ TEST_P(AllocationProperty, AbundantRegistersMeanNoInvoluntarySpills) {
   Params.RegionsPerFunction = 3;
   std::unique_ptr<Module> M = generateRandomProgram(Params);
   FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
-  AllocationEngine Engine = EngineBuilder(RegisterConfig(60, 60, 60, 60))
+  AllocationEngine Engine = EngineBuilder(RegisterConfig(32, 32, 32, 32))
       .options(options()).build();
   ModuleAllocationResult Result = Engine.allocateModule(*M, Freq);
   for (const auto &[F, FA] : Result.PerFunction) {

@@ -1312,6 +1312,111 @@ TEST(Service, PriorityReproducerIsServedAndServingContinues) {
   expectServedLikeInProcess(C, Next, Next.ModuleText, "next request");
 }
 
+AllocRequest corpusFileRequest(const std::string &Name,
+                               const RegisterConfig &Config,
+                               const AllocatorOptions &Options) {
+  std::ifstream In(std::string(CCRA_SOURCE_DIR) + "/fuzz/corpus/" + Name);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  AllocRequest Request;
+  Request.Options = Options;
+  Request.Config = Config;
+  Request.ModuleText = Text.str();
+  return Request;
+}
+
+TEST(Service, UncolorableConfigsAnswerErrorAndKeepServing) {
+  // Too few registers for one instruction's operands: (1,1,0,0) and
+  // (2,2,0,0) on ackermann, (4,4,0,0) on merge_sort's 5-argument call.
+  // Each used to abort the daemon at an arm's "cannot color unspillable
+  // reload temp" assert; the Chaitin-family, CBH and priority arms all
+  // reach it.
+  struct Case {
+    const char *File;
+    RegisterConfig Config;
+    AllocatorOptions Options;
+  };
+  const Case Cases[] = {
+      {"cc-ackermann.ccra", RegisterConfig(1, 1, 0, 0), improvedOptions()},
+      {"cc-ackermann.ccra", RegisterConfig(2, 2, 0, 0), improvedOptions()},
+      {"cc-merge_sort.ccra", RegisterConfig(4, 4, 0, 0), improvedOptions()},
+      {"cc-ackermann.ccra", RegisterConfig(1, 1, 0, 0), cbhOptions()},
+      {"cc-ackermann.ccra", RegisterConfig(1, 1, 0, 0), priorityOptions()},
+  };
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Good = proxyRequest("eqntott");
+  AllocResponse Before;
+  expectServedLikeInProcess(C, Good, Good.ModuleText, "before", &Before);
+  for (const Case &K : Cases) {
+    AllocRequest Request = corpusFileRequest(K.File, K.Config, K.Options);
+    SCOPED_TRACE(std::string(K.File) + " " + K.Config.label());
+    ASSERT_FALSE(Request.ModuleText.empty());
+    AllocResponse Response;
+    ErrorResponse ServerError;
+    ASSERT_EQ(RpcStatus::Rejected,
+              C.allocate(Request, Response, ServerError));
+    EXPECT_EQ("malformed", ServerError.Code);
+    EXPECT_NE(ServerError.Message.find("cannot color"), std::string::npos)
+        << ServerError.Message;
+    EXPECT_NE(ServerError.Message.find(K.Config.label()), std::string::npos)
+        << ServerError.Message;
+  }
+  AllocResponse After;
+  expectServedLikeInProcess(C, Good, Good.ModuleText, "after", &After);
+  EXPECT_EQ(Before.AllocatedIr, After.AllocatedIr);
+  EXPECT_TRUE(Before.Totals == After.Totals);
+}
+
+TEST(Service, BankWiderThan64RegistersIsMalformedOnBothWires) {
+  // Color assignment tracks a bank in a 64-bit mask. A 65-register bank,
+  // and counts whose sum would wrap 32 bits, are refused at parse time.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Good = proxyRequest("eqntott");
+  std::unique_ptr<Module> M = parseModule(Good.ModuleText).M;
+  ASSERT_TRUE(M);
+  for (const char *Config : {"65,0,0,0", "0,33,0,32", "4294967295,1,0,0"}) {
+    SCOPED_TRACE(Config);
+    ErrorResponse E;
+    expectRawRequestRejected(C,
+                             "config: " + std::string(Config) +
+                                 "\nmode: profile\noptions: kind=improved"
+                                 "\nmodule:\n" +
+                                 Good.ModuleText,
+                             E);
+    EXPECT_EQ("malformed", E.Code);
+    EXPECT_NE(E.Message.find("more than 64"), std::string::npos)
+        << E.Message;
+
+    AllocRequest V2 = Good;
+    unsigned Counts[4];
+    ASSERT_EQ(4, std::sscanf(Config, "%u,%u,%u,%u", &Counts[0], &Counts[1],
+                             &Counts[2], &Counts[3]));
+    V2.Config = RegisterConfig(Counts[0], Counts[1], Counts[2], Counts[3]);
+    Frame F;
+    F.Type = FrameType::AllocRequestV2;
+    std::string Err;
+    ASSERT_TRUE(encodeAllocRequestV2(V2, *M, F.Payload, &Err)) << Err;
+    std::string Bytes;
+    encodeFrame(F, Bytes);
+    ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Err;
+    Frame In;
+    ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(In, &Err)) << Err;
+    ASSERT_EQ(FrameType::Error, In.Type) << In.Payload;
+    ErrorResponse V2Error;
+    ASSERT_TRUE(parseError(In.Payload, V2Error));
+    EXPECT_EQ("malformed", V2Error.Code);
+    EXPECT_NE(V2Error.Message.find("more than 64"), std::string::npos)
+        << V2Error.Message;
+  }
+  expectServedLikeInProcess(C, Good, Good.ModuleText, "next request");
+  // 64 registers per bank is the widest accepted file.
+  AllocRequest Widest = Good;
+  Widest.Config = RegisterConfig(32, 32, 32, 32);
+  expectServedLikeInProcess(C, Widest, Widest.ModuleText, "64 per bank");
+}
+
 std::vector<AllocatorOptions> paperAllocators() {
   return {improvedOptions(), baseChaitinOptions(), cbhOptions(),
           priorityOptions(), improvedOptimisticOptions()};

@@ -2,6 +2,7 @@
 
 #include "TestUtil.h"
 #include "fuzz/Oracle.h"
+#include "regalloc/CBHAllocator.h"
 #include "regalloc/Simplifier.h"
 
 #include <gtest/gtest.h>
@@ -265,6 +266,87 @@ TEST(SimplifierEquivalence, EmergencyNoSpillPathMatches) {
   expectIdenticalResults(A, referenceSimplify(Ctx, false));
   EXPECT_TRUE(A.SpilledNodes.empty()); // NoSpill nodes are pushed, not spilled
   EXPECT_EQ(A.Stack.size(), 4u);
+}
+
+// --- CBH: worklist vs reference ------------------------------------------
+//
+// CBHAllocator::simplify and referenceCBHSimplify must agree on every
+// input: same stack, spills, blocked pushes and callee-save unlocks. A low
+// entry frequency makes the callee-save-register live ranges cheap, so
+// those scenarios unlock register after register while nodes wait on the
+// heap.
+
+void expectIdenticalCBH(const CBHSimplifyResult &A,
+                        const CBHSimplifyResult &B) {
+  EXPECT_EQ(A.Stack, B.Stack);
+  EXPECT_EQ(A.SpilledNodes, B.SpilledNodes);
+  EXPECT_EQ(A.PushedBlocked, B.PushedBlocked);
+  for (unsigned Bank = 0; Bank < NumRegBanks; ++Bank)
+    EXPECT_EQ(A.Unlocked[Bank], B.Unlocked[Bank]) << "bank " << Bank;
+}
+
+TEST(CBHSimplifierEquivalence, WorklistMatchesReferenceAcrossSeedsConfigs) {
+  const RegisterConfig Configs[] = {
+      RegisterConfig(3, 1, 2, 1), RegisterConfig(2, 2, 6, 4),
+      RegisterConfig(0, 0, 8, 8), RegisterConfig(6, 4, 0, 0),
+      RegisterConfig(1, 1, 12, 10)};
+  // Entry frequencies from unlock-heavy (callee-save ranges far cheaper
+  // than any spill) to spill-heavy.
+  const double EntryFreqs[] = {0.5, 40.0, 5000.0};
+  unsigned Unlocks = 0, Spills = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    for (const RegisterConfig &Config : Configs)
+      for (double EntryFreq : EntryFreqs) {
+        SCOPED_TRACE(testing::Message() << "seed=" << Seed << " config="
+                                        << Config.label()
+                                        << " entry=" << EntryFreq);
+        ScenarioBuilder S(Config, EntryFreq);
+        AllocationContext &Ctx = buildEquivalenceScenario(S, Seed, 48);
+        CBHSimplifyResult A = CBHAllocator::simplify(Ctx);
+        expectIdenticalCBH(A, referenceCBHSimplify(Ctx));
+        Unlocks += A.Unlocked[0] + A.Unlocked[1];
+        Spills += static_cast<unsigned>(A.SpilledNodes.size());
+      }
+  // The sweep reaches both blocked outcomes.
+  EXPECT_GT(Unlocks, 100u);
+  EXPECT_GT(Spills, 100u);
+}
+
+TEST(CBHSimplifierEquivalence, UnlockedNodesPopInIndexOrder) {
+  // Six crossing int ranges, no edges, 1 caller-save and 4 callee-save
+  // registers: each range's effective degree (4 locked callee + 1 caller)
+  // equals the bank's 5 registers, so nothing is eligible until the cheap
+  // callee-save-register ranges unlock. One unlock makes all six eligible
+  // at once; they must pop in index order, and no second unlock happens.
+  ScenarioBuilder S(RegisterConfig(1, 0, 4, 0), 0.5);
+  for (unsigned I = 0; I < 6; ++I)
+    S.addRange(RegBank::Int, 1000 - I, 0, /*ContainsCall=*/true);
+  AllocationContext &Ctx = S.context();
+  CBHSimplifyResult A = CBHAllocator::simplify(Ctx);
+  expectIdenticalCBH(A, referenceCBHSimplify(Ctx));
+  EXPECT_EQ(A.Stack, (std::vector<unsigned>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(A.Unlocked[0], 1u);
+  EXPECT_TRUE(A.SpilledNodes.empty());
+}
+
+TEST(CBHSimplifierEquivalence, BlockedUnspillableNodesPushIdentically) {
+  // A 4-clique of unspillable ranges over 2 caller-save registers and no
+  // callee-save ones: nothing to spill or unlock, so both implementations
+  // push the smallest-degree node blocked.
+  ScenarioBuilder S(RegisterConfig(2, 0, 0, 0), 100);
+  for (unsigned I = 0; I < 4; ++I)
+    S.addRange(RegBank::Int, 100 + I, 0, false);
+  for (unsigned A = 0; A < 4; ++A)
+    for (unsigned B = A + 1; B < 4; ++B)
+      S.addEdge(A, B);
+  AllocationContext &Ctx = S.context();
+  for (unsigned I = 0; I < 4; ++I)
+    Ctx.LRS.range(I).NoSpill = true;
+  CBHSimplifyResult A = CBHAllocator::simplify(Ctx);
+  expectIdenticalCBH(A, referenceCBHSimplify(Ctx));
+  EXPECT_TRUE(A.SpilledNodes.empty());
+  EXPECT_EQ(A.Stack.size(), 4u);
+  EXPECT_TRUE(A.PushedBlocked[A.Stack.front()]);
 }
 
 } // namespace

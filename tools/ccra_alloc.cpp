@@ -100,13 +100,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--allocator=", 0) == 0) {
       Opts.Allocator = Arg.substr(12);
     } else if (Arg.rfind("--config=", 0) == 0) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Arg.c_str() + 9, "%u,%u,%u,%u", &Ri, &Rf, &Ei, &Ef) !=
-          4) {
-        std::cerr << "bad --config, expected Ri,Rf,Ei,Ef\n";
+      std::string Err;
+      if (!parseRegisterConfig(Arg.substr(9), Opts.Config, &Err)) {
+        std::cerr << "--config: " << Err << '\n';
         return false;
       }
-      Opts.Config = RegisterConfig(Ri, Rf, Ei, Ef);
     } else if (Arg.rfind("--", 0) == 0) {
       std::cerr << "unknown option " << Arg << '\n';
       return false;
@@ -212,7 +210,13 @@ int main(int Argc, char **Argv) {
                                 .jobs(Cli.Jobs)
                                 .telemetry(Cli.EmitTelemetry ? &T : nullptr)
                                 .build();
-  ModuleAllocationResult Result = Engine.allocateModule(*M, Freq);
+  ModuleAllocationResult Result;
+  try {
+    Result = Engine.allocateModule(*M, Freq);
+  } catch (const UncolorableError &E) {
+    std::cerr << "ccra_alloc: " << E.what() << '\n';
+    return 1;
+  }
 
   if (Cli.EmitIr)
     printModule(*M, std::cout);
@@ -224,12 +228,12 @@ int main(int Argc, char **Argv) {
       const FunctionAllocation &FA = Result.PerFunction.at(F.get());
       std::cout << "@" << F->getName() << ":\n";
       for (unsigned V = 0; V < F->numVRegs(); ++V) {
-        auto It = FA.VRegLocations.find(V);
-        if (It == FA.VRegLocations.end())
+        if (V >= FA.VRegLocations.size() || !FA.VRegLocations[V])
           continue;
+        const Location &Loc = *FA.VRegLocations[V];
         std::cout << "  " << formatVReg(*F, VirtReg(V)) << " -> "
-                  << (It->second.isRegister() ? formatPhysReg(It->second.Reg)
-                                              : std::string("memory"))
+                  << (Loc.isRegister() ? formatPhysReg(Loc.Reg)
+                                       : std::string("memory"))
                   << '\n';
       }
     }

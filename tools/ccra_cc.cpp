@@ -39,7 +39,6 @@
 #include "support/BuildInfo.h"
 #include "support/Table.h"
 
-#include <cstdio>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -93,13 +92,11 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg.rfind("--options=", 0) == 0) {
       Opts.OptionsKey = Arg.substr(10);
     } else if (Arg.rfind("--config=", 0) == 0) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Arg.c_str() + 9, "%u,%u,%u,%u", &Ri, &Rf, &Ei, &Ef) !=
-          4) {
-        std::cerr << "bad --config, expected Ri,Rf,Ei,Ef\n";
+      std::string Err;
+      if (!parseRegisterConfig(Arg.substr(9), Opts.Config, &Err)) {
+        std::cerr << "--config: " << Err << '\n';
         return false;
       }
-      Opts.Config = RegisterConfig(Ri, Rf, Ei, Ef);
     } else if (Arg.rfind("--", 0) == 0) {
       std::cerr << "unknown option " << Arg << '\n';
       return false;
@@ -276,7 +273,14 @@ int main(int Argc, char **Argv) {
       FrequencyInfo Freq = FrequencyInfo::compute(M, Cli.Mode);
       AllocationEngine Engine =
           EngineBuilder(Cli.Config).options(AllocOpts).build();
-      ModuleAllocationResult Result = Engine.allocateModule(M, Freq);
+      ModuleAllocationResult Result;
+      try {
+        Result = Engine.allocateModule(M, Freq);
+      } catch (const UncolorableError &E) {
+        std::cerr << Input << ": " << E.what() << '\n';
+        AllOk = false;
+        continue;
+      }
       printCostTable(M, Result, AllocOpts, Cli);
     }
   }

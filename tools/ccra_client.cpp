@@ -205,13 +205,12 @@ int runAlloc(const Endpoint &EP, int Argc, char **Argv, int First) {
         return 2;
       }
     } else if (Arg.rfind("--config=", 0) == 0) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Arg.c_str() + 9, "%u,%u,%u,%u", &Ri, &Rf, &Ei, &Ef) !=
-          4) {
+      std::string Err;
+      if (!parseRegisterConfig(Arg.substr(9), Request.Config, &Err)) {
+        std::cerr << "--config: " << Err << '\n';
         printUsage();
         return 2;
       }
-      Request.Config = RegisterConfig(Ri, Rf, Ei, Ef);
     } else if (Arg.rfind("--", 0) == 0 || !Input.empty()) {
       printUsage();
       return 2;
