@@ -31,6 +31,7 @@
 #include "regalloc/VRegClasses.h"
 #include "workloads/SyntheticBuilder.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <vector>
@@ -130,7 +131,7 @@ ArmSample timeReference(Module &M, const RegisterConfig &Config, int Reps,
               Hyb.PushedOptimistically == Ref.PushedOptimistically &&
               Dense.numEdges() == Ctx.IG.numEdges();
   for (unsigned N = 0; Identical && N < Dense.numNodes(); ++N)
-    Identical = Dense.neighbors(N) == Ctx.IG.neighbors(N);
+    Identical = std::ranges::equal(Dense.neighbors(N), Ctx.IG.neighbors(N));
   return Sample;
 }
 

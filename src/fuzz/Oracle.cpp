@@ -217,7 +217,7 @@ bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
   if (A.numNodes() != B.numNodes() || A.numEdges() != B.numEdges())
     return false;
   for (unsigned N = 0; N < A.numNodes(); ++N)
-    if (A.neighbors(N) != B.neighbors(N))
+    if (!std::ranges::equal(A.neighbors(N), B.neighbors(N)))
       return false;
   return true;
 }
@@ -227,10 +227,11 @@ bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
 /// spilled, repeat (at most 16 rounds) — with the engine's components on
 /// one clone and their references on the other, comparing each round:
 /// incremental against recompute-every-pass coalescing (classes, deleted
-/// copies, final liveness, live ranges, graph edges), the dense against
-/// the sparse graph, and the worklist against the O(V^2) reference
-/// simplifier (pessimistic and optimistic, in id order and under the §5
-/// key), and CBH's worklist simplification against its rescan. The
+/// copies, final liveness, live ranges, graph edges), the dense and the
+/// sparse graph against the register-granularity reference scan, the
+/// worklist against the O(V^2) reference simplifier (pessimistic and
+/// optimistic, in id order and under the §5 key), and CBH's worklist
+/// simplification against its rescan. The
 /// engine runs one path through each component; this is where the others
 /// live.
 void checkComponents(const Module &M, const OracleOptions &OO,
@@ -283,9 +284,12 @@ void checkComponents(const Module &M, const OracleOptions &OO,
 
       InterferenceGraph Dense =
           InterferenceGraph::build(F, LV, LRS, nullptr, GraphRep::Dense);
-      Check(sameEdges(Dense, InterferenceGraph::build(F, LV, LRS, nullptr,
-                                                      GraphRep::Sparse)),
-            "graph-sparse");
+      InterferenceGraph Reference = referenceInterference(F, LV, LRS);
+      Check(sameEdges(Dense, Reference), "graph-reference-dense");
+      Check(sameEdges(InterferenceGraph::build(F, LV, LRS, nullptr,
+                                               GraphRep::Sparse),
+                      Reference),
+            "graph-reference-sparse");
 
       AllocationContext Ctx{F,   MD, Freq, std::move(LV), std::move(LRS),
                             std::move(Dense), Freq.entryFrequency(F), {}};
@@ -414,6 +418,71 @@ OracleReport ccra::runOracleLattice(const Module &M,
       diffAgainstBaseline(Baseline, Cap, Leg.Name, Report);
   }
   return Report;
+}
+
+InterferenceGraph ccra::referenceInterference(const Function &F,
+                                              const Liveness &LV,
+                                              const LiveRangeSet &LRS) {
+  const unsigned NumRanges = LRS.numRanges();
+  InterferenceGraph IG(NumRanges);
+  auto RangeOf = [&LRS](VirtReg R) {
+    return static_cast<unsigned>(LRS.rangeIdOf(R));
+  };
+  for (const auto &BB : F.blocks()) {
+    // Liveness at register granularity; a range is live while any member
+    // is, tracked as a live-member count and a per-bank range bitset.
+    BitVector Live(F.numVRegs());
+    std::vector<unsigned> LiveMembers(NumRanges, 0);
+    std::vector<BitVector> BankLive(NumRegBanks, BitVector(NumRanges));
+    auto BankOf = [&](unsigned R) -> BitVector & {
+      return BankLive[static_cast<unsigned>(LRS.range(R).Bank)];
+    };
+    auto BecomeLive = [&](VirtReg V) {
+      if (Live.test(V.Id))
+        return;
+      Live.set(V.Id);
+      unsigned R = RangeOf(V);
+      if (LiveMembers[R]++ == 0)
+        BankOf(R).set(R);
+    };
+    auto BecomeDead = [&](VirtReg V) {
+      if (!Live.test(V.Id))
+        return;
+      Live.reset(V.Id);
+      unsigned R = RangeOf(V);
+      if (--LiveMembers[R] == 0)
+        BankOf(R).reset(R);
+    };
+    for (unsigned V : LV.liveOut(*BB))
+      BecomeLive(VirtReg(V));
+
+    const auto &Insts = BB->instructions();
+    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
+      const Instruction &I = *It;
+      // A def conflicts with everything of its bank live after the
+      // instruction, except itself and a copy's source.
+      int MoveSrc = I.isMove() ? LRS.rangeIdOf(I.moveSource()) : -1;
+      for (VirtReg D : I.Defs) {
+        unsigned Def = RangeOf(D);
+        for (unsigned Other : BankOf(Def))
+          if (Other != Def && static_cast<int>(Other) != MoveSrc)
+            IG.addEdge(Def, Other);
+      }
+      // Multiple results of one instruction conflict with each other.
+      for (std::size_t A = 0; A + 1 < I.Defs.size(); ++A)
+        for (std::size_t B = A + 1; B < I.Defs.size(); ++B) {
+          unsigned RA = RangeOf(I.Defs[A]), RB = RangeOf(I.Defs[B]);
+          if (LRS.range(RA).Bank == LRS.range(RB).Bank)
+            IG.addEdge(RA, RB);
+        }
+      for (VirtReg D : I.Defs)
+        BecomeDead(D);
+      for (VirtReg U : I.Uses)
+        BecomeLive(U);
+    }
+  }
+  IG.finalize();
+  return IG;
 }
 
 SimplifyResult ccra::referenceSimplify(const AllocationContext &Ctx,

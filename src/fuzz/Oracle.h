@@ -18,8 +18,9 @@
 ///   graph construction and simplification; the references it replaced
 ///   are compared here, on every function body, against that path:
 ///   incremental vs. recompute-every-pass coalescing (classes, deleted
-///   copies, final liveness, live ranges, graph edges), the dense vs. the
-///   sparse interference graph, and the worklist vs. the O(V^2) reference
+///   copies, final liveness, live ranges, graph edges), the dense and the
+///   sparse interference graph vs. the register-granularity reference
+///   scan, and the worklist vs. the O(V^2) reference
 ///   simplifier (stack and spill set), for Chaitin's simplification and
 ///   for CBH's. Findings are reported under the
 ///   leg name "component".
@@ -112,6 +113,17 @@ OracleReport runOracleLattice(const Module &M, const OracleOptions &Opts);
 SimplifyResult referenceSimplify(const AllocationContext &Ctx,
                                  bool Optimistic,
                                  const Simplifier::KeyFn &Key = nullptr);
+
+/// The register-granularity interference scan that InterferenceGraph's
+/// range-level scan replaced, kept as its oracle: a live range is live
+/// while any member register is (a per-range count of live members), so
+/// it needs no class-root precondition. Builds the graph one addEdge per
+/// pair and finalizes it. Edge for edge identical to
+/// InterferenceGraph::build whenever that precondition holds; the
+/// component check and tests/InterferenceTest.cpp compare against it.
+InterferenceGraph referenceInterference(const Function &F,
+                                        const Liveness &LV,
+                                        const LiveRangeSet &LRS);
 
 /// The O(V^2) CBH simplification that the worklist CBHAllocator::simplify
 /// replaced, kept as its oracle: each step takes the lowest-index active

@@ -4,7 +4,7 @@
 
 #include "ir/IRPrinter.h"
 
-#include <set>
+#include <vector>
 
 using namespace ccra;
 
@@ -283,15 +283,17 @@ void FunctionVerifier::checkOperandSignature(const BasicBlock &BB,
 }
 
 void FunctionVerifier::checkDefsExistForUses() {
-  std::set<unsigned> Defined;
+  // checkRegs has already reported any id past numVRegs(); skip those.
+  std::vector<bool> Defined(F.numVRegs(), false);
   for (const auto &BB : F.blocks())
     for (const Instruction &I : BB->instructions())
       for (VirtReg R : I.Defs)
-        Defined.insert(R.Id);
+        if (R.Id < Defined.size())
+          Defined[R.Id] = true;
   for (const auto &BB : F.blocks())
     for (const Instruction &I : BB->instructions())
       for (VirtReg R : I.Uses)
-        if (!Defined.count(R.Id))
+        if (R.Id < Defined.size() && !Defined[R.Id])
           error("register " + formatVReg(F, R) + " used but never defined");
 }
 

@@ -40,29 +40,6 @@ namespace ccra {
 
 class AllocationScratch {
 public:
-  /// Interference scan: the vreg-granularity live set. Returned resized to
-  /// \p NumVRegs with every bit clear.
-  BitVector &liveBits(unsigned NumVRegs) {
-    noteReuse(LiveBits.size() >= NumVRegs);
-    LiveBits.resize(NumVRegs);
-    LiveBits.resetAll();
-    return LiveBits;
-  }
-
-  /// Interference scan: live-vreg count per live range, zeroed.
-  std::vector<unsigned> &rangeLiveCount(unsigned NumRanges) {
-    noteReuse(RangeLiveCount.capacity() >= NumRanges);
-    RangeLiveCount.assign(NumRanges, 0);
-    return RangeLiveCount;
-  }
-
-  /// Interference scan: dense list of currently live ranges, emptied.
-  std::vector<unsigned> &rangeLiveList() {
-    noteReuse(RangeLiveList.capacity() > 0);
-    RangeLiveList.clear();
-    return RangeLiveList;
-  }
-
   /// Interference scan: the live ranges of bank \p Bank, as a bitset over
   /// range ids. Returned resized to \p NumRanges with every bit clear.
   BitVector &bankLiveRanges(RegBank Bank, unsigned NumRanges) {
@@ -73,14 +50,15 @@ public:
     return Set;
   }
 
-  /// Interference scan: position of each live range inside rangeLiveList(),
-  /// for O(1) swap-removal. Returned sized to \p NumRanges; contents are
-  /// only read for ranges currently in the live list, so no re-init beyond
-  /// the resize is needed.
-  std::vector<unsigned> &rangeLivePos(unsigned NumRanges) {
-    noteReuse(RangeLivePos.capacity() >= NumRanges);
-    RangeLivePos.resize(NumRanges);
-    return RangeLivePos;
+  /// Interference scan: one bit per word of bankLiveRanges(\p Bank),
+  /// sized for \p NumRanges ranges, every bit clear.
+  BitVector &bankLiveWords(RegBank Bank, unsigned NumRanges) {
+    BitVector &Set = BankLiveWords[static_cast<unsigned>(Bank)];
+    unsigned NumWords = (NumRanges + 63) / 64;
+    noteReuse(Set.size() >= NumWords);
+    Set.resize(NumWords);
+    Set.resetAll();
+    return Set;
   }
 
   /// Coalescer: one-merge-per-range-per-pass marks, zeroed.
@@ -111,14 +89,6 @@ public:
   /// them. take* re-initializes nothing beyond emptying — the graph
   /// constructor sizes what it takes.
   /// @{
-  std::vector<std::vector<unsigned>> takeGraphAdj() {
-    noteReuse(!GraphAdj.empty());
-    return std::move(GraphAdj);
-  }
-  void storeGraphAdj(std::vector<std::vector<unsigned>> &&Adj) {
-    GraphAdj = std::move(Adj);
-  }
-
   std::vector<std::uint64_t> takeGraphRows() {
     noteReuse(GraphRows.capacity() > 0);
     return std::move(GraphRows);
@@ -151,15 +121,11 @@ public:
 private:
   void noteReuse(bool Reused) { Reuses += Reused ? 1 : 0; }
 
-  BitVector LiveBits;
   BitVector BankLiveRanges[NumRegBanks];
-  std::vector<unsigned> RangeLiveCount;
-  std::vector<unsigned> RangeLiveList;
-  std::vector<unsigned> RangeLivePos;
+  BitVector BankLiveWords[NumRegBanks];
   std::vector<char> TouchedRanges;
   std::vector<char> DeleteFlags;
   std::vector<int> SpillIndexOfRange;
-  std::vector<std::vector<unsigned>> GraphAdj;
   std::vector<std::uint64_t> GraphRows;
   std::vector<std::pair<unsigned, unsigned>> GraphRowSpans;
   std::unordered_set<uint64_t> GraphEdgeSet;

@@ -45,8 +45,8 @@ namespace {
 
 /// Briggs test: merging is safe if the combined node has fewer than N
 /// neighbors whose degree is at least N.
-bool conservativelySafe(const InterferenceGraph &IG, const LiveRangeSet &LRS,
-                        unsigned A, unsigned B, unsigned N) {
+bool conservativelySafe(const InterferenceGraph &IG, unsigned A, unsigned B,
+                        unsigned N) {
   unsigned Significant = 0;
   auto CountFrom = [&](unsigned Node, unsigned Other) {
     for (unsigned Neighbor : IG.neighbors(Node)) {
@@ -62,7 +62,6 @@ bool conservativelySafe(const InterferenceGraph &IG, const LiveRangeSet &LRS,
         ++Significant;
     }
   };
-  (void)LRS;
   CountFrom(A, B);
   CountFrom(B, A);
   return Significant < N;
@@ -119,10 +118,12 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
       ++Stats.LivenessComputes;
       LVValid = true;
     }
+    // A pass reads only the range map; the metrics are measured below,
+    // once, on the pass that changes nothing.
     LiveRangeSet LRS;
     {
       Telemetry::ScopedTimer Timer(T, telemetry::BuildRangesPhase);
-      LRS = LiveRangeSet::build(F, LV, Freq, Classes);
+      LRS = LiveRangeSet::mapRanges(F, Classes);
     }
     InterferenceGraph IG;
     {
@@ -169,7 +170,7 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
         bool CanMerge =
             !Touched[Src] && !Touched[Dst] && LRS.range(Dst).Bank == Bank &&
             !IG.interfere(Src, Dst) &&
-            (Req.Aggressive || conservativelySafe(IG, LRS, Src, Dst, N));
+            (Req.Aggressive || conservativelySafe(IG, Src, Dst, N));
         if (!CanMerge)
           continue;
         VirtReg RootS = LRS.range(Src).Root;
@@ -186,6 +187,10 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
 
     if (!Changed) {
       // LV, LRS and IG all describe the final (unmodified) code.
+      {
+        Telemetry::ScopedTimer Timer(T, telemetry::BuildRangesPhase);
+        LRS.measure(F, LV, Freq);
+      }
       OutLRS = std::move(LRS);
       OutIG = std::move(IG);
       return Stats;

@@ -106,21 +106,7 @@ void GraphReconstructor::apply(const Function &F, const FrequencyInfo &Freq,
   // Call sites: spill code shifted instruction positions but never
   // reordered calls, so re-enumerating preserves the ids that survivors'
   // CrossedCalls lists reference.
-  unsigned CallId = 0;
-  for (const auto &BB : F.blocks()) {
-    const auto &Insts = BB->instructions();
-    for (unsigned Idx = 0; Idx < Insts.size(); ++Idx) {
-      if (!Insts[Idx].isCall())
-        continue;
-      CallSite CS;
-      CS.Id = CallId++;
-      CS.Block = BB.get();
-      CS.InstIndex = Idx;
-      CS.Freq = Freq.blockFrequency(*BB);
-      CS.Inst = &Insts[Idx];
-      NewLRS.addCallSite(CS);
-    }
-  }
+  NewLRS.enumerateCallSites(F, Freq);
 
   // --- Interference graph: copy surviving edges, rescan touched blocks ----
   // The new graph keeps the old graph's representation policy, so a forced
@@ -151,8 +137,8 @@ void GraphReconstructor::apply(const Function &F, const FrequencyInfo &Freq,
         break;
     }
     if (Touched)
-      InterferenceGraph::scanBlockForEdges(F, *BB, LV.liveOut(*BB), NewLRS,
-                                           NewIG, &S);
+      InterferenceGraph::scanBlockForEdges(*BB, LV.liveOut(*BB), NewLRS, NewIG,
+                                           &S);
   }
   NewIG.finalize(&S);
 

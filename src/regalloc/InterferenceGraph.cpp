@@ -14,82 +14,92 @@ using namespace ccra;
 
 namespace {
 
+/// One bank's live ranges during a block scan: a bitset over range ids and
+/// a summary with one bit per word of it, set while that word is nonzero,
+/// so forEachWord(W, Word) visits only the nonzero words, ascending.
+struct BankLiveSet {
+  static constexpr unsigned BitsPerWord = 64;
+  BitVector *Bits = nullptr;
+  BitVector *Summary = nullptr;
+
+  void set(unsigned R) {
+    Bits->set(R);
+    Summary->set(R / BitsPerWord);
+  }
+  void reset(unsigned R) {
+    Bits->reset(R);
+    if (Bits->words()[R / BitsPerWord] == 0)
+      Summary->reset(R / BitsPerWord);
+  }
+  template <typename WordFn> void forEachWord(WordFn OnWord) const {
+    const std::vector<uint64_t> &Words = Bits->words(), &S = Summary->words();
+    for (unsigned I = 0; I < S.size(); ++I)
+      for (uint64_t Nonzero = S[I]; Nonzero != 0; Nonzero &= Nonzero - 1) {
+        unsigned W = I * BitsPerWord + std::countr_zero(Nonzero);
+        OnWord(W, Words[W]);
+      }
+  }
+};
+
 /// The interference rule, in the one place it is written. Walks \p BB
 /// backward from \p LiveOut and, at each instruction, reports:
 ///
-///  - OnDef(Def, Interferes, LiveList) for every result: range Def
-///    interferes with exactly the ranges set in Interferes — the live
-///    ranges of Def's bank, minus Def itself and, at a copy, minus the
-///    copy's source (Chaitin's coalescing-enabling special case: "move
-///    d <- s" adds no d-s edge). Those two bits are cleared only for the
-///    duration of the call. LiveList is every live range of either bank,
-///    for sinks that would rather walk the live ranges than the bitset.
+///  - OnDef(Def, Interferes) for every result: range Def interferes with
+///    exactly the ranges set in Interferes — the live ranges of Def's
+///    bank, minus Def itself and, at a copy, minus the copy's source
+///    (Chaitin's coalescing-enabling special case: "move d <- s" adds no
+///    d-s edge). Those two bits are cleared only for the duration of the
+///    call.
 ///  - OnPair(A, B) for every two results of one instruction that are
 ///    distinct ranges of the same bank.
 ///
-/// Liveness is tracked at vreg granularity (Live); a live *range* is live
-/// while any member vreg is, maintained as a per-range count, a per-bank
-/// bitset, and a dense list of currently live ranges (with a position
-/// index for O(1) removal).
+/// Every register the scan meets is its range's class root, so a range is
+/// live exactly while its one register is, and the scan steps the
+/// per-bank live-range bitsets directly.
 template <typename DefSink, typename PairSink>
-void scanBlock(const Function &F, const BasicBlock &BB,
-               const BitVector &LiveOut, const LiveRangeSet &LRS,
-               AllocationScratch &S, DefSink OnDef, PairSink OnPair) {
-  BitVector &Live = S.liveBits(F.numVRegs());
-  std::vector<unsigned> &LiveCount = S.rangeLiveCount(LRS.numRanges());
-  std::vector<unsigned> &LiveList = S.rangeLiveList();
-  std::vector<unsigned> &LivePos = S.rangeLivePos(LRS.numRanges());
-  BitVector *BankLive[NumRegBanks];
-  for (unsigned Bank = 0; Bank < NumRegBanks; ++Bank)
-    BankLive[Bank] =
+void scanBlock(const BasicBlock &BB, const BitVector &LiveOut,
+               const LiveRangeSet &LRS, AllocationScratch &S, DefSink OnDef,
+               PairSink OnPair) {
+  BankLiveSet BankLive[NumRegBanks];
+  for (unsigned Bank = 0; Bank < NumRegBanks; ++Bank) {
+    BankLive[Bank].Bits =
         &S.bankLiveRanges(static_cast<RegBank>(Bank), LRS.numRanges());
-  auto BankOf = [&](unsigned R) -> BitVector & {
-    return *BankLive[static_cast<unsigned>(LRS.range(R).Bank)];
+    BankLive[Bank].Summary =
+        &S.bankLiveWords(static_cast<RegBank>(Bank), LRS.numRanges());
+  }
+  auto RangeOf = [&LRS](VirtReg R) {
+    int Id = LRS.rangeIdOf(R);
+    assert(Id >= 0 && LRS.range(static_cast<unsigned>(Id)).Root == R &&
+           "interference scan needs operands rewritten to class roots");
+    return static_cast<unsigned>(Id);
   };
-
-  auto VRegBecameLive = [&](unsigned V) {
-    unsigned R = static_cast<unsigned>(LRS.rangeIdOf(VirtReg(V)));
-    if (LiveCount[R]++ == 0) {
-      LivePos[R] = static_cast<unsigned>(LiveList.size());
-      LiveList.push_back(R);
-      BankOf(R).set(R);
-    }
-  };
-  auto VRegBecameDead = [&](unsigned V) {
-    unsigned R = static_cast<unsigned>(LRS.rangeIdOf(VirtReg(V)));
-    assert(LiveCount[R] > 0 && "kill of dead range");
-    if (--LiveCount[R] == 0) {
-      unsigned Pos = LivePos[R];
-      unsigned Last = LiveList.back();
-      LiveList[Pos] = Last;
-      LivePos[Last] = Pos;
-      LiveList.pop_back();
-      BankOf(R).reset(R);
-    }
+  auto BankOf = [&](unsigned R) -> BankLiveSet & {
+    return BankLive[static_cast<unsigned>(LRS.range(R).Bank)];
   };
 
   for (unsigned V : LiveOut) {
-    Live.set(V);
-    VRegBecameLive(V);
+    unsigned R = RangeOf(VirtReg(V));
+    BankOf(R).set(R);
   }
 
   const auto &Insts = BB.instructions();
   for (auto It = Insts.rbegin(), E = Insts.rend(); It != E; ++It) {
     const Instruction &I = *It;
-    int MoveSrcRange = I.isMove() ? LRS.rangeIdOf(I.moveSource()) : -1;
+    int MoveSrcRange =
+        I.isMove() ? static_cast<int>(RangeOf(I.moveSource())) : -1;
 
     // A def conflicts with everything of its bank live after the
     // instruction, except itself and a copy's source.
     for (VirtReg D : I.Defs) {
-      unsigned DefRange = static_cast<unsigned>(LRS.rangeIdOf(D));
-      BitVector &Interferes = BankOf(DefRange);
-      bool DefLive = Interferes.test(DefRange);
+      unsigned DefRange = RangeOf(D);
+      BankLiveSet &Interferes = BankOf(DefRange);
+      bool DefLive = Interferes.Bits->test(DefRange);
       Interferes.reset(DefRange);
       bool SrcLive = MoveSrcRange >= 0 &&
-                     Interferes.test(static_cast<unsigned>(MoveSrcRange));
+                     Interferes.Bits->test(static_cast<unsigned>(MoveSrcRange));
       if (SrcLive)
         Interferes.reset(static_cast<unsigned>(MoveSrcRange));
-      OnDef(DefRange, std::as_const(Interferes), std::as_const(LiveList));
+      OnDef(DefRange, std::as_const(Interferes));
       if (SrcLive)
         Interferes.set(static_cast<unsigned>(MoveSrcRange));
       if (DefLive)
@@ -98,23 +108,21 @@ void scanBlock(const Function &F, const BasicBlock &BB,
     // Multiple results of one instruction conflict with each other.
     for (size_t A = 0; A + 1 < I.Defs.size(); ++A)
       for (size_t B = A + 1; B < I.Defs.size(); ++B) {
-        unsigned RA = static_cast<unsigned>(LRS.rangeIdOf(I.Defs[A]));
-        unsigned RB = static_cast<unsigned>(LRS.rangeIdOf(I.Defs[B]));
+        unsigned RA = RangeOf(I.Defs[A]);
+        unsigned RB = RangeOf(I.Defs[B]);
         if (RA != RB && LRS.range(RA).Bank == LRS.range(RB).Bank)
           OnPair(RA, RB);
       }
 
     // Step the live set backward across the instruction.
-    for (VirtReg D : I.Defs)
-      if (Live.test(D.Id)) {
-        Live.reset(D.Id);
-        VRegBecameDead(D.Id);
-      }
-    for (VirtReg U : I.Uses)
-      if (!Live.test(U.Id)) {
-        Live.set(U.Id);
-        VRegBecameLive(U.Id);
-      }
+    for (VirtReg D : I.Defs) {
+      unsigned R = RangeOf(D);
+      BankOf(R).reset(R);
+    }
+    for (VirtReg U : I.Uses) {
+      unsigned R = RangeOf(U);
+      BankOf(R).set(R);
+    }
   }
 }
 
@@ -122,24 +130,16 @@ void scanBlock(const Function &F, const BasicBlock &BB,
 
 InterferenceGraph::InterferenceGraph(unsigned NumNodes, GraphRep Policy,
                                      AllocationScratch *Scratch)
-    : Policy(Policy) {
+    : NumNodes(NumNodes), Policy(Policy) {
   Dense = Policy == GraphRep::Dense ||
           (Policy == GraphRep::Auto && NumNodes <= DenseNodeThreshold);
   if (Scratch) {
-    Adj = Scratch->takeGraphAdj();
     if (Dense) {
       Rows = Scratch->takeGraphRows();
       RowSpans = Scratch->takeGraphRowSpans();
     } else
       EdgeSet = Scratch->takeGraphEdgeSet();
   }
-  // Recycled adjacency keeps per-node capacity; trim or grow to NumNodes
-  // with every kept list emptied.
-  if (Adj.size() > NumNodes)
-    Adj.resize(NumNodes);
-  for (auto &List : Adj)
-    List.clear();
-  Adj.resize(NumNodes);
   if (Dense) {
     Stride = (NumNodes + BitsPerWord - 1) / BitsPerWord;
     Rows.assign(static_cast<size_t>(NumNodes) * Stride, 0);
@@ -147,36 +147,20 @@ InterferenceGraph::InterferenceGraph(unsigned NumNodes, GraphRep Policy,
   }
 }
 
-void InterferenceGraph::setRowBit(unsigned A, unsigned B) {
-  rowWord(A, B) |= bitMask(B);
+void InterferenceGraph::orRowWord(unsigned A, unsigned W, uint64_t Bits) {
+  Rows[static_cast<size_t>(A) * Stride + W] |= Bits;
   auto &[Lo, Hi] = RowSpans[A];
-  Lo = std::min(Lo, B / BitsPerWord);
-  Hi = std::max(Hi, B / BitsPerWord + 1);
-}
-
-void InterferenceGraph::orIntoRow(unsigned A,
-                                  const std::vector<uint64_t> &Words) {
-  unsigned First = 0, Last = static_cast<unsigned>(Stride);
-  while (First < Last && Words[First] == 0)
-    ++First;
-  while (Last > First && Words[Last - 1] == 0)
-    --Last;
-  if (First == Last)
-    return;
-  uint64_t *Row = &rowWord(A, 0);
-  for (unsigned W = First; W < Last; ++W)
-    Row[W] |= Words[W];
-  auto &[Lo, Hi] = RowSpans[A];
-  Lo = std::min(Lo, First);
-  Hi = std::max(Hi, Last);
+  Lo = std::min(Lo, W);
+  Hi = std::max(Hi, W + 1);
 }
 
 void InterferenceGraph::reopenEdgeSet() {
-  EdgeSet.reserve(NumEdges + NumEdges / 2);
-  for (unsigned A = 0; A < Adj.size(); ++A)
-    for (unsigned B : Adj[A])
+  EdgeKeys.clear();
+  for (unsigned A = 0; A < NumNodes; ++A)
+    for (unsigned B : neighbors(A))
       if (A < B)
-        EdgeSet.insert(edgeKey(A, B));
+        EdgeKeys.push_back(edgeKey(A, B));
+  EdgeSet.insert(EdgeKeys.begin(), EdgeKeys.end());
 }
 
 void InterferenceGraph::addEdge(unsigned A, unsigned B) {
@@ -193,10 +177,9 @@ void InterferenceGraph::addEdge(unsigned A, unsigned B) {
       reopenEdgeSet();
     if (!EdgeSet.insert(edgeKey(A, B)).second)
       return;
+    EdgeKeys.push_back(edgeKey(A, B));
   }
   Finalized = false;
-  Adj[A].push_back(B);
-  Adj[B].push_back(A);
   ++NumEdges;
 }
 
@@ -207,15 +190,14 @@ bool InterferenceGraph::interfere(unsigned A, unsigned B) const {
     return (rowWord(A, B) & bitMask(B)) != 0;
   if (!Finalized)
     return EdgeSet.count(edgeKey(A, B)) != 0;
-  // Finalized sparse: binary search the shorter endpoint's sorted list.
-  bool AShorter = Adj[A].size() <= Adj[B].size();
-  const std::vector<unsigned> &List = AShorter ? Adj[A] : Adj[B];
-  unsigned Target = AShorter ? B : A;
-  return std::binary_search(List.begin(), List.end(), Target);
+  // Finalized sparse: binary search the shorter endpoint's sorted row.
+  bool AShorter = degree(A) <= degree(B);
+  std::span<const unsigned> Row = neighbors(AShorter ? A : B);
+  return std::binary_search(Row.begin(), Row.end(), AShorter ? B : A);
 }
 
 void InterferenceGraph::mirrorRows() {
-  for (unsigned A = 0; A < numNodes(); ++A) {
+  for (unsigned A = 0; A < NumNodes; ++A) {
     const size_t Base = static_cast<size_t>(A) * Stride;
     const auto [Lo, Hi] = RowSpans[A];
     for (unsigned W = Lo; W < Hi; ++W)
@@ -225,24 +207,48 @@ void InterferenceGraph::mirrorRows() {
 }
 
 void InterferenceGraph::emitRows() {
-  size_t DegreeSum = 0;
-  for (unsigned A = 0; A < numNodes(); ++A) {
-    const size_t Base = static_cast<size_t>(A) * Stride;
+  Offsets.resize(static_cast<size_t>(NumNodes) + 1);
+  Offsets[0] = 0;
+  for (unsigned A = 0; A < NumNodes; ++A) {
+    const uint64_t *Row = &Rows[static_cast<size_t>(A) * Stride];
     const auto [Lo, Hi] = RowSpans[A];
-    std::vector<unsigned> &List = Adj[A];
-    List.clear();
-    // Size the list once from the row's popcount instead of growing it
-    // by doubling.
-    size_t Degree = 0;
+    unsigned Degree = 0;
     for (unsigned W = Lo; W < Hi; ++W)
-      Degree += static_cast<size_t>(std::popcount(Rows[Base + W]));
-    List.reserve(Degree);
-    for (unsigned W = Lo; W < Hi; ++W)
-      for (uint64_t Bits = Rows[Base + W]; Bits != 0; Bits &= Bits - 1)
-        List.push_back(W * BitsPerWord + std::countr_zero(Bits));
-    DegreeSum += List.size();
+      Degree += static_cast<unsigned>(std::popcount(Row[W]));
+    Offsets[A + 1] = Offsets[A] + Degree;
   }
-  NumEdges = DegreeSum / 2;
+  Neighbors.resize(Offsets[NumNodes]);
+  unsigned *Out = Neighbors.data();
+  for (unsigned A = 0; A < NumNodes; ++A) {
+    const uint64_t *Row = &Rows[static_cast<size_t>(A) * Stride];
+    const auto [Lo, Hi] = RowSpans[A];
+    for (unsigned W = Lo; W < Hi; ++W)
+      for (uint64_t Bits = Row[W]; Bits != 0; Bits &= Bits - 1)
+        *Out++ = W * BitsPerWord + std::countr_zero(Bits);
+  }
+  NumEdges = Neighbors.size() / 2;
+}
+
+void InterferenceGraph::emitEdgeSet() {
+  Offsets.assign(static_cast<size_t>(NumNodes) + 1, 0);
+  for (uint64_t Key : EdgeKeys) {
+    ++Offsets[(Key >> 32) + 1];
+    ++Offsets[(Key & 0xffffffffu) + 1];
+  }
+  for (unsigned A = 0; A < NumNodes; ++A)
+    Offsets[A + 1] += Offsets[A];
+  Neighbors.resize(Offsets[NumNodes]);
+  // Scatter with a cursor per row, then sort each row.
+  std::vector<unsigned> Next(Offsets.begin(), Offsets.end() - 1);
+  for (uint64_t Key : EdgeKeys) {
+    unsigned A = static_cast<unsigned>(Key >> 32);
+    unsigned B = static_cast<unsigned>(Key & 0xffffffffu);
+    Neighbors[Next[A]++] = B;
+    Neighbors[Next[B]++] = A;
+  }
+  for (unsigned A = 0; A < NumNodes; ++A)
+    std::sort(Neighbors.begin() + Offsets[A],
+              Neighbors.begin() + Offsets[A + 1]);
 }
 
 void InterferenceGraph::finalize(AllocationScratch *S) {
@@ -250,9 +256,9 @@ void InterferenceGraph::finalize(AllocationScratch *S) {
     if (Dense)
       emitRows();
     else
-      for (auto &List : Adj)
-        std::sort(List.begin(), List.end());
+      emitEdgeSet();
   }
+  EdgeKeys = std::vector<uint64_t>();
   if (!Dense && EdgeSet.bucket_count() > 0) {
     EdgeSet.clear();
     if (S)
@@ -263,10 +269,8 @@ void InterferenceGraph::finalize(AllocationScratch *S) {
 }
 
 size_t InterferenceGraph::memoryBytes() const {
-  size_t Bytes = Adj.capacity() * sizeof(std::vector<unsigned>);
-  for (const auto &List : Adj)
-    Bytes += List.capacity() * sizeof(unsigned);
-  Bytes += Rows.capacity() * sizeof(uint64_t) +
+  size_t Bytes = (Offsets.capacity() + Neighbors.capacity()) * sizeof(unsigned);
+  Bytes += (Rows.capacity() + EdgeKeys.capacity()) * sizeof(uint64_t) +
            RowSpans.capacity() * sizeof(RowSpans[0]);
   Bytes += EdgeSet.bucket_count() * sizeof(void *) +
            EdgeSet.size() * (sizeof(uint64_t) + 2 * sizeof(void *));
@@ -274,8 +278,9 @@ size_t InterferenceGraph::memoryBytes() const {
 }
 
 void InterferenceGraph::recycle(AllocationScratch &S) {
-  S.storeGraphAdj(std::move(Adj));
-  Adj = std::vector<std::vector<unsigned>>();
+  Offsets = std::vector<unsigned>();
+  Neighbors = std::vector<unsigned>();
+  EdgeKeys = std::vector<uint64_t>();
   if (Dense) {
     S.storeGraphRows(std::move(Rows));
     S.storeGraphRowSpans(std::move(RowSpans));
@@ -286,24 +291,24 @@ void InterferenceGraph::recycle(AllocationScratch &S) {
     S.storeGraphEdgeSet(std::move(EdgeSet));
     EdgeSet = std::unordered_set<uint64_t>();
   }
+  NumNodes = 0;
   NumEdges = 0;
   Finalized = false;
 }
 
-void InterferenceGraph::scanBlockForEdges(const Function &F,
-                                          const BasicBlock &BB,
+void InterferenceGraph::scanBlockForEdges(const BasicBlock &BB,
                                           const BitVector &LiveOut,
                                           const LiveRangeSet &LRS,
                                           InterferenceGraph &IG,
                                           AllocationScratch *Scratch) {
   AllocationScratch Local;
   scanBlock(
-      F, BB, LiveOut, LRS, Scratch ? *Scratch : Local,
-      [&IG](unsigned Def, const BitVector &Interferes,
-            const std::vector<unsigned> &LiveList) {
-        for (unsigned Other : LiveList)
-          if (Interferes.test(Other))
-            IG.addEdge(Def, Other);
+      BB, LiveOut, LRS, Scratch ? *Scratch : Local,
+      [&IG](unsigned Def, const BankLiveSet &Interferes) {
+        Interferes.forEachWord([&](unsigned W, uint64_t Word) {
+          for (; Word != 0; Word &= Word - 1)
+            IG.addEdge(Def, W * BitsPerWord + std::countr_zero(Word));
+        });
       },
       [&IG](unsigned A, unsigned B) { IG.addEdge(A, B); });
 }
@@ -320,26 +325,18 @@ InterferenceGraph InterferenceGraph::build(const Function &F,
   InterferenceGraph IG(LRS.numRanges(), Policy, &S);
   if (!IG.Dense) {
     for (const auto &BB : F.blocks())
-      scanBlockForEdges(F, *BB, LV.liveOut(*BB), LRS, IG, &S);
+      scanBlockForEdges(*BB, LV.liveOut(*BB), LRS, IG, &S);
     IG.finalize(&S);
     return IG;
   }
   // Row build: OR each def's interference set into its row a word at a
-  // time, then mirror the directed rows and emit the lists from them. When
-  // fewer ranges are live than a row has words (long, low-degree
-  // functions), setting their bits one by one touches less of the row.
+  // time, then mirror the directed rows and emit the adjacency from them.
   for (const auto &BB : F.blocks())
     scanBlock(
-        F, *BB, LV.liveOut(*BB), LRS, S,
-        [&IG](unsigned Def, const BitVector &Interferes,
-              const std::vector<unsigned> &LiveList) {
-          if (LiveList.size() < IG.Stride) {
-            for (unsigned Other : LiveList)
-              if (Interferes.test(Other))
-                IG.setRowBit(Def, Other);
-            return;
-          }
-          IG.orIntoRow(Def, Interferes.words());
+        *BB, LV.liveOut(*BB), LRS, S,
+        [&IG](unsigned Def, const BankLiveSet &Interferes) {
+          Interferes.forEachWord(
+              [&](unsigned W, uint64_t Word) { IG.orRowWord(Def, W, Word); });
         },
         [&IG](unsigned A, unsigned B) { IG.setRowBit(A, B); });
   IG.mirrorRows();

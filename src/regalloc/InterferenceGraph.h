@@ -6,8 +6,11 @@
 /// register bank — live ranges in different banks never compete for a
 /// register, so no edges are needed between them).
 ///
-/// The edge relation is stored in one of two representations behind a single
-/// query API (GraphRep):
+/// Adjacency is one flat array in compressed sparse rows: node A's
+/// neighbors, ascending, are Neighbors[Offsets[A] .. Offsets[A+1]), and
+/// neighbors() hands them out as a span. finalize() fills both arrays in
+/// two sweeps (degrees, then neighbors) from the build-time edge store,
+/// which is one of two representations (GraphRep):
 ///
 ///  - Dense: one square bit matrix, row A holding A's neighbors, each row
 ///    padded to a whole number of 64-bit words (the row stride). O(1)
@@ -15,26 +18,34 @@
 ///    square costs twice the bits of a strict lower triangle, V^2 instead
 ///    of V*(V-1)/2, and buys word-aligned rows: build() ORs the live ranges
 ///    of a def's bank into the def's row a word at a time, then mirrors the
-///    rows and emits every adjacency list in ascending order straight from
-///    its row, with no per-edge calls and no sort.
-///  - Sparse: per-node adjacency only. While building, a hash set of packed
-///    (min,max) edge keys provides dedup and O(1) `interfere`; `finalize()`
-///    sorts the adjacency lists, drops the hash set, and switches
-///    `interfere` to a binary search of the smaller endpoint's list.
+///    rows and emits the flat adjacency straight from them, with no
+///    per-edge calls and no sort.
+///  - Sparse: a hash set of packed (min,max) edge keys provides dedup and
+///    O(1) `interfere` while building, and a vector keeps the same keys in
+///    insertion order; `finalize()` counts and scatters that vector into
+///    the flat adjacency, sorts each row, drops both, and switches
+///    `interfere` to a binary search of the smaller endpoint's row.
 ///
 /// Auto policy picks Dense up to DenseNodeThreshold nodes and Sparse above
 /// it, so per-function cost scales with V+E instead of V^2 on large
-/// functions. Both representations expose *identical* adjacency: finalize()
-/// canonicalizes neighbor lists to ascending order (build() and the graph
-/// reconstructor finalize for you), so every consumer — Simplifier,
-/// Coalescer, GraphReconstructor, CBHAllocator, AllocationVerifier — is
-/// representation-agnostic and allocation results are bit-identical under
-/// every policy.
+/// functions. Both representations finalize into the *identical* flat
+/// adjacency (build() and the graph reconstructor finalize for you), so
+/// every consumer — Simplifier, Coalescer, GraphReconstructor,
+/// CBHAllocator, AllocationVerifier — is representation-agnostic and
+/// allocation results are bit-identical under every policy. neighbors()
+/// and degree() answer on a finalized graph only.
 ///
 /// The edge rule (same bank, no self edge, Chaitin's copy exception below,
 /// every pair of results of one instruction) lives in one block scan. The
 /// row build and the per-edge path (scanBlockForEdges: sparse builds and
 /// the reconstructor's rescans) both consume that scan.
+///
+/// The scan requires (and asserts) that every operand and live-out register
+/// is its range's class root, as the coalescer leaves them: a range is then
+/// live exactly while its one register is, and the scan keeps one bitset
+/// of live ranges per bank, with a summary of its nonzero words so that a
+/// def reads O(live ranges + V/4096) words. fuzz/Oracle's
+/// referenceInterference keeps the register-granularity scan as reference.
 ///
 /// Copy instructions get the classic Chaitin special case: at "move d <- s"
 /// no edge is added between d and s, which is what makes them coalescable.
@@ -47,6 +58,8 @@
 #include "regalloc/LiveRange.h"
 #include "support/BitVector.h"
 
+#include <cassert>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -73,24 +86,28 @@ public:
   static constexpr unsigned DenseNodeThreshold = 4096;
 
   InterferenceGraph() = default;
-  /// \p Scratch, when given, donates recycled buffer capacity (adjacency
-  /// lists, matrix rows, edge-set buckets) instead of fresh allocations.
+  /// \p Scratch, when given, donates recycled buffer capacity (matrix
+  /// rows, edge-set buckets) instead of fresh allocations.
   explicit InterferenceGraph(unsigned NumNodes,
                              GraphRep Policy = GraphRep::Auto,
                              AllocationScratch *Scratch = nullptr);
 
-  unsigned numNodes() const { return static_cast<unsigned>(Adj.size()); }
+  unsigned numNodes() const { return NumNodes; }
 
   /// Adds an undirected edge (idempotent, ignores self loops).
   void addEdge(unsigned A, unsigned B);
 
   bool interfere(unsigned A, unsigned B) const;
 
-  const std::vector<unsigned> &neighbors(unsigned Node) const {
-    return Adj[Node];
+  /// \p Node's neighbors in ascending order.
+  std::span<const unsigned> neighbors(unsigned Node) const {
+    assert(Finalized && "adjacency read before finalize()");
+    return {Neighbors.data() + Offsets[Node],
+            Neighbors.data() + Offsets[Node + 1]};
   }
   unsigned degree(unsigned Node) const {
-    return static_cast<unsigned>(Adj[Node].size());
+    assert(Finalized && "adjacency read before finalize()");
+    return Offsets[Node + 1] - Offsets[Node];
   }
 
   /// Total number of undirected edges. O(1): addEdge maintains the count.
@@ -105,16 +122,14 @@ public:
     return Dense ? GraphRep::Dense : GraphRep::Sparse;
   }
 
-  /// Canonicalizes the adjacency lists to ascending node order (identical
-  /// across representations: dense re-emits them from the rows, sparse
-  /// sorts them) and, in sparse mode, releases the build-time edge hash
-  /// set in favor of binary-search `interfere`. Idempotent.
-  /// Queries work before and after; addEdge after finalize transparently
+  /// Fills the flat adjacency (identical across representations) and, in
+  /// sparse mode, releases the build-time edge hash set in favor of
+  /// binary-search `interfere`. Idempotent; addEdge after finalize
   /// re-opens the build state. \p S, when given, receives the released
   /// sparse edge-set buckets for the next build.
   void finalize(AllocationScratch *S = nullptr);
 
-  /// Approximate heap bytes held by the graph (adjacency capacity, matrix
+  /// Approximate heap bytes held by the graph (flat adjacency, matrix
   /// rows, edge-set buckets) — feeds the alloc.peak_graph_bytes counter.
   size_t memoryBytes() const;
 
@@ -124,10 +139,10 @@ public:
   void recycle(AllocationScratch &S);
 
   /// Builds the graph for \p F from liveness and the live-range set: a
-  /// dense graph a row word at a time, a sparse one edge by edge.
-  /// \p Scratch, when given, supplies the per-block scan buffers and
-  /// recycled graph storage (one internal arena is used otherwise). The
-  /// returned graph is finalized.
+  /// dense graph a row word at a time, a sparse one edge by edge; operands
+  /// must be class roots (see above). \p Scratch, when given, supplies the
+  /// per-block scan buffers and recycled graph storage (one internal arena
+  /// is used otherwise). The returned graph is finalized.
   static InterferenceGraph build(const Function &F, const Liveness &LV,
                                  const LiveRangeSet &LRS,
                                  AllocationScratch *Scratch = nullptr,
@@ -136,9 +151,9 @@ public:
   /// Adds every interference edge arising within \p BB (given its live-out
   /// set) to \p IG, one addEdge per pair. Idempotent; sparse builds use it,
   /// and the incremental graph reconstruction uses it to rescan only the
-  /// blocks spill code touched. \p Scratch, when
-  /// given, supplies the scan buffers instead of per-call allocations.
-  static void scanBlockForEdges(const Function &F, const BasicBlock &BB,
+  /// blocks spill code touched; operands must be class roots. \p Scratch,
+  /// when given, supplies the scan buffers instead of per-call allocations.
+  static void scanBlockForEdges(const BasicBlock &BB,
                                 const BitVector &LiveOut,
                                 const LiveRangeSet &LRS,
                                 InterferenceGraph &IG,
@@ -156,26 +171,29 @@ private:
   uint64_t rowWord(unsigned A, unsigned B) const {
     return Rows[static_cast<size_t>(A) * Stride + B / BitsPerWord];
   }
-  /// Dense: sets bit \p B of row \p A.
-  void setRowBit(unsigned A, unsigned B);
-  /// Dense: ORs the set \p Words (numNodes() bits) into row \p A.
-  void orIntoRow(unsigned A, const std::vector<uint64_t> &Words);
+  /// Dense: ORs \p Bits into word \p W of row \p A / sets bit \p B of it.
+  void orRowWord(unsigned A, unsigned W, uint64_t Bits);
+  void setRowBit(unsigned A, unsigned B) {
+    orRowWord(A, B / BitsPerWord, bitMask(B));
+  }
   /// Dense row build: sets the mirror of every set bit, so each row holds
   /// all of its node's neighbors.
   void mirrorRows();
-  /// Dense: refills every adjacency list in ascending order from its row
-  /// and recounts NumEdges.
+  /// Dense / sparse: fills the flat adjacency from the rows / EdgeKeys.
   void emitRows();
+  void emitEdgeSet();
   static uint64_t edgeKey(unsigned A, unsigned B) {
     if (A > B)
       std::swap(A, B);
     return (static_cast<uint64_t>(A) << 32) | B;
   }
-  /// Sparse mode: rebuilds EdgeSet from the adjacency lists (used when
-  /// addEdge is called on a finalized graph).
+  /// Sparse mode: rebuilds EdgeSet and EdgeKeys from the flat adjacency
+  /// (used when addEdge is called on a finalized graph).
   void reopenEdgeSet();
 
-  std::vector<std::vector<unsigned>> Adj;
+  unsigned NumNodes = 0;
+  std::vector<unsigned> Offsets;        // finalized: row A starts at [A]
+  std::vector<unsigned> Neighbors;
   std::vector<uint64_t> Rows;           // dense: numNodes() rows of Stride words
   size_t Stride = 0;                    // dense: words per row
   /// Dense: per row, the half-open range of words that may be nonzero
@@ -184,6 +202,7 @@ private:
   /// twice over.
   std::vector<std::pair<unsigned, unsigned>> RowSpans;
   std::unordered_set<uint64_t> EdgeSet; // sparse: dedup until finalize()
+  std::vector<uint64_t> EdgeKeys; // sparse: EdgeSet's keys, insertion order
   size_t NumEdges = 0;
   GraphRep Policy = GraphRep::Auto;
   bool Dense = true;

@@ -23,9 +23,8 @@ int LiveRangeSet::rangeIdOf(VirtReg R) const {
   return VRegToRange[R.Id];
 }
 
-LiveRangeSet LiveRangeSet::build(const Function &F, const Liveness &LV,
-                                 const FrequencyInfo &Freq,
-                                 const VRegClasses &Classes) {
+LiveRangeSet LiveRangeSet::mapRanges(const Function &F,
+                                     const VRegClasses &Classes) {
   LiveRangeSet Set;
   unsigned NumVRegs = F.numVRegs();
   Set.VRegToRange.assign(NumVRegs, -1);
@@ -67,84 +66,93 @@ LiveRangeSet LiveRangeSet::build(const Function &F, const Liveness &LV,
     if (Set.VRegToRange[V] >= 0 && F.isSpillTemp(VirtReg(V)))
       Set.Ranges[Set.VRegToRange[V]].NoSpill = true;
   }
+  return Set;
+}
 
-  // Enumerate call sites.
+void LiveRangeSet::enumerateCallSites(const Function &F,
+                                      const FrequencyInfo &Freq) {
   for (const auto &BB : F.blocks()) {
     const auto &Insts = BB->instructions();
     for (unsigned Idx = 0; Idx < Insts.size(); ++Idx) {
       if (!Insts[Idx].isCall())
         continue;
       CallSite CS;
-      CS.Id = static_cast<unsigned>(Set.Calls.size());
+      CS.Id = static_cast<unsigned>(Calls.size());
       CS.Block = BB.get();
       CS.InstIndex = Idx;
       CS.Freq = Freq.blockFrequency(*BB);
       CS.Inst = &Insts[Idx];
-      Set.Calls.push_back(CS);
+      Calls.push_back(CS);
     }
   }
+}
+
+void LiveRangeSet::measure(const Function &F, const Liveness &LV,
+                           const FrequencyInfo &Freq) {
+  assert(Calls.empty() && "live ranges measured twice");
+  enumerateCallSites(F, Freq);
 
   // Weighted references and block spans.
-  const unsigned NumRanges = Set.numRanges();
-  std::vector<int> LastBlockSeen(NumRanges, -1);
+  std::vector<int> LastBlockSeen(numRanges(), -1);
   auto SpanBlock = [&](int RangeId, int BlockId) {
     if (RangeId < 0 || LastBlockSeen[RangeId] == BlockId)
       return;
     LastBlockSeen[RangeId] = BlockId;
-    ++Set.Ranges[RangeId].NumBlocks;
+    ++Ranges[RangeId].NumBlocks;
   };
   for (const auto &BB : F.blocks()) {
     double BlockFreq = Freq.blockFrequency(*BB);
     int BlockId = static_cast<int>(BB->getId());
+    auto Reference = [&](VirtReg R) {
+      LiveRange &LR = Ranges[VRegToRange[R.Id]];
+      LR.WeightedRefs += BlockFreq;
+      ++LR.NumRefs;
+      SpanBlock(VRegToRange[R.Id], BlockId);
+    };
     for (const Instruction &I : BB->instructions()) {
-      for (VirtReg R : I.Defs) {
-        LiveRange &LR = Set.Ranges[Set.VRegToRange[R.Id]];
-        LR.WeightedRefs += BlockFreq;
-        ++LR.NumRefs;
-        SpanBlock(Set.VRegToRange[R.Id], BlockId);
-      }
-      for (VirtReg R : I.Uses) {
-        LiveRange &LR = Set.Ranges[Set.VRegToRange[R.Id]];
-        LR.WeightedRefs += BlockFreq;
-        ++LR.NumRefs;
-        SpanBlock(Set.VRegToRange[R.Id], BlockId);
-      }
+      for (VirtReg R : I.Defs)
+        Reference(R);
+      for (VirtReg R : I.Uses)
+        Reference(R);
     }
     for (unsigned V : LV.liveIn(*BB))
-      SpanBlock(Set.VRegToRange[V], BlockId);
+      SpanBlock(VRegToRange[V], BlockId);
     for (unsigned V : LV.liveOut(*BB))
-      SpanBlock(Set.VRegToRange[V], BlockId);
+      SpanBlock(VRegToRange[V], BlockId);
   }
 
   // Call-crossing: a live range crosses a call when some member register is
   // live immediately after the call and not defined by it (then it is also
-  // live immediately before, i.e. live *through* the call).
-  std::vector<unsigned> LastCallSeen(NumRanges, ~0u);
-  BitVector Live(NumVRegs);
+  // live immediately before, i.e. live *through* the call). Calls were
+  // numbered in block order, so walking a block backward meets its calls
+  // at descending ids, from the next block's first id down to its own; the
+  // walk skips blocks without calls and stops at a block's first call.
+  std::vector<unsigned> LastCallSeen(numRanges(), ~0u);
+  BitVector Live(F.numVRegs());
+  unsigned BlockCallsEnd = 0;
   for (const auto &BB : F.blocks()) {
+    const unsigned BlockCallsBegin = BlockCallsEnd;
+    while (BlockCallsEnd < Calls.size() &&
+           Calls[BlockCallsEnd].Block == BB.get())
+      ++BlockCallsEnd;
+    unsigned CallId = BlockCallsEnd;
+    if (CallId == BlockCallsBegin)
+      continue;
     Live = LV.liveOut(*BB);
     const auto &Insts = BB->instructions();
-    for (auto It = Insts.rbegin(); It != Insts.rend(); ++It) {
+    for (auto It = Insts.rbegin(); CallId != BlockCallsBegin; ++It) {
       const Instruction &I = *It;
       if (I.isCall()) {
-        unsigned CallId = ~0u;
-        // Recover the call site id by matching the instruction pointer.
-        for (const CallSite &CS : Set.Calls)
-          if (CS.Inst == &I) {
-            CallId = CS.Id;
-            break;
-          }
-        assert(CallId != ~0u && "call site not enumerated");
-        double CallFreq = Set.Calls[CallId].Freq;
+        --CallId;
+        assert(Calls[CallId].Inst == &I && "call site not enumerated");
+        double CallFreq = Calls[CallId].Freq;
         for (unsigned V : Live) {
-          bool DefinedHere = false;
-          for (VirtReg D : I.Defs)
-            DefinedHere |= (D.Id == V);
-          if (DefinedHere)
+          if (std::find(I.Defs.begin(), I.Defs.end(), VirtReg(V)) !=
+              I.Defs.end())
             continue;
-          int RangeId = Set.VRegToRange[V];
+          int RangeId = VRegToRange[V];
           assert(RangeId >= 0 && "live register without live range");
-          LiveRange &LR = Set.Ranges[RangeId];
+          LiveRange &LR = Ranges[RangeId];
           if (LastCallSeen[RangeId] == CallId)
             continue; // Another member already crossed this call.
           LastCallSeen[RangeId] = CallId;
@@ -159,12 +167,18 @@ LiveRangeSet LiveRangeSet::build(const Function &F, const Liveness &LV,
         Live.set(U.Id);
     }
   }
-  for (LiveRange &LR : Set.Ranges)
+  for (LiveRange &LR : Ranges)
     std::sort(LR.CrossedCalls.begin(), LR.CrossedCalls.end());
 
   double CalleeSaveCost = 2.0 * Freq.entryFrequency(F);
-  for (LiveRange &LR : Set.Ranges)
+  for (LiveRange &LR : Ranges)
     LR.CalleeSaveCost = CalleeSaveCost;
+}
 
+LiveRangeSet LiveRangeSet::build(const Function &F, const Liveness &LV,
+                                 const FrequencyInfo &Freq,
+                                 const VRegClasses &Classes) {
+  LiveRangeSet Set = mapRanges(F, Classes);
+  Set.measure(F, LV, Freq);
   return Set;
 }

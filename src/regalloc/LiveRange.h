@@ -98,9 +98,10 @@ public:
   /// Appends a call site directly (scenario construction).
   void addCallSite(CallSite CS) { Calls.push_back(std::move(CS)); }
 
-  /// Clears the call-site list (graph reconstruction re-enumerates after
-  /// spill code shifted instruction positions).
-  void clearCallSites() { Calls.clear(); }
+  /// Appends one call site per call of \p F, numbered densely in block
+  /// order. measure() starts with it; graph reconstruction calls it on a
+  /// fresh set after spill code shifted instruction positions.
+  void enumerateCallSites(const Function &F, const FrequencyInfo &Freq);
 
   /// Extends the register -> live-range mapping to \p NumVRegs entries
   /// (new registers unmapped).
@@ -111,8 +112,18 @@ public:
     VRegToRange[R.Id] = RangeId;
   }
 
-  /// Builds live ranges for \p F under the congruence classes \p Classes.
-  /// \p EntryFreq is the function's invocation frequency.
+  /// First step of a build: the register -> live-range map of \p F under
+  /// \p Classes, one range per referenced class with Id, Root, Bank and
+  /// NoSpill set, metrics zero and no call sites. A coalescing pass reads
+  /// nothing more, so a pass that merges a copy stops here.
+  static LiveRangeSet mapRanges(const Function &F, const VRegClasses &Classes);
+
+  /// Second step, once per mapped set: the call sites and every range's
+  /// weighted references, block span, crossed calls and §4 save costs.
+  void measure(const Function &F, const Liveness &LV,
+               const FrequencyInfo &Freq);
+
+  /// mapRanges followed by measure.
   static LiveRangeSet build(const Function &F, const Liveness &LV,
                             const FrequencyInfo &Freq,
                             const VRegClasses &Classes);

@@ -51,9 +51,12 @@ struct Diagnostic {
   std::string render() const {
     std::string Out;
     if (Line > 0) {
-      Out += "line " + std::to_string(Line);
-      if (Column > 0)
-        Out += ":" + std::to_string(Column);
+      Out += "line ";
+      Out += std::to_string(Line);
+      if (Column > 0) {
+        Out += ':';
+        Out += std::to_string(Column);
+      }
       Out += ": ";
     }
     Out += Message;

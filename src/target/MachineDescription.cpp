@@ -7,10 +7,16 @@
 using namespace ccra;
 
 std::string RegisterConfig::label() const {
-  return "(" + std::to_string(IntCallerSave) + "," +
-         std::to_string(FloatCallerSave) + "," +
-         std::to_string(IntCalleeSave) + "," +
-         std::to_string(FloatCalleeSave) + ")";
+  std::string Out = "(";
+  Out.reserve(48); // four 10-digit counts, three commas, two parentheses
+  for (unsigned Count :
+       {IntCallerSave, FloatCallerSave, IntCalleeSave, FloatCalleeSave}) {
+    if (Out.size() > 1)
+      Out += ',';
+    Out += std::to_string(Count);
+  }
+  Out += ')';
+  return Out;
 }
 
 bool ccra::parseRegisterConfig(const std::string &Text, RegisterConfig &Out,

@@ -181,6 +181,39 @@ TEST(VerifierTest, RejectsUseWithoutDef) {
   EXPECT_FALSE(verifyFunction(F, &Errors));
 }
 
+TEST(VerifierTest, ReportsOutOfRangeRegisterAndUndefinedUseTogether) {
+  // One instruction names a register past numVRegs(), another uses an
+  // in-range register nothing defines: both are reported, and the
+  // def-before-use check does not index past its per-register table.
+  Module M("m");
+  Function &F = *M.createFunction("f");
+  BasicBlock *Entry = F.createBlock("entry");
+  VirtReg Ghost = F.createVReg(RegBank::Int);
+  Instruction Wild(Opcode::LoadImm);
+  Wild.Defs.push_back(VirtReg(F.numVRegs() + 1000));
+  Entry->append(std::move(Wild));
+  Instruction WildUse(Opcode::Move);
+  WildUse.Defs.push_back(Ghost);
+  WildUse.Uses.push_back(VirtReg(F.numVRegs() + 7));
+  Entry->append(std::move(WildUse));
+  Instruction Ret(Opcode::Ret);
+  VirtReg Undefined = F.createVReg(RegBank::Int);
+  Ret.Uses.push_back(Undefined);
+  Entry->append(std::move(Ret));
+
+  std::vector<std::string> Errors;
+  EXPECT_FALSE(verifyFunction(F, &Errors));
+  auto Reported = [&](const std::string &Text) {
+    return std::count_if(Errors.begin(), Errors.end(), [&](const auto &E) {
+      return E.find(Text) != std::string::npos;
+    });
+  };
+  EXPECT_EQ(Reported("references out-of-range register"), 2);
+  EXPECT_EQ(Reported("used but never defined"), 1);
+  EXPECT_EQ(Reported(formatVReg(F, Undefined) + " used but never defined"),
+            1);
+}
+
 TEST(VerifierTest, RejectsBadProbabilitySum) {
   Module M("m");
   Function &F = *M.createFunction("f");

@@ -2,12 +2,19 @@
 
 #include "analysis/Frequency.h"
 #include "analysis/Liveness.h"
+#include "fuzz/Corpus.h"
+#include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "regalloc/Coalescer.h"
+#include "regalloc/InterferenceGraph.h"
 #include "regalloc/LiveRange.h"
 #include "regalloc/VRegClasses.h"
+#include "target/MachineDescription.h"
+#include "workloads/FuzzGen.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -217,6 +224,80 @@ TEST(LiveRangeMetrics, SpilledAwayRegisterHasNoRange) {
   LiveRangeSet LRS = LiveRangeSet::build(F, LV, Freq, Classes);
   EXPECT_EQ(LRS.rangeIdOf(Ghost), -1);
   EXPECT_GE(LRS.rangeIdOf(A), 0);
+}
+
+// --- Range map, then measure ------------------------------------------------
+
+void expectSameRangeSet(const LiveRangeSet &A, const LiveRangeSet &B,
+                        unsigned NumVRegs) {
+  EXPECT_TRUE(A.ranges() == B.ranges());
+  for (unsigned V = 0; V < NumVRegs; ++V)
+    ASSERT_EQ(A.rangeIdOf(VirtReg(V)), B.rangeIdOf(VirtReg(V))) << "%" << V;
+  ASSERT_EQ(A.callSites().size(), B.callSites().size());
+  for (std::size_t I = 0; I < A.callSites().size(); ++I) {
+    const CallSite &X = A.callSites()[I], &Y = B.callSites()[I];
+    EXPECT_TRUE(X.Id == Y.Id && X.Block == Y.Block &&
+                X.InstIndex == Y.InstIndex && X.Freq == Y.Freq &&
+                X.Inst == Y.Inst)
+        << "call site " << I;
+  }
+}
+
+/// For every function body of \p Src: mapRanges then measure equals a
+/// one-shot build on the input code, and the coalescer's ranges — mapped
+/// at the start of its last pass, measured once that pass changed nothing
+/// — equal a one-shot build on the coalesced code.
+void expectMeasuredMapMatchesOneShotBuild(const Module &Src) {
+  std::unique_ptr<Module> M = cloneModule(Src);
+  FrequencyInfo Freq = FrequencyInfo::compute(*M, FrequencyMode::Profile);
+  MachineDescription MD(RegisterConfig(6, 4, 1, 1));
+  for (const auto &FPtr : M->functions()) {
+    Function &F = *FPtr;
+    if (F.isDeclaration())
+      continue;
+    SCOPED_TRACE(F.getName());
+    VRegClasses Classes(F.numVRegs());
+    Liveness LV = Liveness::compute(F);
+    LiveRangeSet Mapped = LiveRangeSet::mapRanges(F, Classes);
+    Mapped.measure(F, LV, Freq);
+    expectSameRangeSet(Mapped, LiveRangeSet::build(F, LV, Freq, Classes),
+                       F.numVRegs());
+
+    Liveness Coalesced;
+    LiveRangeSet LRS;
+    InterferenceGraph IG;
+    Coalescer::run(F, Classes, MD, Freq, Coalesced, CoalesceRequest(), LRS,
+                   IG);
+    expectSameRangeSet(LRS,
+                       LiveRangeSet::build(F, Coalesced, Freq, Classes),
+                       F.numVRegs());
+  }
+}
+
+TEST(LiveRangeMeasure, MapThenMeasureMatchesOneShotBuildOnCorpus) {
+  std::vector<std::string> Errors;
+  std::vector<CorpusEntry> Corpus =
+      loadCorpusDir(std::string(CCRA_SOURCE_DIR) + "/fuzz/corpus", Errors);
+  EXPECT_TRUE(Errors.empty());
+  ASSERT_GE(Corpus.size(), 20u);
+  for (const CorpusEntry &Entry : Corpus) {
+    SCOPED_TRACE(Entry.Path);
+    expectMeasuredMapMatchesOneShotBuild(*Entry.M);
+  }
+}
+
+TEST(LiveRangeMeasure, MapThenMeasureMatchesOneShotBuildOnFuzzBodies) {
+  for (FuzzProfile Profile :
+       {FuzzProfile::Mixed, FuzzProfile::CallDense, FuzzProfile::BankMix,
+        FuzzProfile::HighDegree, FuzzProfile::PathologicalLive})
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message()
+                   << fuzzProfileName(Profile) << " seed " << Seed);
+      FuzzGenParams P;
+      P.Seed = Seed;
+      P.Profile = Profile;
+      expectMeasuredMapMatchesOneShotBuild(*generateFuzzModule(P));
+    }
 }
 
 } // namespace

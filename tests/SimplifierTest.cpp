@@ -85,6 +85,7 @@ TEST(Simplifier, NoSpillNodesAreNeverSpillVictims) {
   Ctx.IG.addEdge(A, B);
   Ctx.IG.addEdge(B, C);
   Ctx.IG.addEdge(A, C);
+  Ctx.IG.finalize();
   SimplifyResult R = Simplifier::run(Ctx, false);
   for (unsigned Node : R.SpilledNodes)
     EXPECT_NE(Node, B);
