@@ -3,6 +3,7 @@
 #include "regalloc/CBHAllocator.h"
 
 #include "regalloc/AssignmentState.h"
+#include "regalloc/Simplifier.h"
 
 #include <algorithm>
 #include <cassert>
@@ -44,8 +45,15 @@ CBHSimplifyResult CBHAllocator::simplify(const AllocationContext &Ctx) {
                 (LR.ContainsCall ? MD.callerCount(LR.Bank) : 0);
     Limit[I] = MD.numRegs(LR.Bank);
     ++ActivePerBank[static_cast<unsigned>(LR.Bank)];
+  }
+  // Ordinary spill candidates. A node eligible now is popped before the
+  // first blocked step, so only the others can ever be a victim.
+  SpillVictimHeap Victims(LRS, Degree, Active);
+  for (unsigned I = 0; I < NumNodes; ++I) {
     if (Degree[I] < Limit[I])
       Eligible.push(I);
+    else if (!LRS.range(I).NoSpill)
+      Victims.push(I);
   }
 
   double CalleeNodeCost = 2.0 * Ctx.EntryFreq;
@@ -87,18 +95,10 @@ CBHSimplifyResult CBHAllocator::simplify(const AllocationContext &Ctx) {
 
     // Blocked: cheapest among spillable ordinary ranges and the locked
     // callee-save-register live ranges.
-    int Victim = -1;
-    double VictimMetric = std::numeric_limits<double>::infinity();
-    for (unsigned I = 0; I < NumNodes; ++I) {
-      if (!Active[I] || LRS.range(I).NoSpill)
-        continue;
-      double Metric = LRS.range(I).spillCost() /
-                      static_cast<double>(std::max(Degree[I], 1u));
-      if (Victim < 0 || Metric < VictimMetric) {
-        Victim = static_cast<int>(I);
-        VictimMetric = Metric;
-      }
-    }
+    int Victim = Victims.cheapest();
+    double VictimMetric = Victim < 0
+                              ? std::numeric_limits<double>::infinity()
+                              : Victims.metric(static_cast<unsigned>(Victim));
     int CalleeBank = -1;
     double CalleeMetric = std::numeric_limits<double>::infinity();
     for (unsigned B = 0; B < NumRegBanks; ++B) {
@@ -119,6 +119,7 @@ CBHSimplifyResult CBHAllocator::simplify(const AllocationContext &Ctx) {
       continue;
     }
     if (Victim >= 0) {
+      Victims.pop();
       Result.SpilledNodes.push_back(static_cast<unsigned>(Victim));
       Deactivate(static_cast<unsigned>(Victim));
       --Remaining;

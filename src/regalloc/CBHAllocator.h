@@ -21,8 +21,10 @@
 /// fall — a neighbor leaves, or a callee-save register unlocks — so a node
 /// that becomes eligible stays eligible until it is popped, and the pop
 /// order is exactly the "lowest eligible index" of the O(V^2) rescan it
-/// replaced. That rescan survives as a test oracle,
-/// referenceCBHSimplify() in fuzz/Oracle.h.
+/// replaced. A blocked step takes its ordinary spill candidate from a
+/// SpillVictimHeap (regalloc/Simplifier.h) instead of scanning every active
+/// node. The rescan survives as a test oracle, referenceCBHSimplify() in
+/// fuzz/Oracle.h.
 ///
 //===----------------------------------------------------------------------===//
 

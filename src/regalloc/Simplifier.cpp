@@ -4,12 +4,37 @@
 
 #include "target/MachineDescription.h"
 
+#include <algorithm>
 #include <cassert>
-#include <limits>
-#include <queue>
-#include <utility>
 
 using namespace ccra;
+
+double SpillVictimHeap::metric(unsigned Node) const {
+  return LRS.range(Node).spillCost() /
+         static_cast<double>(std::max(Degree[Node], 1u));
+}
+
+void SpillVictimHeap::push(unsigned Node) {
+  assert(!LRS.range(Node).NoSpill && "unspillable spill candidate");
+  assert(LRS.range(Node).spillCost() >= 0.0 && "spill cost negative or NaN");
+  Heap.push({metric(Node), Node});
+}
+
+int SpillVictimHeap::cheapest() {
+  while (!Heap.empty()) {
+    Entry Top = Heap.top();
+    if (!Active[Top.second]) {
+      Heap.pop();
+      continue;
+    }
+    double Now = metric(Top.second);
+    if (Now == Top.first)
+      return static_cast<int>(Top.second);
+    Heap.pop();
+    Heap.push({Now, Top.second});
+  }
+  return -1;
+}
 
 SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
                                const KeyFn &Key) {
@@ -65,6 +90,11 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
     }
   }
 
+  SpillVictimHeap Victims(LRS, Degree, Active);
+  for (unsigned I : Constrained)
+    if (!LRS.range(I).NoSpill)
+      Victims.push(I);
+
   auto RemoveConstrained = [&](unsigned Node) {
     unsigned Pos = ConstrainedPos[Node];
     assert(Pos != ~0u && "node not in constrained set");
@@ -107,28 +137,15 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
       continue;
     }
 
-    // Blocked: the heap drained, so every active node is in Constrained and
-    // the scans below cover exactly the nodes the reference scans. Explicit
-    // (metric, index) lexicographic comparisons reproduce its ascending
-    // first-wins tie-break whatever order the set is in.
-    int Victim = -1;
-    double VictimMetric = std::numeric_limits<double>::infinity();
-    for (unsigned I : Constrained) {
-      if (LRS.range(I).NoSpill)
-        continue;
-      double Metric = LRS.range(I).spillCost() /
-                      static_cast<double>(std::max(Degree[I], 1u));
-      if (Victim < 0 || Metric < VictimMetric ||
-          (Metric == VictimMetric && static_cast<int>(I) < Victim)) {
-        Victim = static_cast<int>(I);
-        VictimMetric = Metric;
-      }
-    }
+    // Blocked: the heap drained, so every active node is in Constrained.
+    int Victim = Victims.cheapest();
     bool EmergencyNoSpill = Victim < 0;
     if (EmergencyNoSpill) {
       // Only unspillable reload temporaries remain. Push the one with the
       // smallest degree and hope color assignment finds room (its steal
-      // fallback guarantees progress).
+      // fallback guarantees progress). Explicit (degree, index) comparisons
+      // reproduce the reference's ascending first-wins tie-break whatever
+      // order the set is in.
       unsigned BestDegree = ~0u;
       for (unsigned I : Constrained)
         if (Degree[I] < BestDegree ||
@@ -146,6 +163,8 @@ SimplifyResult Simplifier::run(const AllocationContext &Ctx, bool Optimistic,
     } else {
       Result.SpilledNodes.push_back(V);
     }
+    if (!EmergencyNoSpill)
+      Victims.pop();
     RemoveConstrained(V);
     Deactivate(V);
     --Remaining;

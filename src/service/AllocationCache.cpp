@@ -4,7 +4,7 @@
 
 #include "support/Hash.h"
 
-#include <algorithm>
+#include <iterator>
 
 using namespace ccra;
 
@@ -37,125 +37,92 @@ std::string ccra::allocationCacheKey(const AllocRequest &R) {
   return Key;
 }
 
-namespace {
-
-std::size_t snapshotBytes(const TelemetrySnapshot &S) {
-  std::size_t N = 0;
-  for (const auto &E : S.Counters)
-    N += E.first.size() + sizeof(double);
-  for (const auto &E : S.TimersMs)
-    N += E.first.size() + sizeof(double);
-  return N;
+AllocationCache::EntryList::iterator
+AllocationCache::find(std::uint64_t Hash, const std::string &Key) {
+  auto [First, Last] = Index.equal_range(Hash);
+  for (auto It = First; It != Last; ++It)
+    if (It->second->Key == Key)
+      return It->second;
+  return Lru.end();
 }
 
-std::size_t recordBytes(const AllocationCache::FunctionRecord &F) {
-  return F.Ir.size() + F.Summary.Name.size() + sizeof(FunctionSummary);
-}
-
-} // namespace
-
-bool AllocationCache::lookup(const std::string &Key, AllocResponse &Out) {
+AllocationCache::Payload AllocationCache::lookup(const std::string &Key) {
   if (!enabled())
-    return false;
+    return nullptr;
   std::uint64_t Hash = fnv1a64(Key);
   std::lock_guard<std::mutex> Lock(M);
-  auto BucketIt = Buckets.find(Hash);
-  ModuleEntry *Entry = nullptr;
-  if (BucketIt != Buckets.end()) {
-    for (std::uint64_t Id : BucketIt->second) {
-      ModuleEntry &E = Modules.at(Id);
-      if (E.Key == Key) {
-        Entry = &E;
-        break;
-      }
-    }
-  }
-  if (!Entry) {
+  auto It = find(Hash, Key);
+  if (It == Lru.end()) {
     ++Misses;
-    return false;
+    return nullptr;
   }
   ++Hits;
-  Lru.splice(Lru.begin(), Lru, Entry->LruPos);
-
-  Out = AllocResponse();
-  Out.Totals = Entry->Totals;
-  Out.Telemetry = Entry->Telemetry;
-  Out.AllocatedIr = Entry->IrHeader;
-  for (unsigned I = 0; I < Entry->FunctionCount; ++I) {
-    const FunctionRecord &F = Functions.at({Entry->Id, I});
-    Out.AllocatedIr += F.Ir;
-    if (F.HasSummary)
-      Out.Functions.push_back(F.Summary);
-  }
-  return true;
+  Lru.splice(Lru.begin(), Lru, It);
+  return It->Bytes;
 }
 
-void AllocationCache::insert(const std::string &Key,
-                             const std::string &IrHeader,
-                             const CostBreakdown &Totals,
-                             const TelemetrySnapshot &Telemetry,
-                             std::vector<FunctionRecord> Records) {
+void AllocationCache::insert(const std::string &Key, std::string Encoded) {
   if (!enabled())
     return;
-  std::uint64_t Hash = fnv1a64(Key);
-
-  std::size_t EntryBytes = Key.size() + IrHeader.size() +
-                           snapshotBytes(Telemetry) + sizeof(ModuleEntry);
-  for (const FunctionRecord &F : Records)
-    EntryBytes += recordBytes(F);
-  if (EntryBytes > MaxBytes)
+  std::size_t Charge = Key.size() + Encoded.size() + sizeof(Entry);
+  if (Charge > MaxBytes)
     return; // would evict everything and still not fit
 
-  std::lock_guard<std::mutex> Lock(M);
-  for (std::uint64_t Id : Buckets[Hash])
-    if (Modules.at(Id).Key == Key)
-      return; // lost a publish race; the existing entry is identical
+  // The entry is built before taking the lock: copying the key and the
+  // payload is the expensive part of a publish.
+  EntryList Node;
+  Node.push_back({fnv1a64(Key), Key,
+                  std::make_shared<const std::string>(std::move(Encoded)),
+                  Charge});
+  std::uint64_t Hash = Node.front().Hash;
 
-  std::uint64_t Id = NextId++;
-  ModuleEntry E;
-  E.Id = Id;
-  E.Hash = Hash;
-  E.Key = Key;
-  E.IrHeader = IrHeader;
-  E.Totals = Totals;
-  E.Telemetry = Telemetry;
-  E.FunctionCount = static_cast<unsigned>(Records.size());
-  E.Bytes = EntryBytes;
-  Lru.push_front(Id);
-  E.LruPos = Lru.begin();
-  for (unsigned I = 0; I < E.FunctionCount; ++I)
-    Functions.emplace(std::make_pair(Id, I), std::move(Records[I]));
-  Buckets[Hash].push_back(Id);
-  Modules.emplace(Id, std::move(E));
-  TotalBytes += EntryBytes;
+  std::lock_guard<std::mutex> Lock(M);
+  if (find(Hash, Key) != Lru.end())
+    return; // lost a publish race; the existing entry is identical
+  Lru.splice(Lru.begin(), Node);
+  Index.emplace(Hash, Lru.begin());
+  TotalBytes += Charge;
   ++Insertions;
   evictToFit();
 }
 
 void AllocationCache::evictToFit() {
   while (TotalBytes > MaxBytes && !Lru.empty()) {
-    erase(Lru.back());
+    auto Victim = std::prev(Lru.end());
+    auto [First, Last] = Index.equal_range(Victim->Hash);
+    for (auto It = First; It != Last; ++It)
+      if (It->second == Victim) {
+        Index.erase(It);
+        break;
+      }
+    TotalBytes -= Victim->Charge;
+    Lru.erase(Victim);
     ++Evictions;
   }
 }
 
-void AllocationCache::erase(std::uint64_t Id) {
-  auto It = Modules.find(Id);
-  if (It == Modules.end())
+bool AllocationCache::lookup(const std::string &Key, AllocResponse &Out) {
+  Payload Hit = lookup(Key);
+  return Hit && parseAllocResponse(*Hit, Out);
+}
+
+void AllocationCache::insert(const std::string &Key,
+                             const std::string &IrHeader,
+                             const CostBreakdown &Totals,
+                             const TelemetrySnapshot &Telemetry,
+                             std::vector<FunctionRecord> Functions) {
+  if (!enabled())
     return;
-  ModuleEntry &E = It->second;
-  TotalBytes -= E.Bytes;
-  Functions.erase(Functions.lower_bound({Id, 0}),
-                  Functions.upper_bound({Id, ~0u}));
-  auto BucketIt = Buckets.find(E.Hash);
-  if (BucketIt != Buckets.end()) {
-    auto &Ids = BucketIt->second;
-    Ids.erase(std::remove(Ids.begin(), Ids.end(), Id), Ids.end());
-    if (Ids.empty())
-      Buckets.erase(BucketIt);
+  AllocResponse R;
+  R.Totals = Totals;
+  R.Telemetry = Telemetry;
+  R.AllocatedIr = IrHeader;
+  for (const FunctionRecord &F : Functions) {
+    R.AllocatedIr += F.Ir;
+    if (F.HasSummary)
+      R.Functions.push_back(F.Summary);
   }
-  Lru.erase(E.LruPos);
-  Modules.erase(It);
+  insert(Key, encodeAllocResponse(R));
 }
 
 AllocationCacheStats AllocationCache::stats() const {
@@ -166,7 +133,6 @@ AllocationCacheStats AllocationCache::stats() const {
   S.Evictions = Evictions;
   S.Insertions = Insertions;
   S.Bytes = TotalBytes;
-  S.Modules = Modules.size();
-  S.Functions = Functions.size();
+  S.Modules = Lru.size();
   return S;
 }

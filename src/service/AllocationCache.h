@@ -10,20 +10,18 @@
 /// response verbatim and be byte-identical to a cold allocation, with no
 /// invalidation or coherence protocol ever needed.
 ///
-/// Layout mirrors the `(module, fn)` keying discipline of
-/// analysis/AnalysisCache.h: a module-level entry holds the totals, the
-/// replayed telemetry, and the `module <name>` header line, while each
-/// function's summary and IR slice lives in its own (module-id, fn-index)
-/// entry. A hit reassembles `printModule` output byte-for-byte from the
-/// slices. Keys are hash-addressed (support/Hash.h FNV-1a 64) but every
-/// entry stores its full key text and lookup compares it exactly, so a
-/// hash collision costs one string compare, never a wrong response.
+/// An entry holds its full key and one immutable payload: the exact bytes
+/// encodeAllocResponse produced for the cold miss. A hit hands out a
+/// shared reference to those bytes, so it touches no AllocResponse, no
+/// telemetry map and no formatting, and the caller copies them into its
+/// reply outside the lock. Keys are hash-addressed (support/Hash.h FNV-1a
+/// 64) but lookup compares the full key text, so a hash collision costs
+/// one string compare, never a wrong response.
 ///
-/// Bounded by bytes, evicting least-recently-used whole modules (a module
-/// and its function entries enter and leave together; an entry larger than
-/// the whole budget is simply not admitted). Thread-safe: one mutex, held
-/// only for map/list operations — the expensive work a hit avoids (parse,
-/// verify, engine run) never happens at all.
+/// Bounded by bytes (an entry is charged its key, its payload and a fixed
+/// overhead), evicting least-recently-used entries; an entry larger than
+/// the whole budget is simply not admitted. Thread-safe: one mutex, held
+/// only for map/list operations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +32,7 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -51,23 +49,15 @@ std::string allocationCacheKey(const AllocRequest &R);
 struct AllocationCacheStats {
   std::uint64_t Hits = 0;
   std::uint64_t Misses = 0;
-  std::uint64_t Evictions = 0;  ///< modules evicted (not function entries)
+  std::uint64_t Evictions = 0;
   std::uint64_t Insertions = 0;
-  std::size_t Bytes = 0;        ///< current footprint estimate
-  std::size_t Modules = 0;
-  std::size_t Functions = 0;
+  std::size_t Bytes = 0; ///< charged footprint of the resident entries
+  std::size_t Modules = 0; ///< resident entries
 };
 
 class AllocationCache {
 public:
-  /// One cached function: its response summary (absent for declarations,
-  /// which appear in the IR but not in the response's function list) and
-  /// its exact slice of the printModule output.
-  struct FunctionRecord {
-    bool HasSummary = false;
-    FunctionSummary Summary;
-    std::string Ir; ///< printFunction output + trailing '\n'
-  };
+  using Payload = std::shared_ptr<const std::string>;
 
   /// \p MaxBytes = 0 disables the cache (lookup always misses, insert is a
   /// no-op) — the "cache off" configuration is the same object, so callers
@@ -80,51 +70,60 @@ public:
   bool enabled() const { return MaxBytes > 0; }
   std::size_t capacityBytes() const { return MaxBytes; }
 
-  /// On hit, rebuilds the full response (totals, per-function summaries,
-  /// replayed telemetry, reassembled IR) into \p Out and returns true.
-  /// Counts a miss when the cache is disabled or the key is absent.
+  /// The stored encoded response for \p Key, or null. Counts a miss when
+  /// the cache is disabled or the key is absent.
+  Payload lookup(const std::string &Key);
+
+  /// Publishes the encoded response of one successful allocation.
+  /// Re-inserting an existing key is a no-op (two workers race to publish
+  /// the same miss).
+  void insert(const std::string &Key, std::string Encoded);
+
+  AllocationCacheStats stats() const;
+
+  // Adapters for the benchmark's in-process replay, which publishes and
+  // reads responses piecewise. Both go through the one payload store.
+
+  /// One function of a piecewise insert: its response summary (absent for
+  /// declarations, which appear in the IR but not in the function list)
+  /// and its printFunction output plus a trailing '\n'.
+  struct FunctionRecord {
+    bool HasSummary = false;
+    FunctionSummary Summary;
+    std::string Ir;
+  };
+
+  /// On hit, parses the stored payload into \p Out (an exact round trip).
   bool lookup(const std::string &Key, AllocResponse &Out);
 
-  /// Publishes one successful allocation. \p IrHeader is the module header
-  /// line of the printModule output; \p Functions holds one record per
-  /// module function, in module order. Re-inserting an existing key is a
-  /// no-op (two workers race to publish the same miss).
+  /// Encodes the response made of \p IrHeader (the `module` line), the
+  /// records in module order, \p Totals and \p Telemetry, and inserts it.
   void insert(const std::string &Key, const std::string &IrHeader,
               const CostBreakdown &Totals, const TelemetrySnapshot &Telemetry,
               std::vector<FunctionRecord> Functions);
 
-  AllocationCacheStats stats() const;
-
 private:
-  struct ModuleEntry {
-    std::uint64_t Id = 0;
+  struct Entry {
     std::uint64_t Hash = 0;
     std::string Key; ///< full key material; compared exactly on lookup
-    std::string IrHeader;
-    CostBreakdown Totals;
-    TelemetrySnapshot Telemetry;
-    unsigned FunctionCount = 0;
-    std::size_t Bytes = 0;
-    std::list<std::uint64_t>::iterator LruPos;
+    Payload Bytes;
+    std::size_t Charge = 0;
   };
+  using EntryList = std::list<Entry>;
 
+  /// The entry for \p Key (hash \p Hash), or Lru.end(). Caller holds M.
+  EntryList::iterator find(std::uint64_t Hash, const std::string &Key);
   /// Drops the LRU tail until the footprint fits. Caller holds M.
   void evictToFit();
-  /// Removes one module entry and its function entries. Caller holds M.
-  void erase(std::uint64_t Id);
 
   const std::size_t MaxBytes;
 
   mutable std::mutex M;
-  std::uint64_t NextId = 1;
   std::size_t TotalBytes = 0;
   std::uint64_t Hits = 0, Misses = 0, Evictions = 0, Insertions = 0;
-  /// hash -> ids of entries with that hash (collision bucket).
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> Buckets;
-  std::unordered_map<std::uint64_t, ModuleEntry> Modules;
-  /// (module id, function index) -> record: the per-function granularity.
-  std::map<std::pair<std::uint64_t, unsigned>, FunctionRecord> Functions;
-  std::list<std::uint64_t> Lru; ///< front = most recently used
+  EntryList Lru; ///< front = most recently used
+  /// Key hash -> entry; colliding keys share a hash.
+  std::unordered_multimap<std::uint64_t, EntryList::iterator> Index;
 };
 
 } // namespace ccra

@@ -196,12 +196,11 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   // the same byte-identical request once parsed, verified, and allocated.
   if (Cache.enabled()) {
     Pending->CacheKey = allocationCacheKey(Pending->Request);
-    AllocResponse Cached;
-    if (Cache.lookup(Pending->CacheKey, Cached)) {
+    if (AllocationCache::Payload Cached = Cache.lookup(Pending->CacheKey)) {
       Telem.addCount(telemetry::ServeResponsesOk);
       Frame Out;
       Out.Type = FrameType::AllocResponse;
-      Out.Payload = encodeAllocResponse(Cached);
+      Out.Payload = *Cached;
       return reply(std::move(Out));
     }
   }
@@ -370,56 +369,36 @@ void AllocationServer::serve(PendingRequest &P) {
     TelemetrySnapshot ItemTelem = EngineTelem.takeSnapshot();
     Module *M = &Job->module();
 
-    // Build the response from per-function IR slices (the exact pieces
-    // the cache stores, so a later hit reassembles byte-identical output)
-    // and publish it to the cache.
     AllocResponse Resp;
     Resp.Totals = Result.Totals;
-    std::string IrHeader = "module " + M->getName() + "\n";
-    std::vector<AllocationCache::FunctionRecord> Records;
     {
       Telemetry::ScopedTimer Render(&Telem, telemetry::ServeRenderPhase);
-      Records.reserve(M->functions().size());
-      std::size_t IrBytes = IrHeader.size();
       for (const auto &F : M->functions()) {
-        AllocationCache::FunctionRecord Rec;
-        printFunction(*F, Rec.Ir);
-        Rec.Ir += '\n';
-        IrBytes += Rec.Ir.size();
-        if (!F->isDeclaration()) {
-          auto It = Result.PerFunction.find(F.get());
-          if (It != Result.PerFunction.end()) {
-            const FunctionAllocation &FA = It->second;
-            Rec.HasSummary = true;
-            Rec.Summary = {F->getName(),       FA.Costs,
-                           FA.Rounds,          FA.SpilledRanges,
-                           FA.VoluntarySpills, FA.CoalescedMoves,
-                           FA.CalleeRegsPaid};
-            Resp.Functions.push_back(Rec.Summary);
-          }
-        }
-        Records.push_back(std::move(Rec));
+        auto It = Result.PerFunction.find(F.get());
+        if (F->isDeclaration() || It == Result.PerFunction.end())
+          continue;
+        const FunctionAllocation &FA = It->second;
+        Resp.Functions.push_back({F->getName(), FA.Costs, FA.Rounds,
+                                  FA.SpilledRanges, FA.VoluntarySpills,
+                                  FA.CoalescedMoves, FA.CalleeRegsPaid});
       }
-      Resp.AllocatedIr.reserve(IrBytes);
-      Resp.AllocatedIr = IrHeader;
-      for (const AllocationCache::FunctionRecord &Rec : Records)
-        Resp.AllocatedIr += Rec.Ir;
+      printModule(*M, Resp.AllocatedIr);
     }
-
-    if (!P.CacheKey.empty())
-      Cache.insert(P.CacheKey, IrHeader, Resp.Totals, ItemTelem,
-                   std::move(Records));
 
     Telem.merge(ItemTelem);
     Telem.addCount(telemetry::ServeResponsesOk);
     // Last consumer of the item's telemetry: move it into the response
-    // instead of copying the ~50-entry maps a third time.
+    // instead of copying the ~50-entry maps again.
     Resp.Telemetry = std::move(ItemTelem);
     Out.Type = FrameType::AllocResponse;
     {
       Telemetry::ScopedTimer Encode(&Telem, telemetry::ServeEncodePhase);
       Out.Payload = encodeAllocResponse(Resp);
     }
+    // The cache stores these exact bytes, so a later hit is
+    // byte-identical to this response by construction.
+    if (!P.CacheKey.empty())
+      Cache.insert(P.CacheKey, Out.Payload);
   }
   // Posted before the module (or clone) and results are freed, so the
   // release cost stays off the response's latency.

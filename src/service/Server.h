@@ -17,7 +17,7 @@
 ///                                         module tier ─hit─> clone
 ///                                           │miss
 ///                                         parse, verify, (retain)
-///                                       allocate, publish
+///                                       allocate, encode, publish
 ///
 /// - **Connections.** service/EventLoop.h multiplexes every client over
 ///   one epoll thread: connection count is decoupled from thread count,
@@ -38,7 +38,10 @@
 ///   bit-identity across every engine configuration), so each response is
 ///   a pure function of (module bytes, canonical options, config, mode).
 ///   Repeat requests are served straight from the AllocationCache — no
-///   parse, no IR verify, no engine run, byte-identical to a cold run.
+///   parse, no IR verify, no engine run. Each entry is the encoded payload
+///   of the cold response, so a hit copies stored bytes into its reply:
+///   byte-identical to the cold run by construction, with no response
+///   rebuilt or re-encoded.
 /// - **Module tier.** Behind the response cache, service/ModuleTier.h
 ///   keeps recently seen modules parsed and verified, each with its own
 ///   analysis cache. A response miss on a module the tier holds skips
@@ -184,7 +187,7 @@ private:
   FrameDisposition handleFrame(std::uint64_t ConnId, Frame &In);
   void workerLoop();
   /// Answers \p P: admission checks, module-tier lookup (or parse and
-  /// verify), allocation, cache publish, response. Every path posts
+  /// verify), allocation, response encode, cache publish of those bytes. Every path posts
   /// exactly one response, as its last step; an exception means nothing
   /// was posted.
   void serve(PendingRequest &P);

@@ -271,7 +271,9 @@ ccra::generateFuzzModule(const FuzzGenParams &Params) {
   // frequency analysis relies on this, same as RandomProgram).
   std::vector<Function *> Built;
   for (unsigned I = 0; I < NumFunctions; ++I) {
-    Function *F = M->createFunction("f" + std::to_string(I));
+    std::string Name = "f";
+    Name += std::to_string(I);
+    Function *F = M->createFunction(Name);
     buildFunction(*F, R, Params, Built);
     Built.push_back(F);
   }

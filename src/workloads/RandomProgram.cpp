@@ -93,7 +93,9 @@ ccra::generateRandomProgram(const RandomProgramParams &Params) {
   // the call graph is a DAG (the frequency analysis relies on this).
   std::vector<Function *> Built;
   for (unsigned I = 0; I < Params.NumFunctions; ++I) {
-    Function *F = M->createFunction("f" + std::to_string(I));
+    std::string Name = "f";
+    Name += std::to_string(I);
+    Function *F = M->createFunction(Name);
     buildRandomFunction(*F, R, Params, Built);
     Built.push_back(F);
   }

@@ -2,10 +2,11 @@
 //
 // Tier-1 coverage for the caching tier (src/service/):
 //
-//  - AllocationCache unit behavior: miss-then-hit replay, per-function
-//    reassembly (declarations included), the byte-bounded LRU eviction
-//    policy, oversized-entry rejection, disabled-cache semantics, and
-//    idempotent re-insertion (the publish race two workers can run);
+//  - AllocationCache unit behavior: a hit returns the inserted payload
+//    bytes exactly, the byte-bounded LRU eviction policy, oversized-entry
+//    rejection, disabled-cache semantics, idempotent re-insertion (the
+//    publish race two workers can run), and the piecewise adapters the
+//    benchmark's in-process replay uses;
 //  - allocationCacheKey covers exactly the result-affecting request fields
 //    and is blind to admission control (DeadlineMs) and execution
 //    strategy (Jobs et al.);
@@ -15,17 +16,19 @@
 //  - concurrent hit storms over one shared cache and over the module tier
 //    (the TSan stage runs this binary; see tools/check.sh);
 //  - the end-to-end contract: every committed fuzz corpus entry replayed
-//    twice through a cache-enabled server, with the cached response
-//    byte-identical to the cold one and both bit-identical to in-process
-//    allocation.
+//    twice through a cache-enabled server over both codecs (text and
+//    CIR2), with the cached response byte-identical to the cold one and
+//    both bit-identical to in-process allocation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/EngineBuilder.h"
 #include "fuzz/Corpus.h"
+#include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "service/AllocationCache.h"
+#include "service/BinaryCodec.h"
 #include "service/Client.h"
 #include "service/ModuleTier.h"
 #include "service/Server.h"
@@ -34,6 +37,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -51,75 +55,60 @@ using namespace ccra;
 
 namespace {
 
-using FunctionRecord = AllocationCache::FunctionRecord;
+/// The payload a cold miss would publish for \p Tag: distinctive bytes of
+/// \p Size (at least the tag's length).
+std::string payloadFor(const std::string &Tag, std::size_t Size = 64) {
+  std::string P = "payload of ";
+  P += Tag;
+  P.resize(std::max(Size, P.size()), '.');
+  return P;
+}
 
-/// A two-function module entry (one allocated function, one declaration)
-/// whose reassembled IR is distinctive enough to catch ordering bugs.
-struct SampleEntry {
-  std::string Key;
-  std::string IrHeader;
-  CostBreakdown Totals;
-  TelemetrySnapshot Telemetry;
-  std::vector<FunctionRecord> Functions;
-  std::string ExpectedIr;
+std::string keyFor(const std::string &Tag) {
+  std::string Key = "options for ";
+  Key += Tag;
+  Key += "\nmodule ";
+  Key += Tag;
+  Key += '\n';
+  return Key;
+}
 
-  explicit SampleEntry(const std::string &Tag) {
-    Key = "options for " + Tag + "\nmodule " + Tag + "\n";
-    IrHeader = "module " + Tag + "\n";
-    Totals = {1.5, 2.5, 0.25, 0.125};
-    Telemetry.Counters["functions"] = 1;
-
-    FunctionRecord Fn;
-    Fn.HasSummary = true;
-    Fn.Summary = {"f_" + Tag, {1.5, 2.5, 0.25, 0.125}, 2, 1, 0, 3, 2};
-    Fn.Ir = "func @f_" + Tag + " {\nentry:\n  ret\n}\n\n";
-    FunctionRecord Decl;
-    Decl.HasSummary = false;
-    Decl.Ir = "func @ext_" + Tag + " (external)\n\n";
-    Functions = {Fn, Decl};
-    ExpectedIr = IrHeader + Fn.Ir + Decl.Ir;
-  }
-
-  void insertInto(AllocationCache &C) const {
-    C.insert(Key, IrHeader, Totals, Telemetry, Functions);
-  }
-};
+/// What the cache charges for \p Key plus a payload of \p Size bytes.
+std::size_t chargeOf(const std::string &Key, std::size_t Size) {
+  AllocationCache Probe(1u << 20);
+  Probe.insert(Key, std::string(Size, 'x'));
+  return Probe.stats().Bytes;
+}
 
 TEST(AllocationCacheUnit, MissThenHitReplaysTheStoredResponse) {
   AllocationCache Cache(1u << 20);
   ASSERT_TRUE(Cache.enabled());
-  SampleEntry E("m");
+  const std::string Key = keyFor("m"), Payload = payloadFor("m", 300);
 
-  AllocResponse Out;
-  EXPECT_FALSE(Cache.lookup(E.Key, Out));
-  E.insertInto(Cache);
-  ASSERT_TRUE(Cache.lookup(E.Key, Out));
-
-  // Reassembled byte-for-byte from the header and per-function slices,
-  // declarations included; the response's function list carries only the
-  // functions that had summaries.
-  EXPECT_EQ(E.ExpectedIr, Out.AllocatedIr);
-  EXPECT_TRUE(E.Totals == Out.Totals);
-  ASSERT_EQ(1u, Out.Functions.size());
-  EXPECT_EQ("f_m", Out.Functions[0].Name);
-  EXPECT_EQ(1.0, Out.Telemetry.count("functions"));
+  EXPECT_EQ(nullptr, Cache.lookup(Key));
+  Cache.insert(Key, Payload);
+  AllocationCache::Payload Hit = Cache.lookup(Key);
+  ASSERT_NE(nullptr, Hit);
+  EXPECT_EQ(Payload, *Hit);
+  // Same bytes, same object: a hit never re-encodes.
+  EXPECT_EQ(Hit, Cache.lookup(Key));
 
   AllocationCacheStats S = Cache.stats();
-  EXPECT_EQ(1u, S.Hits);
+  EXPECT_EQ(2u, S.Hits);
   EXPECT_EQ(1u, S.Misses);
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(1u, S.Modules);
-  EXPECT_EQ(2u, S.Functions);
-  EXPECT_GT(S.Bytes, 0u);
+  // Charged the key, the payload and a fixed overhead.
+  EXPECT_GT(S.Bytes, Key.size() + Payload.size());
+  EXPECT_EQ(S.Bytes - Key.size() - Payload.size(),
+            chargeOf("k", 5) - 1 - 5);
 }
 
 TEST(AllocationCacheUnit, DisabledCacheNeverHitsAndStoresNothing) {
   AllocationCache Cache(0);
   EXPECT_FALSE(Cache.enabled());
-  SampleEntry E("off");
-  E.insertInto(Cache);
-  AllocResponse Out;
-  EXPECT_FALSE(Cache.lookup(E.Key, Out));
+  Cache.insert(keyFor("off"), payloadFor("off"));
+  EXPECT_EQ(nullptr, Cache.lookup(keyFor("off")));
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(0u, S.Insertions);
   EXPECT_EQ(0u, S.Modules);
@@ -127,55 +116,105 @@ TEST(AllocationCacheUnit, DisabledCacheNeverHitsAndStoresNothing) {
 }
 
 TEST(AllocationCacheUnit, EvictsLeastRecentlyUsedModulesToFitTheBudget) {
-  SampleEntry A("aaaa"), B("bbbb"), C("cccc");
-  // Budget sized for exactly two entries (all three are the same shape).
-  AllocationCache Probe(1u << 20);
-  A.insertInto(Probe);
-  const std::size_t OneEntry = Probe.stats().Bytes;
-  ASSERT_GT(OneEntry, 0u);
+  // Three small entries and one whose payload alone outweighs two of
+  // them: the budget fits the three small ones plus half of a fourth.
+  const std::size_t Small = 100, Large = 250;
+  const std::size_t OneSmall = chargeOf(keyFor("aaaa"), Small);
+  const std::size_t Budget = 3 * OneSmall + OneSmall / 2;
+  ASSERT_LT(chargeOf(keyFor("dddd"), Large), 2 * OneSmall + OneSmall / 2);
+  ASSERT_GT(chargeOf(keyFor("dddd"), Large), OneSmall + OneSmall / 2);
 
-  AllocationCache Cache(2 * OneEntry + OneEntry / 2);
-  A.insertInto(Cache);
-  B.insertInto(Cache);
-  // Touch A so B is the LRU module when C arrives.
-  AllocResponse Out;
-  ASSERT_TRUE(Cache.lookup(A.Key, Out));
-  C.insertInto(Cache);
+  AllocationCache Cache(Budget);
+  for (const char *Tag : {"aaaa", "bbbb", "cccc"})
+    Cache.insert(keyFor(Tag), payloadFor(Tag, Small));
+  // Touch A so B, then C, are the least recently used.
+  ASSERT_NE(nullptr, Cache.lookup(keyFor("aaaa")));
+  Cache.insert(keyFor("dddd"), payloadFor("dddd", Large));
 
-  EXPECT_TRUE(Cache.lookup(A.Key, Out));
-  EXPECT_FALSE(Cache.lookup(B.Key, Out)) << "LRU module survived eviction";
-  EXPECT_TRUE(Cache.lookup(C.Key, Out));
+  EXPECT_EQ(payloadFor("aaaa", Small), *Cache.lookup(keyFor("aaaa")));
+  EXPECT_EQ(nullptr, Cache.lookup(keyFor("bbbb")))
+      << "LRU entry survived eviction";
+  EXPECT_EQ(nullptr, Cache.lookup(keyFor("cccc")))
+      << "the large payload needs the room of two small entries";
+  EXPECT_EQ(payloadFor("dddd", Large), *Cache.lookup(keyFor("dddd")));
 
   AllocationCacheStats S = Cache.stats();
-  EXPECT_EQ(1u, S.Evictions);
+  EXPECT_EQ(2u, S.Evictions);
   EXPECT_EQ(2u, S.Modules);
+  EXPECT_EQ(OneSmall + chargeOf(keyFor("dddd"), Large), S.Bytes);
   EXPECT_LE(S.Bytes, Cache.capacityBytes());
 }
 
 TEST(AllocationCacheUnit, EntryLargerThanTheWholeBudgetIsNotAdmitted) {
-  SampleEntry Small("s");
-  AllocationCache Probe(1u << 20);
-  Small.insertInto(Probe);
-  AllocationCache Cache(Probe.stats().Bytes / 2);
+  const std::string Resident = keyFor("r"), Big = keyFor("big");
+  AllocationCache Cache(chargeOf(Resident, 64) + 100);
+  Cache.insert(Resident, payloadFor("r"));
+  ASSERT_EQ(1u, Cache.stats().Insertions);
 
-  Small.insertInto(Cache);
-  AllocResponse Out;
-  EXPECT_FALSE(Cache.lookup(Small.Key, Out));
+  Cache.insert(Big, payloadFor("big", Cache.capacityBytes()));
+  EXPECT_EQ(nullptr, Cache.lookup(Big));
   AllocationCacheStats S = Cache.stats();
-  EXPECT_EQ(0u, S.Insertions);
+  EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(0u, S.Evictions) << "rejection must not churn resident entries";
+  EXPECT_NE(nullptr, Cache.lookup(Resident));
 }
 
 TEST(AllocationCacheUnit, ReinsertingAnExistingKeyIsANoOp) {
   AllocationCache Cache(1u << 20);
-  SampleEntry E("twice");
-  E.insertInto(Cache);
+  const std::string Key = keyFor("twice");
+  Cache.insert(Key, payloadFor("twice"));
+  AllocationCache::Payload First = Cache.lookup(Key);
   const std::size_t Bytes = Cache.stats().Bytes;
-  E.insertInto(Cache); // two workers publishing the same miss
+  // Two workers publishing the same miss; the first entry stays.
+  Cache.insert(Key, payloadFor("twice", 500));
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(1u, S.Modules);
   EXPECT_EQ(Bytes, S.Bytes);
+  EXPECT_EQ(First, Cache.lookup(Key));
+}
+
+TEST(AllocationCacheAdapter, RecordInsertThenResponseLookupRoundTrips) {
+  // The piecewise publish of the benchmark's replay: one allocated
+  // function and one declaration, whose IR is distinctive enough to catch
+  // ordering bugs, with telemetry values that need every digit.
+  using FunctionRecord = AllocationCache::FunctionRecord;
+  AllocResponse Original;
+  Original.Totals = {1.5, 2.5, 0.1, 1e-300};
+  Original.Telemetry.Counters["functions"] = 1;
+  Original.Telemetry.TimersMs["alloc.total"] = 0.1 + 0.2;
+  FunctionRecord Fn;
+  Fn.HasSummary = true;
+  Fn.Summary = {"f_m", {1.5, 2.5, 0.1, 1e-300}, 2, 1, 0, 3, 2};
+  Fn.Ir = "func @f_m {\nentry:\n  ret\n}\n\n";
+  FunctionRecord Decl;
+  Decl.Ir = "func @ext_m (external)\n\n";
+  Original.Functions = {Fn.Summary};
+  Original.AllocatedIr = "module m\n" + Fn.Ir + Decl.Ir;
+
+  AllocationCache Cache(1u << 20);
+  const std::string Key = keyFor("m");
+  AllocResponse Out;
+  EXPECT_FALSE(Cache.lookup(Key, Out));
+  Cache.insert(Key, "module m\n", Original.Totals, Original.Telemetry,
+               {Fn, Decl});
+  // One store: the adapter's entry is the payload the daemon would send.
+  ASSERT_NE(nullptr, Cache.lookup(Key));
+  EXPECT_EQ(encodeAllocResponse(Original), *Cache.lookup(Key));
+
+  ASSERT_TRUE(Cache.lookup(Key, Out));
+  EXPECT_TRUE(Original.Totals == Out.Totals);
+  ASSERT_EQ(1u, Out.Functions.size());
+  const FunctionSummary &A = Original.Functions[0], &B = Out.Functions[0];
+  EXPECT_EQ(A.Name, B.Name);
+  EXPECT_TRUE(A.Costs == B.Costs);
+  EXPECT_EQ(A.Rounds, B.Rounds);
+  EXPECT_EQ(A.SpilledRanges, B.SpilledRanges);
+  EXPECT_EQ(A.VoluntarySpills, B.VoluntarySpills);
+  EXPECT_EQ(A.CoalescedMoves, B.CoalescedMoves);
+  EXPECT_EQ(A.CalleeRegsPaid, B.CalleeRegsPaid);
+  EXPECT_TRUE(Original.Telemetry == Out.Telemetry);
+  EXPECT_EQ(Original.AllocatedIr, Out.AllocatedIr);
 }
 
 TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
@@ -212,8 +251,8 @@ TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
 
 TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
   AllocationCache Cache(1u << 20);
-  SampleEntry Hot("hot");
-  Hot.insertInto(Cache);
+  const std::string HotKey = keyFor("hot"), HotPayload = payloadFor("hot");
+  Cache.insert(HotKey, HotPayload);
 
   const unsigned Threads = 8, Rounds = 500;
   std::vector<std::thread> Workers;
@@ -221,14 +260,16 @@ TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
       for (unsigned I = 0; I < Rounds; ++I) {
-        AllocResponse Out;
-        if (!Cache.lookup(Hot.Key, Out) || Out.AllocatedIr != Hot.ExpectedIr)
+        AllocationCache::Payload Hit = Cache.lookup(HotKey);
+        if (!Hit || *Hit != HotPayload)
           BadReplays.fetch_add(1);
         if (I % 50 == T) {
           // Cold traffic churning the LRU list under the readers.
-          SampleEntry Cold("t" + std::to_string(T) + "i" +
-                           std::to_string(I));
-          Cold.insertInto(Cache);
+          std::string Tag = "t";
+          Tag += std::to_string(T);
+          Tag += 'i';
+          Tag += std::to_string(I);
+          Cache.insert(keyFor(Tag), payloadFor(Tag));
         }
       }
     });
@@ -336,7 +377,8 @@ TEST(ModuleTierConcurrency, ChurningLookupsAndInsertsAreRaceFree) {
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
       for (unsigned I = 0; I < Rounds; ++I) {
-        std::string Key = "k" + std::to_string(10 + (I * 5 + T) % 12);
+        std::string Key = "k";
+        Key += std::to_string(10 + (I * 5 + T) % 12);
         std::uint64_t H = fnv1a64(Key);
         std::shared_ptr<ModuleTier::Entry> E = Tier.lookup(H, false, Key);
         if (!E)
@@ -396,36 +438,44 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
     ModuleAllocationResult Cold = Engine.allocateModule(*PR.M, Freq);
     const std::string ExpectedIr = printed(*PR.M);
 
-    // Round one misses and allocates; round two must be served from the
-    // cache. Raw frames so the comparison covers the whole payload.
-    Frame Req;
-    Req.Type = FrameType::AllocRequest;
-    Req.Payload = encodeAllocRequest(Request);
-    std::string Bytes;
-    encodeFrame(Req, Bytes);
-    std::string Payloads[2];
-    for (int Round = 0; Round < 2; ++Round) {
-      ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Entry.Path << ": " << Err;
-      Frame Resp;
-      ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(Resp, &Err))
-          << Entry.Path << ": " << Err;
-      ASSERT_EQ(FrameType::AllocResponse, Resp.Type) << Entry.Path;
-      Payloads[Round] = Resp.Payload;
-    }
-    EXPECT_EQ(Payloads[0], Payloads[1])
-        << Entry.Path << ": cached response diverged from cold";
-
-    AllocResponse Parsed;
-    ASSERT_TRUE(parseAllocResponse(Payloads[1], Parsed, &Err))
+    // Each codec's round one misses and allocates; its round two must be
+    // served from the cache. Raw frames so the comparison covers the whole
+    // payload. Text and CIR2 submissions are distinct entries.
+    AllocRequest Binary = Request;
+    ASSERT_TRUE(encodeModuleBinary(*Entry.M, Binary.ModuleBinary, &Err))
         << Entry.Path << ": " << Err;
-    EXPECT_EQ(ExpectedIr, Parsed.AllocatedIr) << Entry.Path;
-    EXPECT_TRUE(Cold.Totals == Parsed.Totals) << Entry.Path;
+    Binary.ModuleText.clear();
+    const Frame Requests[] = {
+        {FrameType::AllocRequest, encodeAllocRequest(Request)},
+        {FrameType::AllocRequestV2, encodeAllocRequestV2(Binary)}};
+    for (const Frame &Req : Requests) {
+      SCOPED_TRACE(Req.Type == FrameType::AllocRequest ? "text" : "CIR2");
+      std::string Bytes;
+      encodeFrame(Req, Bytes);
+      std::string Payloads[2];
+      for (int Round = 0; Round < 2; ++Round) {
+        ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Entry.Path << ": " << Err;
+        Frame Resp;
+        ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(Resp, &Err))
+            << Entry.Path << ": " << Err;
+        ASSERT_EQ(FrameType::AllocResponse, Resp.Type) << Entry.Path;
+        Payloads[Round] = Resp.Payload;
+      }
+      EXPECT_EQ(Payloads[0], Payloads[1])
+          << Entry.Path << ": cached response diverged from cold";
+
+      AllocResponse Parsed;
+      ASSERT_TRUE(parseAllocResponse(Payloads[1], Parsed, &Err))
+          << Entry.Path << ": " << Err;
+      EXPECT_EQ(ExpectedIr, Parsed.AllocatedIr) << Entry.Path;
+      EXPECT_TRUE(Cold.Totals == Parsed.Totals) << Entry.Path;
+    }
   }
 
   TelemetrySnapshot Stats = Server.stats();
-  EXPECT_EQ(static_cast<double>(Entries.size()),
+  EXPECT_EQ(2.0 * static_cast<double>(Entries.size()),
             Stats.count(telemetry::CacheHits));
-  EXPECT_EQ(static_cast<double>(Entries.size()),
+  EXPECT_EQ(2.0 * static_cast<double>(Entries.size()),
             Stats.count(telemetry::CacheMisses));
 
   Server.requestDrain();

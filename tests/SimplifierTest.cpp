@@ -269,6 +269,32 @@ TEST(SimplifierEquivalence, EmergencyNoSpillPathMatches) {
   EXPECT_EQ(A.Stack.size(), 4u);
 }
 
+TEST(SimplifierEquivalence, HundredsOfBlockedStepsPickTheReferenceVictims) {
+  // Dense graphs over few registers block on most steps, so the lazy
+  // victim heap re-pushes risen entries and drops removed nodes hundreds
+  // of times per run. Spill costs drawn from {10, 20, 30} make many
+  // metrics tie, which must still resolve to the lowest index.
+  unsigned Blocked = 0;
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed)
+    for (bool Optimistic : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << Seed << " optimistic=" << Optimistic);
+      ScenarioBuilder S(RegisterConfig(2, 1, 1, 1), 100);
+      AllocationContext &Ctx = buildEquivalenceScenario(S, Seed, 400);
+      for (unsigned I = 0; I < 400; ++I)
+        Ctx.LRS.range(I).WeightedRefs = 10.0 * (1 + (I * 7 + Seed) % 3);
+      SimplifyResult A = Simplifier::run(Ctx, Optimistic, deltaBenefitKey);
+      expectIdenticalResults(A,
+                             referenceSimplify(Ctx, Optimistic,
+                                               deltaBenefitKey));
+      Blocked += static_cast<unsigned>(A.SpilledNodes.size()) +
+                 static_cast<unsigned>(std::count(
+                     A.PushedOptimistically.begin(),
+                     A.PushedOptimistically.end(), true));
+    }
+  EXPECT_GT(Blocked, 6 * 200u);
+}
+
 // --- CBH: worklist vs reference ------------------------------------------
 //
 // CBHAllocator::simplify and referenceCBHSimplify must agree on every
@@ -311,6 +337,26 @@ TEST(CBHSimplifierEquivalence, WorklistMatchesReferenceAcrossSeedsConfigs) {
   // The sweep reaches both blocked outcomes.
   EXPECT_GT(Unlocks, 100u);
   EXPECT_GT(Spills, 100u);
+}
+
+TEST(CBHSimplifierEquivalence, HundredsOfBlockedStepsPickTheReferenceVictims) {
+  // As for Simplifier::run: dense graphs over few registers, tie-heavy
+  // spill costs, and both cheap and costly callee-save-register ranges, so
+  // spills and unlocks interleave over hundreds of blocked steps.
+  unsigned Spills = 0;
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed)
+    for (double EntryFreq : {0.5, 40.0}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << Seed << " entry=" << EntryFreq);
+      ScenarioBuilder S(RegisterConfig(2, 1, 3, 2), EntryFreq);
+      AllocationContext &Ctx = buildEquivalenceScenario(S, Seed, 400);
+      for (unsigned I = 0; I < 400; ++I)
+        Ctx.LRS.range(I).WeightedRefs = 10.0 * (1 + (I * 7 + Seed) % 3);
+      CBHSimplifyResult A = CBHAllocator::simplify(Ctx);
+      expectIdenticalCBH(A, referenceCBHSimplify(Ctx));
+      Spills += static_cast<unsigned>(A.SpilledNodes.size());
+    }
+  EXPECT_GT(Spills, 6 * 200u);
 }
 
 TEST(CBHSimplifierEquivalence, UnlockedNodesPopInIndexOrder) {
