@@ -10,15 +10,16 @@
 /// response verbatim and be byte-identical to a cold allocation, with no
 /// invalidation or coherence protocol ever needed.
 ///
-/// An entry holds its full key and one immutable payload: the exact bytes
-/// encodeAllocResponse produced for the cold miss. A hit hands out a
-/// shared reference to those bytes, so it touches no AllocResponse, no
-/// telemetry map and no formatting, and the caller copies them into its
-/// reply outside the lock. Keys are hash-addressed (support/Hash.h FNV-1a
-/// 64) but lookup compares the full key text, so a hash collision costs
-/// one string compare, never a wrong response.
+/// An entry holds its full key and one immutable frame: the AllocResponse
+/// frame, header and checksum included, that the worker encoded for the
+/// cold miss (service/WireProtocol.h WireFrame). A hit hands out that very
+/// frame, shared, and the event loop queues it by reference: no
+/// AllocResponse, no telemetry map, no formatting, no checksum and no copy.
+/// Keys are hash-addressed (support/Hash.h hash64, computed once by the
+/// caller and passed in) but lookup compares the full key text, so a hash
+/// collision costs one string compare, never a wrong response.
 ///
-/// Bounded by bytes (an entry is charged its key, its payload and a fixed
+/// Bounded by bytes (an entry is charged its key, its frame and a fixed
 /// overhead), evicting least-recently-used entries; an entry larger than
 /// the whole budget is simply not admitted. Thread-safe: one mutex, held
 /// only for map/list operations.
@@ -57,8 +58,6 @@ struct AllocationCacheStats {
 
 class AllocationCache {
 public:
-  using Payload = std::shared_ptr<const std::string>;
-
   /// \p MaxBytes = 0 disables the cache (lookup always misses, insert is a
   /// no-op) — the "cache off" configuration is the same object, so callers
   /// never branch on a null pointer.
@@ -70,19 +69,21 @@ public:
   bool enabled() const { return MaxBytes > 0; }
   std::size_t capacityBytes() const { return MaxBytes; }
 
-  /// The stored encoded response for \p Key, or null. Counts a miss when
-  /// the cache is disabled or the key is absent.
-  Payload lookup(const std::string &Key);
+  /// The stored response frame for \p Key, or null. \p Hash is
+  /// hash64(\p Key). Counts a miss when the cache is disabled or the key is
+  /// absent.
+  WireFrame lookup(std::uint64_t Hash, const std::string &Key);
 
-  /// Publishes the encoded response of one successful allocation.
-  /// Re-inserting an existing key is a no-op (two workers race to publish
-  /// the same miss).
-  void insert(const std::string &Key, std::string Encoded);
+  /// Publishes the response frame of one successful allocation; \p Hash
+  /// is hash64(\p Key). Re-inserting an existing key is a no-op (two
+  /// workers race to publish the same miss).
+  void insert(std::uint64_t Hash, const std::string &Key, WireFrame Response);
 
   AllocationCacheStats stats() const;
 
   // Adapters for the benchmark's in-process replay, which publishes and
-  // reads responses piecewise. Both go through the one payload store.
+  // reads responses piecewise. Both go through the one frame store and
+  // hash the key themselves.
 
   /// One function of a piecewise insert: its response summary (absent for
   /// declarations, which appear in the IR but not in the function list)
@@ -93,11 +94,13 @@ public:
     std::string Ir;
   };
 
-  /// On hit, parses the stored payload into \p Out (an exact round trip).
+  /// On hit, parses the stored frame's payload into \p Out (an exact
+  /// round trip).
   bool lookup(const std::string &Key, AllocResponse &Out);
 
-  /// Encodes the response made of \p IrHeader (the `module` line), the
-  /// records in module order, \p Totals and \p Telemetry, and inserts it.
+  /// Encodes the response frame made of \p IrHeader (the `module` line),
+  /// the records in module order, \p Totals and \p Telemetry, and inserts
+  /// it.
   void insert(const std::string &Key, const std::string &IrHeader,
               const CostBreakdown &Totals, const TelemetrySnapshot &Telemetry,
               std::vector<FunctionRecord> Functions);
@@ -106,7 +109,7 @@ private:
   struct Entry {
     std::uint64_t Hash = 0;
     std::string Key; ///< full key material; compared exactly on lookup
-    Payload Bytes;
+    WireFrame Response;
     std::size_t Charge = 0;
   };
   using EntryList = std::list<Entry>;

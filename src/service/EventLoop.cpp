@@ -14,11 +14,8 @@ constexpr std::uint64_t ListenerId = 0;
 constexpr std::uint64_t WakeId = 1;
 constexpr std::uint64_t TimerId = 2;
 
-Frame errorFrame(const std::string &Code, const std::string &Message) {
-  Frame F;
-  F.Type = FrameType::Error;
-  F.Payload = encodeError({Code, Message});
-  return F;
+WireFrame errorFrame(const std::string &Code, const std::string &Message) {
+  return encodeWireFrame({FrameType::Error, encodeError({Code, Message})});
 }
 
 } // namespace
@@ -31,7 +28,8 @@ EventLoop::~EventLoop() {
   wait();
 }
 
-bool EventLoop::start(ListenSocket L, Frame HelloFrame, FrameHandler Handler,
+bool EventLoop::start(ListenSocket L, WireFrame HelloFrame,
+                      FrameHandler Handler,
                       std::function<void()> DrainStarted, std::string *Err) {
   if (Started.load()) {
     if (Err)
@@ -67,7 +65,7 @@ void EventLoop::wait() {
     LoopThread.join();
 }
 
-void EventLoop::postResponse(std::uint64_t ConnId, Frame Response) {
+void EventLoop::postResponse(std::uint64_t ConnId, WireFrame Response) {
   {
     std::lock_guard<std::mutex> Lock(CompletionMutex);
     Completions.emplace_back(ConnId, std::move(Response));
@@ -198,7 +196,7 @@ void EventLoop::readReady(std::uint64_t Id) {
       return;
     }
     if (N == 0)
-      break; // would block; level-triggered epoll re-arms us
+      break; // would block
     bool WasIdle = C.In.empty() && !C.MidFrame;
     C.In.append(Buf, N);
     if (WasIdle) {
@@ -208,6 +206,11 @@ void EventLoop::readReady(std::uint64_t Id) {
       C.FrameDeadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(Config.FrameTimeoutMs);
     }
+    // A short read took everything the kernel had: stop without a second
+    // recv that would only report EAGAIN. Level-triggered epoll reports
+    // whatever arrives later.
+    if (N < sizeof(Buf))
+      break;
   }
   processInput(Id);
 }
@@ -268,14 +271,14 @@ void EventLoop::processInput(std::uint64_t Id) {
     // can close the connection; re-find on every iteration (above).
     switch (D.Action) {
     case FrameAction::Reply:
-      queueWrite(Id, D.Response);
+      queueWrite(Id, std::move(D.Response));
       continue;
     case FrameAction::ReplyClose: {
       auto It2 = Conns.find(Id);
       if (It2 == Conns.end())
         return;
       It2->second.CloseAfterFlush = true;
-      queueWrite(Id, D.Response);
+      queueWrite(Id, std::move(D.Response));
       return;
     }
     case FrameAction::InFlight: {
@@ -294,13 +297,13 @@ void EventLoop::processInput(std::uint64_t Id) {
   updateInterest(Id);
 }
 
-void EventLoop::queueWrite(std::uint64_t Id, const Frame &F) {
+void EventLoop::queueWrite(std::uint64_t Id, WireFrame F) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
   Conn &C = It->second;
-  bool WasEmpty = C.OutPos >= C.Out.size();
-  encodeFrame(F, C.Out);
+  bool WasEmpty = !C.writing();
+  C.Out.push_back(std::move(F));
   if (WasEmpty) {
     // The write budget is a total deadline for everything queued from this
     // moment, matching sendAll's contract in the blocking server.
@@ -317,10 +320,11 @@ void EventLoop::flushWrites(std::uint64_t Id) {
   if (It == Conns.end())
     return;
   Conn &C = It->second;
-  while (C.OutPos < C.Out.size()) {
+  while (C.writing()) {
+    const std::string &F = *C.Out[C.OutHead];
     IoStatus Status = IoStatus::Error;
-    std::size_t N = C.Sock.sendSome(C.Out.data() + C.OutPos,
-                                    C.Out.size() - C.OutPos, Status);
+    std::size_t N = C.Sock.sendSome(F.data() + C.OutPos,
+                                    F.size() - C.OutPos, Status);
     if (Status != IoStatus::Ok) {
       closeConn(Id);
       return;
@@ -328,9 +332,13 @@ void EventLoop::flushWrites(std::uint64_t Id) {
     if (N == 0)
       return; // would block; EPOLLOUT re-enters here
     C.OutPos += N;
+    if (C.OutPos == F.size()) {
+      C.Out[C.OutHead++].reset();
+      C.OutPos = 0;
+    }
   }
   C.Out.clear();
-  C.OutPos = 0;
+  C.OutHead = 0;
   if (C.CloseAfterFlush)
     closeConn(Id);
 }
@@ -341,7 +349,7 @@ void EventLoop::updateInterest(std::uint64_t Id) {
     return;
   Conn &C = It->second;
   bool WantRead = !C.Busy && !C.CloseAfterFlush;
-  bool WantWrite = C.OutPos < C.Out.size();
+  bool WantWrite = C.writing();
   if (WantRead == C.ReadArmed && WantWrite == C.WriteArmed)
     return;
   C.ReadArmed = WantRead;
@@ -368,7 +376,7 @@ void EventLoop::sweepDeadlines() {
       Expired.push_back(Entry.first);
       continue;
     }
-    if (C.OutPos < C.Out.size() && Now >= C.WriteDeadline) {
+    if (C.writing() && Now >= C.WriteDeadline) {
       Telem->addCount(telemetry::ServeWriteTimeouts);
       Expired.push_back(Entry.first);
     }
@@ -381,7 +389,7 @@ void EventLoop::handleWake() {
   // Disarm before swapping: a post that lands after the swap sees the flag
   // false and rings the doorbell again, so nothing is ever stranded.
   WakePending.store(false);
-  std::vector<std::pair<std::uint64_t, Frame>> Done;
+  std::vector<std::pair<std::uint64_t, WireFrame>> Done;
   {
     std::lock_guard<std::mutex> Lock(CompletionMutex);
     Done.swap(Completions);
@@ -395,7 +403,7 @@ void EventLoop::handleWake() {
     C.Busy = false;
     if (Draining)
       C.CloseAfterFlush = true;
-    queueWrite(Id, Entry.second);
+    queueWrite(Id, std::move(Entry.second));
     if (!Conns.count(Id))
       continue;
     // Pipelined bytes may already hold the next request.
@@ -424,7 +432,7 @@ void EventLoop::beginDrain() {
     Conn &C = Entry.second;
     if (C.Busy)
       continue; // completion path closes after flush (Draining is set)
-    if (C.OutPos < C.Out.size()) {
+    if (C.writing()) {
       C.CloseAfterFlush = true;
       continue;
     }

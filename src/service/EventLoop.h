@@ -13,17 +13,20 @@
 /// - The **loop** owns transport and framing: non-blocking accept, the
 ///   per-connection read state machine reassembling frames incrementally
 ///   (header, then payload, validated by the same decodeFrameHeader the
-///   blocking reader uses), the write state machine (immediate send, spill
-///   to a buffer armed on EPOLLOUT), and both deadline classes — a
-///   mid-frame budget so a torn header cannot park a connection forever,
-///   and a write budget so a client that stops reading loses its
-///   connection, never the loop.
+///   blocking reader uses), the write state machine (a queue of finished,
+///   shared frames sent by reference — immediately, then on EPOLLOUT),
+///   and both deadline classes — a mid-frame budget so a torn header
+///   cannot park a connection forever, and a write budget so a client
+///   that stops reading loses its connection, never the loop.
 /// - The **server** (via FrameHandler, called on the loop thread) owns
 ///   payloads and policy: parse, cache lookup, admission to the request
 ///   queue, SHED, drain refusal. A handler that admits work returns
 ///   InFlight; a worker later hands the finished frame back with
 ///   postResponse(), the loop's cross-thread completion path (mutex queue
-///   + eventfd doorbell).
+///   + eventfd doorbell). Every frame the loop sends arrives encoded
+///   (service/WireProtocol.h WireFrame) — by a worker, the response cache
+///   or the handler — and is never re-encoded or copied; the loop encodes
+///   only the errors it raises itself.
 ///
 /// One request per connection is in flight at a time, exactly like the
 /// thread-per-connection server this replaces: while a connection is
@@ -79,7 +82,7 @@ enum class FrameAction {
 
 struct FrameDisposition {
   FrameAction Action = FrameAction::Close;
-  Frame Response;
+  WireFrame Response; ///< null for InFlight and Close
 };
 
 struct EventLoopConfig {
@@ -110,7 +113,7 @@ public:
   /// Takes ownership of the bound listener and starts the loop thread.
   /// \p Hello is written to every accepted connection. \p OnDrainStarted
   /// runs on the loop thread after drain processing (see file comment).
-  bool start(ListenSocket Listener, Frame Hello, FrameHandler OnFrame,
+  bool start(ListenSocket Listener, WireFrame Hello, FrameHandler OnFrame,
              std::function<void()> OnDrainStarted, std::string *Err);
 
   /// Thread-safe, idempotent, non-blocking; see the file comment.
@@ -124,7 +127,7 @@ public:
   /// the loop. If the connection died meanwhile the frame is discarded —
   /// the caller must not care (the old server's write-to-dead-peer EPIPE,
   /// one layer earlier).
-  void postResponse(std::uint64_t ConnId, Frame Response);
+  void postResponse(std::uint64_t ConnId, WireFrame Response);
 
   /// Gauge: connections currently in the table (loop-thread maintained,
   /// sampled by STATS from other threads).
@@ -134,8 +137,12 @@ private:
   struct Conn {
     Socket Sock;
     std::string In;       ///< reassembly buffer (unparsed stream bytes)
-    std::string Out;      ///< unflushed response bytes
+    /// Frames to send, in order; Out[OutHead] is the one being sent, and
+    /// OutPos bytes of it are gone. Sent frames are released at once.
+    std::vector<WireFrame> Out;
+    std::size_t OutHead = 0;
     std::size_t OutPos = 0;
+    bool writing() const { return OutHead < Out.size(); }
     bool Busy = false;           ///< one InFlight request
     bool CloseAfterFlush = false;
     bool ReadArmed = false;      ///< current epoll interest
@@ -152,8 +159,8 @@ private:
   /// Runs the frame state machine over Conn::In until it needs more bytes,
   /// the connection goes Busy/closed, or a stream error ends it.
   void processInput(std::uint64_t Id);
-  /// Appends the encoded frame and flushes as much as the socket takes.
-  void queueWrite(std::uint64_t Id, const Frame &F);
+  /// Queues \p F and flushes as much as the socket takes.
+  void queueWrite(std::uint64_t Id, WireFrame F);
   void flushWrites(std::uint64_t Id);
   void updateInterest(std::uint64_t Id);
   void sweepDeadlines();
@@ -165,7 +172,7 @@ private:
   Telemetry *Telem;
 
   ListenSocket Listener;
-  Frame Hello;
+  WireFrame Hello;
   FrameHandler OnFrame;
   std::function<void()> OnDrainStarted;
 
@@ -189,7 +196,7 @@ private:
   std::atomic<std::size_t> OpenConns{0};
 
   std::mutex CompletionMutex;
-  std::vector<std::pair<std::uint64_t, Frame>> Completions;
+  std::vector<std::pair<std::uint64_t, WireFrame>> Completions;
   /// True while a completion wakeup is already in flight. postResponse
   /// only writes the doorbell eventfd on the false->true transition; the
   /// loop clears the flag before swapping Completions out, so a post that

@@ -13,9 +13,9 @@
 /// point does.
 ///
 /// Keying mirrors the response cache: the wire codec tag plus the exact
-/// module bytes, hash-addressed (the caller passes the FNV-1a 64 it
-/// computed once at admission) and compared exactly on lookup, so
-/// a hash collision costs one string compare, never a wrong module. Each
+/// module bytes, hash-addressed (the caller passes the support/Hash.h
+/// hash64 it computed once at admission) and compared exactly on lookup,
+/// so a hash collision costs one string compare, never a wrong module. Each
 /// entry owns its analysis cache because that cache is keyed by Module
 /// pointer: one server-wide cache could hand an evicted module's analyses
 /// to a new module that reuses its address.
@@ -90,7 +90,7 @@ public:
   }
 
   /// The entry for (\p Binary, \p Bytes), or null. \p Hash is
-  /// fnv1a64(\p Bytes). Counts a hit or a miss when the tier is on.
+  /// hash64(\p Bytes). Counts a hit or a miss when the tier is on.
   std::shared_ptr<Entry> lookup(std::uint64_t Hash, bool Binary,
                                 const std::string &Bytes);
 

@@ -27,14 +27,11 @@ constexpr int PollIntervalMs = 100;
 /// inside this; only a stalled peer trips it.
 constexpr int FrameReadTimeoutMs = 30000;
 
-Frame errorFrame(const std::string &Code, const std::string &Message) {
-  Frame F;
-  F.Type = FrameType::Error;
-  F.Payload = encodeError({Code, Message});
-  return F;
+WireFrame errorFrame(const std::string &Code, const std::string &Message) {
+  return encodeWireFrame({FrameType::Error, encodeError({Code, Message})});
 }
 
-FrameDisposition reply(Frame F) {
+FrameDisposition reply(WireFrame F) {
   return {FrameAction::Reply, std::move(F)};
 }
 
@@ -140,7 +137,7 @@ TelemetrySnapshot AllocationServer::stats() const {
   return S;
 }
 
-Frame AllocationServer::helloFrame() const {
+WireFrame AllocationServer::helloFrame() const {
   HelloInfo H;
   H.ServerInfo = buildInfoString();
   H.Protocol = WireVersion;
@@ -148,10 +145,7 @@ Frame AllocationServer::helloFrame() const {
   H.QueueCapacity = Config.QueueCapacity;
   H.CacheEnabled = Cache.enabled();
   H.MaxCodec = WireMaxCodec;
-  Frame F;
-  F.Type = FrameType::Hello;
-  F.Payload = encodeHello(H);
-  return F;
+  return encodeWireFrame({FrameType::Hello, encodeHello(H)});
 }
 
 FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
@@ -159,10 +153,8 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   std::string Err;
   if (In.Type == FrameType::StatsRequest) {
     Telem.addCount(telemetry::ServeStatsRequests);
-    Frame Out;
-    Out.Type = FrameType::StatsResponse;
-    Out.Payload = stats().toJson();
-    return reply(std::move(Out));
+    return reply(
+        encodeWireFrame({FrameType::StatsResponse, stats().toJson()}));
   }
   if (In.Type != FrameType::AllocRequest &&
       In.Type != FrameType::AllocRequestV2) {
@@ -190,24 +182,21 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
             errorFrame("draining", "server is shutting down")};
   }
 
-  // Cache front: a hit replays the stored response byte-identically and
-  // skips module parse, IR verification, queueing, and the engine
-  // entirely. Safe without verification — an entry only exists because
-  // the same byte-identical request once parsed, verified, and allocated.
+  // Cache front: a hit sends the stored frame itself and skips module
+  // parse, IR verification, queueing, the engine and the encode entirely.
+  // Safe without verification — an entry only exists because the same
+  // byte-identical request once parsed, verified, and allocated.
   if (Cache.enabled()) {
     Pending->CacheKey = allocationCacheKey(Pending->Request);
-    if (AllocationCache::Payload Cached = Cache.lookup(Pending->CacheKey)) {
+    Pending->KeyHash = hash64(Pending->CacheKey);
+    if (WireFrame Cached = Cache.lookup(Pending->KeyHash, Pending->CacheKey)) {
       Telem.addCount(telemetry::ServeResponsesOk);
-      Frame Out;
-      Out.Type = FrameType::AllocResponse;
-      Out.Payload = *Cached;
-      return reply(std::move(Out));
+      return reply(std::move(Cached));
     }
   }
 
-  Pending->ModuleHash = fnv1a64(Pending->Binary
-                                     ? Pending->Request.ModuleBinary
-                                     : Pending->Request.ModuleText);
+  Pending->ModuleHash = hash64(Pending->Binary ? Pending->Request.ModuleBinary
+                                               : Pending->Request.ModuleText);
 
   // Admission control: bounded queue, explicit SHED on overflow.
   bool Shed = false;
@@ -223,18 +212,17 @@ FrameDisposition AllocationServer::handleFrame(std::uint64_t ConnId,
   }
   if (Shed) {
     Telem.addCount(telemetry::ServeShed);
-    Frame Out;
-    Out.Type = FrameType::Shed;
-    Out.Payload = "queue full (capacity " +
-                  std::to_string(Config.QueueCapacity) + "); retry later";
-    return reply(std::move(Out));
+    return reply(encodeWireFrame(
+        {FrameType::Shed, "queue full (capacity " +
+                              std::to_string(Config.QueueCapacity) +
+                              "); retry later"}));
   }
   QueueReady.notify_one();
 
   // A worker always answers every queued request, so an InFlight
   // connection is never stranded: the response arrives via postResponse
   // and the loop resumes (or, during drain, closes) the connection.
-  return {FrameAction::InFlight, Frame()};
+  return {FrameAction::InFlight, nullptr};
 }
 
 void AllocationServer::workerLoop() {
@@ -351,7 +339,7 @@ void AllocationServer::serve(PendingRequest &P) {
   // engine plus the response path.
   Telem.addCount(telemetry::ServeBatches);
   Telem.addCount(telemetry::ServeBatchedRequests);
-  Frame Out;
+  WireFrame Out;
   {
     Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
     Telemetry EngineTelem;
@@ -390,15 +378,14 @@ void AllocationServer::serve(PendingRequest &P) {
     // Last consumer of the item's telemetry: move it into the response
     // instead of copying the ~50-entry maps again.
     Resp.Telemetry = std::move(ItemTelem);
-    Out.Type = FrameType::AllocResponse;
     {
       Telemetry::ScopedTimer Encode(&Telem, telemetry::ServeEncodePhase);
-      Out.Payload = encodeAllocResponse(Resp);
+      Out = encodeAllocResponseFrame(Resp);
     }
-    // The cache stores these exact bytes, so a later hit is
-    // byte-identical to this response by construction.
+    // The cache stores this very frame, so a later hit is byte-identical
+    // to this response by construction.
     if (!P.CacheKey.empty())
-      Cache.insert(P.CacheKey, Out.Payload);
+      Cache.insert(P.KeyHash, P.CacheKey, Out);
   }
   // Posted before the module (or clone) and results are freed, so the
   // release cost stays off the response's latency.

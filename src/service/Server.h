@@ -10,21 +10,23 @@
 ///
 ///   event loop (ONE thread, epoll) ──> content-addressed cache
 ///     accepts, reassembles frames,       │hit          │miss
-///     parses request headers ◄── responses ◄┘          │
+///     parses request headers ◄── frames ◄┘             │
 ///     SHED / errors written in line              bounded queue
 ///                                       PoolThreads workers, each
 ///                                       pulling ONE request:
 ///                                         module tier ─hit─> clone
 ///                                           │miss
 ///                                         parse, verify, (retain)
-///                                       allocate, encode, publish
+///                                       allocate, encode the
+///                                       frame once, publish it
 ///
 /// - **Connections.** service/EventLoop.h multiplexes every client over
 ///   one epoll thread: connection count is decoupled from thread count,
 ///   so ten thousand mostly-idle connections cost table entries, not
 ///   stacks (Service.ManyIdleConnectionsPlusActiveWork parks 5,000).
-///   Frame reassembly, write buffering, and both deadline classes (the
-///   mid-frame budget and the slow-client write budget) live there.
+///   Frame reassembly, the by-reference write queue, and both deadline
+///   classes (the mid-frame budget and the slow-client write budget)
+///   live there.
 /// - **Admission.** The loop's frame handler parses the request header
 ///   (textual v1 or binary v2; service/BinaryCodec.h), computes the cache
 ///   key, and either answers in line (hit, malformed header, SHED,
@@ -38,10 +40,12 @@
 ///   bit-identity across every engine configuration), so each response is
 ///   a pure function of (module bytes, canonical options, config, mode).
 ///   Repeat requests are served straight from the AllocationCache — no
-///   parse, no IR verify, no engine run. Each entry is the encoded payload
-///   of the cold response, so a hit copies stored bytes into its reply:
-///   byte-identical to the cold run by construction, with no response
-///   rebuilt or re-encoded.
+///   parse, no IR verify, no engine run. Each entry is the finished frame
+///   of the cold response (header and checksum included), encoded once by
+///   the worker that allocated it and shared with the connection that
+///   sent it. A hit queues that same frame by reference: byte-identical to
+///   the cold run by construction, with nothing rebuilt, re-encoded,
+///   re-checksummed or copied.
 /// - **Module tier.** Behind the response cache, service/ModuleTier.h
 ///   keeps recently seen modules parsed and verified, each with its own
 ///   analysis cache. A response miss on a module the tier holds skips
@@ -171,10 +175,12 @@ private:
     AllocRequest Request;
     /// Arrived as AllocRequestV2: the module is Request.ModuleBinary.
     bool Binary = false;
-    /// allocationCacheKey of the request; empty when the cache is off.
-    /// Computed once at admission, reused for the publish.
+    /// allocationCacheKey of the request and its hash64; empty (and 0)
+    /// when the cache is off. Computed once at admission, reused for the
+    /// publish.
     std::string CacheKey;
-    /// fnv1a64 of the module bytes: the module tier's key.
+    std::uint64_t KeyHash = 0;
+    /// hash64 of the module bytes: the module tier's key.
     std::uint64_t ModuleHash = 0;
     std::chrono::steady_clock::time_point Arrival;
     /// The event-loop connection awaiting this response; the worker
@@ -187,11 +193,12 @@ private:
   FrameDisposition handleFrame(std::uint64_t ConnId, Frame &In);
   void workerLoop();
   /// Answers \p P: admission checks, module-tier lookup (or parse and
-  /// verify), allocation, response encode, cache publish of those bytes. Every path posts
+  /// verify), allocation, response frame encode, cache publish of that
+  /// frame. Every path posts
   /// exactly one response, as its last step; an exception means nothing
   /// was posted.
   void serve(PendingRequest &P);
-  Frame helloFrame() const;
+  WireFrame helloFrame() const;
   /// Wakes every worker (drain signal).
   void notifyWorkers();
 

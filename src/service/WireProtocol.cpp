@@ -2,6 +2,8 @@
 
 #include "service/WireProtocol.h"
 
+#include "support/Hash.h"
+
 #include <charconv>
 #include <cstring>
 #include <sstream>
@@ -10,14 +12,24 @@ using namespace ccra;
 
 namespace {
 
-void putU16(std::string &Out, std::uint16_t V) {
-  Out.push_back(static_cast<char>(V & 0xff));
-  Out.push_back(static_cast<char>((V >> 8) & 0xff));
+void putU16(char *Out, std::uint16_t V) {
+  Out[0] = static_cast<char>(V & 0xff);
+  Out[1] = static_cast<char>((V >> 8) & 0xff);
 }
 
-void putU32(std::string &Out, std::uint32_t V) {
+void putU32(char *Out, std::uint32_t V) {
   for (int Shift = 0; Shift < 32; Shift += 8)
-    Out.push_back(static_cast<char>((V >> Shift) & 0xff));
+    Out[Shift / 8] = static_cast<char>((V >> Shift) & 0xff);
+}
+
+/// Writes the WireHeaderSize header bytes of a \p Type frame carrying
+/// \p Payload at \p Out.
+void putHeader(char *Out, FrameType Type, std::string_view Payload) {
+  putU32(Out, WireMagic);
+  putU16(Out + 4, WireVersion);
+  putU16(Out + 6, static_cast<std::uint16_t>(Type));
+  putU32(Out + 8, static_cast<std::uint32_t>(Payload.size()));
+  putU32(Out + 12, wireChecksum(Payload));
 }
 
 std::uint16_t getU16(const unsigned char *P) {
@@ -106,23 +118,22 @@ const char TelemetryEndMarker[] = "end-telemetry";
 
 } // namespace
 
-std::uint32_t ccra::wireChecksum(const std::string &Payload) {
-  std::uint32_t H = 2166136261u;
-  for (unsigned char C : Payload) {
-    H ^= C;
-    H *= 16777619u;
-  }
-  return H;
+std::uint32_t ccra::wireChecksum(std::string_view Payload) {
+  return static_cast<std::uint32_t>(hash64(Payload));
 }
 
 void ccra::encodeFrame(const Frame &F, std::string &Out) {
-  Out.reserve(Out.size() + WireHeaderSize + F.Payload.size());
-  putU32(Out, WireMagic);
-  putU16(Out, WireVersion);
-  putU16(Out, static_cast<std::uint16_t>(F.Type));
-  putU32(Out, static_cast<std::uint32_t>(F.Payload.size()));
-  putU32(Out, wireChecksum(F.Payload));
+  std::size_t Start = Out.size();
+  Out.reserve(Start + WireHeaderSize + F.Payload.size());
+  Out.resize(Start + WireHeaderSize);
+  putHeader(Out.data() + Start, F.Type, F.Payload);
   Out += F.Payload;
+}
+
+WireFrame ccra::encodeWireFrame(const Frame &F) {
+  std::string Wire;
+  encodeFrame(F, Wire);
+  return std::make_shared<const std::string>(std::move(Wire));
 }
 
 FrameReadStatus ccra::decodeFrameHeader(const unsigned char *Bytes,
@@ -336,9 +347,12 @@ bool ccra::parseAllocRequest(const std::string &Payload, AllocRequest &Out,
 
 // --- AllocResponse -------------------------------------------------------
 
-std::string ccra::encodeAllocResponse(const AllocResponse &R) {
+namespace {
+
+/// Everything of encodeAllocResponse(\p R) before the IR text.
+std::string allocResponseHead(const AllocResponse &R) {
   std::string Out;
-  Out.reserve(R.AllocatedIr.size() + 96 * R.Functions.size() + 4096);
+  Out.reserve(96 * R.Functions.size() + 4096);
   Out += "costs: " + formatExactDouble(R.Totals.Spill) + " " +
          formatExactDouble(R.Totals.CallerSave) + " " +
          formatExactDouble(R.Totals.CalleeSave) + " " +
@@ -361,8 +375,27 @@ std::string ccra::encodeAllocResponse(const AllocResponse &R) {
   Out += TelemetryEndMarker;
   Out += '\n';
   Out += "ir:\n";
+  return Out;
+}
+
+} // namespace
+
+std::string ccra::encodeAllocResponse(const AllocResponse &R) {
+  std::string Out = allocResponseHead(R);
   Out += R.AllocatedIr;
   return Out;
+}
+
+WireFrame ccra::encodeAllocResponseFrame(const AllocResponse &R) {
+  std::string Head = allocResponseHead(R);
+  std::string Wire;
+  Wire.reserve(WireHeaderSize + Head.size() + R.AllocatedIr.size());
+  Wire.resize(WireHeaderSize);
+  Wire += Head;
+  Wire += R.AllocatedIr;
+  putHeader(Wire.data(), FrameType::AllocResponse,
+            std::string_view(Wire).substr(WireHeaderSize));
+  return std::make_shared<const std::string>(std::move(Wire));
 }
 
 bool ccra::parseAllocResponse(const std::string &Payload, AllocResponse &Out,

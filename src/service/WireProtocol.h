@@ -7,10 +7,13 @@
 /// Frame layout (all integers little-endian):
 ///
 ///   u32 magic     'CCRA' (0x41524343)
-///   u16 version   WireVersion
+///   u16 version   WireVersion (2)
 ///   u16 type      FrameType
 ///   u32 length    payload bytes
-///   u32 checksum  FNV-1a over the payload
+///   u32 checksum  low 32 bits of support/Hash.h's hash64 of the payload
+///
+/// Version 1 differed only in its checksum; the version gate refuses a v1
+/// peer, with no fallback.
 ///
 /// Conversation: on connect the server sends one Hello frame (build info,
 /// protocol version, limits). The client then issues AllocRequest /
@@ -38,7 +41,9 @@
 #include "target/MachineDescription.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ccra {
@@ -47,7 +52,7 @@ inline constexpr std::uint32_t WireMagic = 0x41524343; // "CCRA" in LE bytes
 /// The frame-header version: a hard compatibility gate (readFrame rejects
 /// a mismatch). Client and server are built from one tree, so the Hello
 /// carries no minor version; its parser still skips unknown keys.
-inline constexpr std::uint16_t WireVersion = 1;
+inline constexpr std::uint16_t WireVersion = 2;
 inline constexpr std::size_t WireHeaderSize = 16;
 
 /// Highest module codec this build speaks: 1 = textual `.ccra` payloads,
@@ -74,11 +79,20 @@ struct Frame {
   std::string Payload;
 };
 
-/// FNV-1a over the payload; cheap torn-frame detection, not cryptographic.
-std::uint32_t wireChecksum(const std::string &Payload);
+/// A finished frame, header and payload, immutable once built. The
+/// server encodes each response once, by the thread that produced it; the
+/// response cache and every connection that sends it share that one copy.
+using WireFrame = std::shared_ptr<const std::string>;
+
+/// The low 32 bits of hash64 (support/Hash.h) over the payload: cheap
+/// torn-frame detection, not cryptographic.
+std::uint32_t wireChecksum(std::string_view Payload);
 
 /// Serializes header + payload into \p Out (appending nothing else).
 void encodeFrame(const Frame &F, std::string &Out);
+
+/// encodeFrame into a new shared frame.
+WireFrame encodeWireFrame(const Frame &F);
 
 enum class FrameReadStatus {
   Ok,
@@ -185,6 +199,9 @@ struct AllocResponse {
   std::string AllocatedIr;                ///< printModule of the result
 };
 std::string encodeAllocResponse(const AllocResponse &R);
+/// The AllocResponse frame carrying encodeAllocResponse(\p R), built in
+/// one exactly sized buffer (the payload is never copied).
+WireFrame encodeAllocResponseFrame(const AllocResponse &R);
 bool parseAllocResponse(const std::string &Payload, AllocResponse &Out,
                         std::string *Err = nullptr);
 

@@ -2,8 +2,8 @@
 //
 // Tier-1 coverage for the caching tier (src/service/):
 //
-//  - AllocationCache unit behavior: a hit returns the inserted payload
-//    bytes exactly, the byte-bounded LRU eviction policy, oversized-entry
+//  - AllocationCache unit behavior: a hit returns the very frame object
+//    that was inserted, the byte-bounded LRU eviction policy, oversized-entry
 //    rejection, disabled-cache semantics, idempotent re-insertion (the
 //    publish race two workers can run), and the piecewise adapters the
 //    benchmark's in-process replay uses;
@@ -17,8 +17,9 @@
 //    (the TSan stage runs this binary; see tools/check.sh);
 //  - the end-to-end contract: every committed fuzz corpus entry replayed
 //    twice through a cache-enabled server over both codecs (text and
-//    CIR2), with the cached response byte-identical to the cold one and
-//    both bit-identical to in-process allocation.
+//    CIR2), with the cached response frame, header included,
+//    byte-identical to the cold one and both bit-identical to in-process
+//    allocation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,6 @@
 #include "ir/IRPrinter.h"
 #include "service/AllocationCache.h"
 #include "service/BinaryCodec.h"
-#include "service/Client.h"
 #include "service/ModuleTier.h"
 #include "service/Server.h"
 #include "support/Hash.h"
@@ -55,13 +55,22 @@ using namespace ccra;
 
 namespace {
 
-/// The payload a cold miss would publish for \p Tag: distinctive bytes of
-/// \p Size (at least the tag's length).
-std::string payloadFor(const std::string &Tag, std::size_t Size = 64) {
+/// The response frame a cold miss would publish for \p Tag: a payload of
+/// distinctive bytes of \p Size (at least the tag's length).
+WireFrame frameFor(const std::string &Tag, std::size_t Size = 64) {
   std::string P = "payload of ";
   P += Tag;
   P.resize(std::max(Size, P.size()), '.');
-  return P;
+  return encodeWireFrame({FrameType::AllocResponse, P});
+}
+
+// The cache takes the key's hash from its caller; these compute it.
+WireFrame lookup(AllocationCache &Cache, const std::string &Key) {
+  return Cache.lookup(hash64(Key), Key);
+}
+
+void insert(AllocationCache &Cache, const std::string &Key, WireFrame F) {
+  Cache.insert(hash64(Key), Key, std::move(F));
 }
 
 std::string keyFor(const std::string &Tag) {
@@ -73,42 +82,43 @@ std::string keyFor(const std::string &Tag) {
   return Key;
 }
 
-/// What the cache charges for \p Key plus a payload of \p Size bytes.
+/// What the cache charges for \p Key plus a frame of \p Size bytes.
 std::size_t chargeOf(const std::string &Key, std::size_t Size) {
   AllocationCache Probe(1u << 20);
-  Probe.insert(Key, std::string(Size, 'x'));
+  insert(Probe, Key, std::make_shared<const std::string>(Size, 'x'));
   return Probe.stats().Bytes;
 }
 
 TEST(AllocationCacheUnit, MissThenHitReplaysTheStoredResponse) {
   AllocationCache Cache(1u << 20);
   ASSERT_TRUE(Cache.enabled());
-  const std::string Key = keyFor("m"), Payload = payloadFor("m", 300);
+  const std::string Key = keyFor("m");
+  const WireFrame Stored = frameFor("m", 300);
 
-  EXPECT_EQ(nullptr, Cache.lookup(Key));
-  Cache.insert(Key, Payload);
-  AllocationCache::Payload Hit = Cache.lookup(Key);
-  ASSERT_NE(nullptr, Hit);
-  EXPECT_EQ(Payload, *Hit);
-  // Same bytes, same object: a hit never re-encodes.
-  EXPECT_EQ(Hit, Cache.lookup(Key));
+  EXPECT_EQ(nullptr, lookup(Cache, Key));
+  insert(Cache, Key, Stored);
+  WireFrame Hit = lookup(Cache, Key);
+  // The very frame object that was stored: a hit never re-encodes or
+  // copies.
+  EXPECT_EQ(Stored, Hit);
+  EXPECT_EQ(Hit, lookup(Cache, Key));
 
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(2u, S.Hits);
   EXPECT_EQ(1u, S.Misses);
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(1u, S.Modules);
-  // Charged the key, the payload and a fixed overhead.
-  EXPECT_GT(S.Bytes, Key.size() + Payload.size());
-  EXPECT_EQ(S.Bytes - Key.size() - Payload.size(),
+  // Charged the key, the frame and a fixed overhead.
+  EXPECT_GT(S.Bytes, Key.size() + Stored->size());
+  EXPECT_EQ(S.Bytes - Key.size() - Stored->size(),
             chargeOf("k", 5) - 1 - 5);
 }
 
 TEST(AllocationCacheUnit, DisabledCacheNeverHitsAndStoresNothing) {
   AllocationCache Cache(0);
   EXPECT_FALSE(Cache.enabled());
-  Cache.insert(keyFor("off"), payloadFor("off"));
-  EXPECT_EQ(nullptr, Cache.lookup(keyFor("off")));
+  insert(Cache, keyFor("off"), frameFor("off"));
+  EXPECT_EQ(nullptr, lookup(Cache, keyFor("off")));
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(0u, S.Insertions);
   EXPECT_EQ(0u, S.Modules);
@@ -119,59 +129,62 @@ TEST(AllocationCacheUnit, EvictsLeastRecentlyUsedModulesToFitTheBudget) {
   // Three small entries and one whose payload alone outweighs two of
   // them: the budget fits the three small ones plus half of a fourth.
   const std::size_t Small = 100, Large = 250;
-  const std::size_t OneSmall = chargeOf(keyFor("aaaa"), Small);
+  const std::size_t OneSmall =
+      chargeOf(keyFor("aaaa"), frameFor("aaaa", Small)->size());
+  const std::size_t OneLarge =
+      chargeOf(keyFor("dddd"), frameFor("dddd", Large)->size());
   const std::size_t Budget = 3 * OneSmall + OneSmall / 2;
-  ASSERT_LT(chargeOf(keyFor("dddd"), Large), 2 * OneSmall + OneSmall / 2);
-  ASSERT_GT(chargeOf(keyFor("dddd"), Large), OneSmall + OneSmall / 2);
+  ASSERT_LT(OneLarge, 2 * OneSmall + OneSmall / 2);
+  ASSERT_GT(OneLarge, OneSmall + OneSmall / 2);
 
   AllocationCache Cache(Budget);
   for (const char *Tag : {"aaaa", "bbbb", "cccc"})
-    Cache.insert(keyFor(Tag), payloadFor(Tag, Small));
+    insert(Cache, keyFor(Tag), frameFor(Tag, Small));
   // Touch A so B, then C, are the least recently used.
-  ASSERT_NE(nullptr, Cache.lookup(keyFor("aaaa")));
-  Cache.insert(keyFor("dddd"), payloadFor("dddd", Large));
+  ASSERT_NE(nullptr, lookup(Cache, keyFor("aaaa")));
+  insert(Cache, keyFor("dddd"), frameFor("dddd", Large));
 
-  EXPECT_EQ(payloadFor("aaaa", Small), *Cache.lookup(keyFor("aaaa")));
-  EXPECT_EQ(nullptr, Cache.lookup(keyFor("bbbb")))
+  EXPECT_EQ(*frameFor("aaaa", Small), *lookup(Cache, keyFor("aaaa")));
+  EXPECT_EQ(nullptr, lookup(Cache, keyFor("bbbb")))
       << "LRU entry survived eviction";
-  EXPECT_EQ(nullptr, Cache.lookup(keyFor("cccc")))
-      << "the large payload needs the room of two small entries";
-  EXPECT_EQ(payloadFor("dddd", Large), *Cache.lookup(keyFor("dddd")));
+  EXPECT_EQ(nullptr, lookup(Cache, keyFor("cccc")))
+      << "the large frame needs the room of two small entries";
+  EXPECT_EQ(*frameFor("dddd", Large), *lookup(Cache, keyFor("dddd")));
 
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(2u, S.Evictions);
   EXPECT_EQ(2u, S.Modules);
-  EXPECT_EQ(OneSmall + chargeOf(keyFor("dddd"), Large), S.Bytes);
+  EXPECT_EQ(OneSmall + OneLarge, S.Bytes);
   EXPECT_LE(S.Bytes, Cache.capacityBytes());
 }
 
 TEST(AllocationCacheUnit, EntryLargerThanTheWholeBudgetIsNotAdmitted) {
   const std::string Resident = keyFor("r"), Big = keyFor("big");
-  AllocationCache Cache(chargeOf(Resident, 64) + 100);
-  Cache.insert(Resident, payloadFor("r"));
+  AllocationCache Cache(chargeOf(Resident, frameFor("r")->size()) + 100);
+  insert(Cache, Resident, frameFor("r"));
   ASSERT_EQ(1u, Cache.stats().Insertions);
 
-  Cache.insert(Big, payloadFor("big", Cache.capacityBytes()));
-  EXPECT_EQ(nullptr, Cache.lookup(Big));
+  insert(Cache, Big, frameFor("big", Cache.capacityBytes()));
+  EXPECT_EQ(nullptr, lookup(Cache, Big));
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(0u, S.Evictions) << "rejection must not churn resident entries";
-  EXPECT_NE(nullptr, Cache.lookup(Resident));
+  EXPECT_NE(nullptr, lookup(Cache, Resident));
 }
 
 TEST(AllocationCacheUnit, ReinsertingAnExistingKeyIsANoOp) {
   AllocationCache Cache(1u << 20);
   const std::string Key = keyFor("twice");
-  Cache.insert(Key, payloadFor("twice"));
-  AllocationCache::Payload First = Cache.lookup(Key);
+  insert(Cache, Key, frameFor("twice"));
+  WireFrame First = lookup(Cache, Key);
   const std::size_t Bytes = Cache.stats().Bytes;
   // Two workers publishing the same miss; the first entry stays.
-  Cache.insert(Key, payloadFor("twice", 500));
+  insert(Cache, Key, frameFor("twice", 500));
   AllocationCacheStats S = Cache.stats();
   EXPECT_EQ(1u, S.Insertions);
   EXPECT_EQ(1u, S.Modules);
   EXPECT_EQ(Bytes, S.Bytes);
-  EXPECT_EQ(First, Cache.lookup(Key));
+  EXPECT_EQ(First, lookup(Cache, Key));
 }
 
 TEST(AllocationCacheAdapter, RecordInsertThenResponseLookupRoundTrips) {
@@ -198,9 +211,13 @@ TEST(AllocationCacheAdapter, RecordInsertThenResponseLookupRoundTrips) {
   EXPECT_FALSE(Cache.lookup(Key, Out));
   Cache.insert(Key, "module m\n", Original.Totals, Original.Telemetry,
                {Fn, Decl});
-  // One store: the adapter's entry is the payload the daemon would send.
-  ASSERT_NE(nullptr, Cache.lookup(Key));
-  EXPECT_EQ(encodeAllocResponse(Original), *Cache.lookup(Key));
+  // One store: the adapter's entry is the frame the daemon would send.
+  ASSERT_NE(nullptr, lookup(Cache, Key));
+  std::string Expected;
+  encodeFrame({FrameType::AllocResponse, encodeAllocResponse(Original)},
+              Expected);
+  EXPECT_EQ(Expected, *lookup(Cache, Key));
+  EXPECT_EQ(Expected, *encodeAllocResponseFrame(Original));
 
   ASSERT_TRUE(Cache.lookup(Key, Out));
   EXPECT_TRUE(Original.Totals == Out.Totals);
@@ -251,8 +268,9 @@ TEST(AllocationCacheKey, CoversResultFieldsAndIgnoresAdmissionControl) {
 
 TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
   AllocationCache Cache(1u << 20);
-  const std::string HotKey = keyFor("hot"), HotPayload = payloadFor("hot");
-  Cache.insert(HotKey, HotPayload);
+  const std::string HotKey = keyFor("hot");
+  const WireFrame HotFrame = frameFor("hot");
+  insert(Cache, HotKey, HotFrame);
 
   const unsigned Threads = 8, Rounds = 500;
   std::vector<std::thread> Workers;
@@ -260,8 +278,8 @@ TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
       for (unsigned I = 0; I < Rounds; ++I) {
-        AllocationCache::Payload Hit = Cache.lookup(HotKey);
-        if (!Hit || *Hit != HotPayload)
+        WireFrame Hit = lookup(Cache, HotKey);
+        if (Hit != HotFrame || *Hit != *frameFor("hot"))
           BadReplays.fetch_add(1);
         if (I % 50 == T) {
           // Cold traffic churning the LRU list under the readers.
@@ -269,7 +287,7 @@ TEST(AllocationCacheConcurrency, HitStormWithConcurrentInsertsIsRaceFree) {
           Tag += std::to_string(T);
           Tag += 'i';
           Tag += std::to_string(I);
-          Cache.insert(keyFor(Tag), payloadFor(Tag));
+          insert(Cache, keyFor(Tag), frameFor(Tag));
         }
       }
     });
@@ -289,7 +307,7 @@ std::unique_ptr<Module> namedModule(const std::string &Name) {
 TEST(ModuleTierUnit, KeysOnCodecAndExactBytesNotOnTheHash) {
   ModuleTier Tier(1u << 20);
   const std::string Bytes = "module a\n";
-  std::uint64_t H = fnv1a64(Bytes);
+  std::uint64_t H = hash64(Bytes);
   EXPECT_EQ(nullptr, Tier.lookup(H, false, Bytes));
   auto Text = Tier.insert(H, false, Bytes, namedModule("a"));
   ASSERT_NE(nullptr, Text);
@@ -325,11 +343,11 @@ TEST(ModuleTierUnit, EvictsLeastRecentlyUsedAndKeepsEvictedEntriesAlive) {
   ModuleTier Tier(8 * Charge);
   auto Insert = [&](unsigned I) {
     std::string Key = {'k', static_cast<char>('a' + I)};
-    return Tier.insert(fnv1a64(Key), false, Key, namedModule(Key));
+    return Tier.insert(hash64(Key), false, Key, namedModule(Key));
   };
   auto Lookup = [&](unsigned I) {
     std::string Key = {'k', static_cast<char>('a' + I)};
-    return Tier.lookup(fnv1a64(Key), false, Key);
+    return Tier.lookup(hash64(Key), false, Key);
   };
   std::shared_ptr<ModuleTier::Entry> First = Insert(0);
   for (unsigned I = 1; I < 8; ++I)
@@ -379,7 +397,7 @@ TEST(ModuleTierConcurrency, ChurningLookupsAndInsertsAreRaceFree) {
       for (unsigned I = 0; I < Rounds; ++I) {
         std::string Key = "k";
         Key += std::to_string(10 + (I * 5 + T) % 12);
-        std::uint64_t H = fnv1a64(Key);
+        std::uint64_t H = hash64(Key);
         std::shared_ptr<ModuleTier::Entry> E = Tier.lookup(H, false, Key);
         if (!E)
           E = Tier.insert(H, false, Key, namedModule(Key));
@@ -404,6 +422,22 @@ std::string printed(const Module &M) {
   return OS.str();
 }
 
+/// Reads one frame off \p S and returns its exact bytes, header included
+/// ("" on any failure).
+std::string readRawFrame(Socket &S) {
+  std::string Bytes(WireHeaderSize, '\0');
+  FrameHeader H;
+  if (S.recvAll(Bytes.data(), WireHeaderSize, 30000) != IoStatus::Ok ||
+      decodeFrameHeader(reinterpret_cast<const unsigned char *>(Bytes.data()),
+                        1u << 30, H) != FrameReadStatus::Ok)
+    return "";
+  Bytes.resize(WireHeaderSize + H.Length);
+  if (H.Length > 0 && S.recvAll(Bytes.data() + WireHeaderSize, H.Length,
+                                30000) != IoStatus::Ok)
+    return "";
+  return Bytes;
+}
+
 TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
   std::vector<std::string> Errors;
   std::vector<CorpusEntry> Entries =
@@ -415,8 +449,9 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
   AllocationServer Server{ServerConfig()};
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
-  ServiceClient C;
-  ASSERT_TRUE(C.connectTcp(Server.boundPort(), &Err)) << Err;
+  Socket Conn = Socket::connectTcp(Server.boundPort(), &Err);
+  ASSERT_TRUE(Conn.valid()) << Err;
+  ASSERT_FALSE(readRawFrame(Conn).empty()) << "no Hello";
 
   for (const CorpusEntry &Entry : Entries) {
     AllocRequest Request;
@@ -439,8 +474,9 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
     const std::string ExpectedIr = printed(*PR.M);
 
     // Each codec's round one misses and allocates; its round two must be
-    // served from the cache. Raw frames so the comparison covers the whole
-    // payload. Text and CIR2 submissions are distinct entries.
+    // served from the cache. Raw frames so the comparison covers every
+    // byte, header included. Text and CIR2 submissions are distinct
+    // entries.
     AllocRequest Binary = Request;
     ASSERT_TRUE(encodeModuleBinary(*Entry.M, Binary.ModuleBinary, &Err))
         << Entry.Path << ": " << Err;
@@ -452,20 +488,24 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
       SCOPED_TRACE(Req.Type == FrameType::AllocRequest ? "text" : "CIR2");
       std::string Bytes;
       encodeFrame(Req, Bytes);
-      std::string Payloads[2];
-      for (int Round = 0; Round < 2; ++Round) {
-        ASSERT_TRUE(C.sendRawBytes(Bytes, &Err)) << Entry.Path << ": " << Err;
-        Frame Resp;
-        ASSERT_EQ(FrameReadStatus::Ok, C.readResponse(Resp, &Err))
+      std::string Frames[2];
+      for (std::string &Raw : Frames) {
+        ASSERT_EQ(IoStatus::Ok,
+                  Conn.sendAll(Bytes.data(), Bytes.size(), 30000, &Err))
             << Entry.Path << ": " << Err;
-        ASSERT_EQ(FrameType::AllocResponse, Resp.Type) << Entry.Path;
-        Payloads[Round] = Resp.Payload;
+        Raw = readRawFrame(Conn);
+        ASSERT_FALSE(Raw.empty()) << Entry.Path;
       }
-      EXPECT_EQ(Payloads[0], Payloads[1])
-          << Entry.Path << ": cached response diverged from cold";
+      EXPECT_EQ(Frames[0], Frames[1])
+          << Entry.Path << ": cached frame diverged from cold";
+      // The stored header is the one this payload encodes to.
+      const std::string Payload = Frames[1].substr(WireHeaderSize);
+      std::string Reencoded;
+      encodeFrame({FrameType::AllocResponse, Payload}, Reencoded);
+      EXPECT_EQ(Reencoded, Frames[1]) << Entry.Path;
 
       AllocResponse Parsed;
-      ASSERT_TRUE(parseAllocResponse(Payloads[1], Parsed, &Err))
+      ASSERT_TRUE(parseAllocResponse(Payload, Parsed, &Err))
           << Entry.Path << ": " << Err;
       EXPECT_EQ(ExpectedIr, Parsed.AllocatedIr) << Entry.Path;
       EXPECT_TRUE(Cold.Totals == Parsed.Totals) << Entry.Path;

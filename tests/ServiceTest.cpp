@@ -3,7 +3,9 @@
 // Tier-1 coverage for the serving stack (src/service/):
 //
 //  - frame and payload codecs round-trip exactly (including the
-//    shortest-round-trip doubles the bit-identity contract rests on);
+//    shortest-round-trip doubles the bit-identity contract rests on), and
+//    the wire checksum is pinned to golden values and sees every
+//    single-bit flip;
 //  - a live server answers allocations BIT-IDENTICAL to in-process
 //    allocation — asserted for the SPEC proxies and for every committed
 //    fuzz corpus entry replayed over the wire under its original register
@@ -12,6 +14,9 @@
 //    wrong-version headers, and oversized declarations are answered with
 //    Error frames (or a clean close) and never take the daemon down — the
 //    next well-formed request on a fresh connection still succeeds;
+//  - the event loop's reassembly and write queue: pipelined requests, a
+//    request split across many reads, and queued response frames to a
+//    slow reader all arrive intact;
 //  - operational behavior under test hooks (fuzz/Oracle.h's InjectedFault
 //    pattern): forced queue overflow sheds, an injected worker fault fails
 //    only the targeted request, stalled workers expire deadlines, and a
@@ -30,6 +35,8 @@
 #include "service/Client.h"
 #include "service/Server.h"
 #include "support/BuildInfo.h"
+#include "support/Hash.h"
+#include "workloads/FuzzGen.h"
 #include "workloads/SpecProxies.h"
 
 #include <gtest/gtest.h>
@@ -106,6 +113,60 @@ AllocRequest proxyRequest(const std::string &Proxy) {
 }
 
 // --- codecs --------------------------------------------------------------
+
+TEST(WireCodec, ChecksumIsTheLow32BitsOfTheSharedHash) {
+  // Golden values: a refactor or a platform must not change the wire.
+  EXPECT_EQ(0x0df90781u, wireChecksum(""));
+  EXPECT_EQ(0x3cace9c3u, wireChecksum("a"));
+  EXPECT_EQ(0x3d89ecf7u,
+            wireChecksum("The quick brown fox jumps over the lazy dog"));
+  const std::string Payload = "config: 9,7,3,3\nmodule:\nmodule m\n";
+  EXPECT_EQ(static_cast<std::uint32_t>(hash64(Payload)),
+            wireChecksum(Payload));
+
+  // The header carries it little-endian at offset 12, after the version.
+  std::string Bytes;
+  encodeFrame({FrameType::AllocRequest, Payload}, Bytes);
+  ASSERT_EQ(WireHeaderSize + Payload.size(), Bytes.size());
+  EXPECT_EQ(2, Bytes[4]);
+  EXPECT_EQ(0, Bytes[5]);
+  std::uint32_t Stored = 0;
+  for (int I = 3; I >= 0; --I)
+    Stored = Stored << 8 | static_cast<unsigned char>(Bytes[12 + I]);
+  EXPECT_EQ(wireChecksum(Payload), Stored);
+}
+
+TEST(WireCodec, ChecksumCatchesEveryBitFlipAndEveryZeroLength) {
+  std::string Payload(4096, '\0');
+  for (std::size_t I = 0; I < Payload.size(); ++I)
+    Payload[I] = static_cast<char>(I * 131 + 7);
+  const std::uint32_t Base = wireChecksum(Payload);
+  unsigned Missed = 0;
+  for (std::size_t Bit = 0; Bit < Payload.size() * 8; ++Bit) {
+    Payload[Bit / 8] ^= static_cast<char>(1 << (Bit % 8));
+    Missed += wireChecksum(Payload) == Base;
+    Payload[Bit / 8] ^= static_cast<char>(1 << (Bit % 8));
+  }
+  EXPECT_EQ(0u, Missed) << "single-bit flips the checksum did not see";
+
+  std::set<std::uint32_t> Zeros;
+  for (std::size_t Len = 0; Len <= 64; ++Len)
+    Zeros.insert(wireChecksum(std::string(Len, '\0')));
+  EXPECT_EQ(65u, Zeros.size()) << "a zero payload's length must count";
+}
+
+TEST(WireCodec, V1PeerIsRefusedByTheVersionGate) {
+  std::string Bytes;
+  encodeFrame({FrameType::StatsRequest, "x"}, Bytes);
+  Bytes[4] = 1;
+  FrameHeader H;
+  std::string Err;
+  EXPECT_EQ(FrameReadStatus::Malformed,
+            decodeFrameHeader(
+                reinterpret_cast<const unsigned char *>(Bytes.data()),
+                1u << 20, H, &Err));
+  EXPECT_EQ("unsupported protocol version", Err);
+}
 
 TEST(WireCodec, FrameRoundTripsOverSocketPair) {
   int Fds[2];
@@ -807,7 +868,7 @@ TEST(WireCodec, HelloEmitsEveryFieldAndSkipsUnknownKeys) {
   H.CacheEnabled = true;
   H.MaxCodec = WireMaxCodec;
   const std::string Payload = encodeHello(H);
-  EXPECT_EQ("server: server x\nprotocol: 1\nmax-payload: 1234\nqueue: 7\n"
+  EXPECT_EQ("server: server x\nprotocol: 2\nmax-payload: 1234\nqueue: 7\n"
             "cache: 1\ncodec-max: 2\n",
             Payload);
 
@@ -1106,6 +1167,118 @@ TEST(Service, V2GarbageAndTornFramesNeverTakeTheServerDown) {
   TelemetrySnapshot Stats;
   ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
   EXPECT_GE(Stats.count(telemetry::ServeMalformed), 2.0);
+}
+
+// --- event loop: reassembly and the by-reference write queue -------------
+
+/// Reads one frame off \p S and returns its exact bytes, header included
+/// ("" on any failure). With \p Step > 0 the payload is read \p Step bytes
+/// at a time with a pause between reads: a slow reader.
+std::string readRawFrame(Socket &S, std::size_t Step = 0) {
+  std::string Bytes(WireHeaderSize, '\0');
+  if (S.recvAll(Bytes.data(), WireHeaderSize, 30000) != IoStatus::Ok)
+    return "";
+  FrameHeader H;
+  if (decodeFrameHeader(reinterpret_cast<const unsigned char *>(Bytes.data()),
+                        1u << 30, H) != FrameReadStatus::Ok)
+    return "";
+  Bytes.resize(WireHeaderSize + H.Length);
+  for (std::size_t Pos = WireHeaderSize; Pos < Bytes.size();) {
+    std::size_t N = Step ? std::min(Step, Bytes.size() - Pos)
+                         : Bytes.size() - Pos;
+    if (S.recvAll(Bytes.data() + Pos, N, 30000) != IoStatus::Ok)
+      return "";
+    Pos += N;
+    if (Step)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return Bytes;
+}
+
+TEST(Service, PipelinedSplitAndSlowlyReadFramesAreAnsweredBitIdentically) {
+  // A Unix socket: its kernel buffer (a few hundred KiB) is what the slow
+  // reader below overflows.
+  ServerConfig Config;
+  Config.UnixPath = ::testing::TempDir() + "ccra-pipeline-" +
+                    std::to_string(::getpid()) + ".sock";
+  LiveServer S(Config);
+  ASSERT_TRUE(S.Ok);
+  std::string Err;
+  Socket Conn = Socket::connectUnix(Config.UnixPath, &Err);
+  ASSERT_TRUE(Conn.valid()) << Err;
+  ASSERT_FALSE(readRawFrame(Conn).empty()) << "no Hello";
+
+  FuzzGenParams Params;
+  Params.Seed = 7;
+  Params.SizeScale = 4;
+  AllocRequest Big;
+  Big.Options = improvedOptions();
+  Big.ModuleText = printed(*generateFuzzModule(Params));
+  ASSERT_GT(Big.ModuleText.size(), 64u * 1024)
+      << "must outgrow the event loop's 64 KiB read buffer";
+  const AllocRequest Small = proxyRequest("eqntott"),
+                     Other = proxyRequest("li");
+
+  auto FrameOf = [](const AllocRequest &R) {
+    std::string Bytes;
+    encodeFrame({FrameType::AllocRequest, encodeAllocRequest(R)}, Bytes);
+    return Bytes;
+  };
+  auto Send = [&](const std::string &Bytes) {
+    ASSERT_EQ(IoStatus::Ok,
+              Conn.sendAll(Bytes.data(), Bytes.size(), 30000, &Err))
+        << Err;
+  };
+  // A well-formed AllocResponse frame carrying the in-process allocation.
+  auto Check = [](const AllocRequest &R, const std::string &Raw) {
+    ASSERT_GE(Raw.size(), WireHeaderSize) << "no response frame";
+    std::string Payload = Raw.substr(WireHeaderSize), Reencoded;
+    encodeFrame({FrameType::AllocResponse, Payload}, Reencoded);
+    EXPECT_EQ(Reencoded, Raw) << "header is not this payload's";
+    AllocResponse Resp;
+    std::string ParseErr;
+    ASSERT_TRUE(parseAllocResponse(Payload, Resp, &ParseErr)) << ParseErr;
+    std::string Ir;
+    CostBreakdown Totals;
+    expectedAllocation(R.ModuleText, R, Ir, Totals);
+    EXPECT_EQ(Ir, Resp.AllocatedIr);
+    EXPECT_TRUE(Totals == Resp.Totals);
+  };
+
+  // Two requests in one send: the second waits in the reassembly buffer
+  // while the first is in flight.
+  Send(FrameOf(Small) + FrameOf(Other));
+  Check(Small, readRawFrame(Conn));
+  Check(Other, readRawFrame(Conn));
+
+  // One request larger than the read buffer, arriving over several
+  // readiness events.
+  const std::string BigFrame = FrameOf(Big);
+  const std::size_t Chunk = BigFrame.size() / 5 + 1;
+  for (std::size_t Pos = 0; Pos < BigFrame.size(); Pos += Chunk) {
+    Send(BigFrame.substr(Pos, Chunk));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const std::string Cold = readRawFrame(Conn);
+  Check(Big, Cold);
+
+  // A slow reader. The repeats are cache hits answered on the loop, each
+  // queueing the one stored frame; together they outgrow the socket
+  // buffer while this client reads nothing, so a flush stops mid-frame
+  // with more frames queued behind it. Every one must arrive intact.
+  const int Repeats = 8;
+  ASSERT_GT(Repeats * Cold.size(), 1u << 20);
+  std::string Burst;
+  for (int I = 0; I < Repeats; ++I)
+    Burst += BigFrame;
+  Send(Burst);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int I = 0; I < Repeats; ++I)
+    EXPECT_EQ(Cold, readRawFrame(Conn, 16 * 1024)) << "repeat " << I;
+
+  TelemetrySnapshot Stats = S.Server.stats();
+  EXPECT_EQ(static_cast<double>(Repeats), Stats.count(telemetry::CacheHits));
+  EXPECT_EQ(0.0, Stats.count(telemetry::ServeMalformed));
 }
 
 // --- event loop: connection scaling --------------------------------------

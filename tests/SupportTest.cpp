@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - support library unit tests -----------------===//
 
 #include "support/BitVector.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/Table.h"
@@ -8,10 +9,53 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 using namespace ccra;
 
 namespace {
+
+// --- hash64 --------------------------------------------------------------
+
+TEST(Hash, GoldenValuesPinTheFunction) {
+  // The wire checksum is these values' low 32 bits: a change here is a
+  // wire-format change and needs a WireVersion bump.
+  EXPECT_EQ(0xd8a310150df90781ull, hash64(""));
+  EXPECT_EQ(0xe9e9d1323cace9c3ull, hash64("a"));
+  EXPECT_EQ(0x9a028988f85810aeull, hash64("abcdefgh"));
+  EXPECT_EQ(0x7b21554f20779235ull, hash64("abcdefghi"));
+  EXPECT_EQ(0xf54595e63d89ecf7ull,
+            hash64("The quick brown fox jumps over the lazy dog"));
+}
+
+TEST(Hash, EqualBytesHashEqualWhereverTheyLive) {
+  const std::string A = "module m\nfunc @f (external)\n";
+  std::string Padded = "xx" + A;
+  EXPECT_EQ(hash64(A), hash64(std::string(A)));
+  EXPECT_EQ(hash64(A), hash64(Padded.data() + 2, A.size()))
+      << "the hash must not depend on the input's alignment";
+  EXPECT_NE(hash64(A), hash64(A + "\n"));
+}
+
+TEST(Hash, EveryTailLengthIsCovered) {
+  // Each length 0..64 ends in a different tail; every byte of every one
+  // must count, and so must the length of an all-zero input.
+  for (std::size_t Len = 0; Len <= 64; ++Len) {
+    std::string Bytes(Len, '\0');
+    for (std::size_t I = 0; I < Len; ++I)
+      Bytes[I] = static_cast<char>(I * 37 + Len);
+    const std::uint64_t Base = hash64(Bytes);
+    for (std::size_t I = 0; I < Len; ++I) {
+      std::string Changed = Bytes;
+      Changed[I] ^= 0x01;
+      EXPECT_NE(Base, hash64(Changed)) << "length " << Len << " byte " << I;
+    }
+    for (std::size_t Shorter = 0; Shorter < Len; ++Shorter)
+      EXPECT_NE(hash64(std::string(Len, '\0')),
+                hash64(std::string(Shorter, '\0')))
+          << Len << " vs " << Shorter << " zero bytes";
+  }
+}
 
 // --- BitVector -----------------------------------------------------------
 
