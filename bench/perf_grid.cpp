@@ -25,11 +25,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtil.h"
+#include "ccra.h"
+#include "support/Table.h"
+#include "workloads/SpecProxies.h"
 
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <iostream>
 
 using namespace ccra;
 
@@ -76,10 +79,8 @@ bool sameResult(const ExperimentResult &A, const ExperimentResult &B) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
-  unsigned Jobs =
-      Args.Jobs == 1 ? ThreadPool::defaultParallelism() : Args.Jobs;
+int main() {
+  unsigned Jobs = ThreadPool::defaultParallelism();
 
   // The sweep: every standard register configuration (17) for three of the
   // larger proxies — at least a 24-point grid. Spec.Jobs = 2 gives each
@@ -180,8 +181,5 @@ int main(int Argc, char **Argv) {
        << "  \"grid\": ";
   GridTelemetry.writeJson(Json);
   Json << "\n}\n";
-
-  if (Args.Telemetry)
-    GridTelemetry.writeJson(std::cerr);
   return (Divergences == 0 && ComputesBounded) ? 0 : 1;
 }

@@ -24,16 +24,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtil.h"
-
+#include "ccra.h"
 #include "core/BenefitKeys.h"
 #include "fuzz/Oracle.h"
 #include "regalloc/VRegClasses.h"
+#include "support/Table.h"
 #include "workloads/SyntheticBuilder.h"
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iostream>
 #include <vector>
 
 using namespace ccra;
@@ -137,9 +138,7 @@ ArmSample timeReference(Module &M, const RegisterConfig &Config, int Reps,
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  BenchArgs Args = parseBenchArgs(Argc, Argv);
-
+int main() {
   const std::vector<unsigned> Sizes = {1000, 2000, 5000, 10000, 20000, 50000};
   // 8 + 8 int registers: clique number 7 fits, so no size ever spills and
   // both arms stay on the single-round path.
@@ -201,10 +200,7 @@ int main(int Argc, char **Argv) {
 
   std::cout << "== perf_scaling: staggered chains, overlap depth "
             << OverlapDepth << " ==\n";
-  if (Args.Csv)
-    Table.printCsv(std::cout);
-  else
-    Table.print(std::cout);
+  Table.print(std::cout);
   std::cout << "bit-identical results: " << (Divergences == 0 ? "yes" : "NO")
             << " (reference arm capped at V=" << ReferenceCap << ")\n";
   return Divergences == 0 ? 0 : 1;

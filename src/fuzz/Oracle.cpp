@@ -11,6 +11,7 @@
 #include "ir/Verifier.h"
 #include "regalloc/Coalescer.h"
 #include "regalloc/CostAccounting.h"
+#include "regalloc/GraphReconstructor.h"
 #include "regalloc/SpillCodeInserter.h"
 #include "regalloc/VRegClasses.h"
 
@@ -222,6 +223,17 @@ bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
   return true;
 }
 
+/// Same ranges (metrics included) and the same range for every register.
+bool sameRanges(const LiveRangeSet &A, const LiveRangeSet &B,
+                unsigned NumVRegs) {
+  if (A.ranges() != B.ranges())
+    return false;
+  for (unsigned V = 0; V < NumVRegs; ++V)
+    if (A.rangeIdOf(VirtReg(V)) != B.rangeIdOf(VirtReg(V)))
+      return false;
+  return true;
+}
+
 /// Runs every function body of two clones of \p M through the engine's
 /// round loop — coalesce, build, simplify, spill what simplification
 /// spilled, repeat (at most 16 rounds) — with the engine's components on
@@ -230,10 +242,12 @@ bool sameEdges(const InterferenceGraph &A, const InterferenceGraph &B) {
 /// copies, final liveness, live ranges, graph edges), the dense and the
 /// sparse graph against the register-granularity reference scan, the
 /// worklist against the O(V^2) reference simplifier (pessimistic and
-/// optimistic, in id order and under the §5 key), and CBH's worklist
-/// simplification against its rescan. The
-/// engine runs one path through each component; this is where the others
-/// live.
+/// optimistic, in id order and under the §5 key), CBH's worklist
+/// simplification against its rescan, and — after a spill that left no
+/// copies, where the engine patches the round's state with
+/// GraphReconstructor — that patched state against the next round's
+/// rebuild (liveness, live ranges, graph edges). The engine runs one path
+/// through each component; this is where the others live.
 void checkComponents(const Module &M, const OracleOptions &OO,
                      OracleReport &Report) {
   MachineDescription MD(OO.Config);
@@ -250,6 +264,11 @@ void checkComponents(const Module &M, const OracleOptions &OO,
       continue;
     ++Report.ComponentChecks;
     VRegClasses Classes(F.numVRegs()), RefClasses(G.numVRegs());
+    // The previous round's spill, reconstructed as the engine does it.
+    bool Reconstructed = false;
+    Liveness PatchedLV;
+    LiveRangeSet PatchedLRS;
+    InterferenceGraph PatchedIG;
     bool Failed = false;
     for (unsigned Round = 1; Round <= 16 && !Failed; ++Round) {
       auto Check = [&](bool Ok, const std::string &Oracle) {
@@ -276,11 +295,12 @@ void checkComponents(const Module &M, const OracleOptions &OO,
       printFunction(G, RefCode);
       Check(Code == RefCode, "coalesce-code");
       Check(LV == RefLV, "coalesce-liveness");
-      bool SameRanges = LRS.ranges() == RefLRS.ranges();
-      for (unsigned V = 0; SameRanges && V < F.numVRegs(); ++V)
-        SameRanges = LRS.rangeIdOf(VirtReg(V)) == RefLRS.rangeIdOf(VirtReg(V));
-      Check(SameRanges, "coalesce-ranges");
+      Check(sameRanges(LRS, RefLRS, F.numVRegs()), "coalesce-ranges");
       Check(sameEdges(IG, RefIG), "coalesce-graph");
+      if (Reconstructed)
+        Check(LV == PatchedLV && sameRanges(LRS, PatchedLRS, F.numVRegs()) &&
+                  sameEdges(IG, PatchedIG),
+              "reconstruct-rebuild");
 
       InterferenceGraph Dense =
           InterferenceGraph::build(F, LV, LRS, nullptr, GraphRep::Dense);
@@ -329,10 +349,19 @@ void checkComponents(const Module &M, const OracleOptions &OO,
         if (Range >= 0 && SpillIndex[Range] >= 0)
           SpilledClasses[SpillIndex[Range]].push_back(VirtReg(V));
       }
+      Reconstructed = GraphReconstructor::hasNoCopies(F);
+      unsigned OldNumVRegs = F.numVRegs();
       SpillCodeInserter::run(F, SpilledClasses);
       SpillCodeInserter::run(G, SpilledClasses);
       Classes.grow(F.numVRegs());
       RefClasses.grow(G.numVRegs());
+      if (Reconstructed) {
+        GraphReconstructor::apply(F, Freq, Ctx.LV, Ctx.LRS, IG,
+                                  Spiller.SpilledNodes, OldNumVRegs);
+        PatchedLV = std::move(Ctx.LV);
+        PatchedLRS = std::move(Ctx.LRS);
+        PatchedIG = std::move(IG);
+      }
     }
   }
 }
@@ -364,11 +393,6 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
     AllocatorOptions O = Base;
     O.Jobs = ParallelJobs;
     Identical("jobs-parallel", O);
-  }
-  {
-    AllocatorOptions O = Base;
-    O.IncrementalReconstruction = false;
-    Identical("reconstruct-legacy", O);
   }
   Identical("liveness-seeded", Base, /*Seeded=*/true);
 

@@ -6,10 +6,9 @@
 /// cross-checked three ways:
 ///
 /// - **Equivalence oracles.** The execution choices left in the engine
-///   (parallel vs. serial module allocation, incremental graph
-///   reconstruction, cache-seeded baseline liveness) document a
-///   bit-identical-results contract. Legs `jobs-parallel`,
-///   `reconstruct-legacy` and `liveness-seeded` are diffed against the
+///   (parallel vs. serial module allocation, cache-seeded baseline
+///   liveness) document a bit-identical-results contract. Legs
+///   `jobs-parallel` and `liveness-seeded` are diffed against the
 ///   `baseline` leg: cost breakdowns and per-function counters must match
 ///   exactly, every vreg must land in the same location, and the printed
 ///   allocated IR must be byte-identical.
@@ -20,9 +19,10 @@
 ///   incremental vs. recompute-every-pass coalescing (classes, deleted
 ///   copies, final liveness, live ranges, graph edges), the dense and the
 ///   sparse interference graph vs. the register-granularity reference
-///   scan, and the worklist vs. the O(V^2) reference
+///   scan, the worklist vs. the O(V^2) reference
 ///   simplifier (stack and spill set), for Chaitin's simplification and
-///   for CBH's. Findings are reported under the
+///   for CBH's, and graph reconstruction after a copy-free spill vs. the
+///   next round's rebuild. Findings are reported under the
 ///   leg name "component".
 ///
 /// - **Soundness oracles.** Every leg — including configurations with

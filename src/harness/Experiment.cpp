@@ -158,17 +158,8 @@ ccra::runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs,
   return Runs;
 }
 
-ExperimentResult ccra::runExperiment(const Module &M,
-                                     const RegisterConfig &Config,
-                                     const AllocatorOptions &Opts,
-                                     FrequencyMode Mode) {
-  return runExperiment({&M, Config, Opts, Mode, /*Jobs=*/1}).Result;
-}
-
-/// Per-instruction cycle costs, loosely following the MIPS R3000 the paper
-/// measured on (DECstation 5000): single-cycle ALU ops, two-cycle memory
-/// accesses (including every overhead load/store), multi-cycle
-/// multiply/divide, and a small fixed call overhead.
+/// Per-instruction cycle costs of the Table 4 model (see
+/// estimateDynamicCycles in harness/Experiment.h).
 static double instructionCycles(const Instruction &I) {
   switch (I.Op) {
   case Opcode::Mul:

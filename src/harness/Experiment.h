@@ -3,10 +3,10 @@
 /// \file
 /// Runs one point of the paper's evaluation grid — (workload, register
 /// configuration, allocator, frequency source) — on a clone of the
-/// workload, and the Table 4 execution-time model. Every bench binary is a
-/// thin loop over this. The step inside a grid point (clone, shared
-/// analyses, engine) is SourceAllocation, which the allocation service's
-/// workers run too.
+/// workload, and the Table 4 execution-time model. bench/paper_tables runs
+/// every reproduced table through runExperiments. The step inside a grid
+/// point (clone, shared analyses, engine) is SourceAllocation, which the
+/// allocation service's workers run too.
 ///
 /// A grid point is described by an ExperimentSpec and produces an
 /// ExperimentRun: the cost/statistics summary plus the telemetry the
@@ -46,8 +46,8 @@ struct ExperimentResult {
   unsigned CoalescedMoves = 0;
   unsigned CalleeRegsPaid = 0;
   unsigned MaxRounds = 0;
-  /// Estimated dynamic cycles of the allocated program (Table 4 model):
-  /// one cycle per instruction plus one extra per memory operation.
+  /// Estimated dynamic cycles of the allocated program, under the Table 4
+  /// model of estimateDynamicCycles.
   double Cycles = 0.0;
 };
 
@@ -139,15 +139,11 @@ std::vector<ExperimentRun> runExperiments(const std::vector<ExperimentSpec> &Spe
                                           unsigned Jobs = 1,
                                           TelemetrySnapshot *GridTelemetry = nullptr);
 
-/// \deprecated Positional shim over the ExperimentSpec overload; drops the
-/// telemetry half of the result.
-ExperimentResult runExperiment(const Module &M, const RegisterConfig &Config,
-                               const AllocatorOptions &Opts,
-                               FrequencyMode Mode);
-
-/// The Table 4 cycle model, exposed for tests: weighted dynamic instruction
-/// count with memory operations (including all overhead loads/stores)
-/// costing one extra cycle.
+/// The Table 4 cycle model: every instruction's cycle cost weighted by its
+/// block's frequency. The costs loosely follow the MIPS R3000 the paper
+/// measured on (DECstation 5000): 5 cycles for a multiply and 20 for a
+/// divide (integer or floating point), 2 for a call, 2 for a memory access
+/// (every overhead load and store included), and 1 for anything else.
 double estimateDynamicCycles(const Module &M, const FrequencyInfo &Freq);
 
 } // namespace ccra

@@ -172,8 +172,7 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       // would be a no-op (no copies remain: spill code adds none, but
       // conservative coalescing may have kept some), patch this round's
       // state instead of rebuilding from scratch.
-      bool Incremental = Opts.IncrementalReconstruction &&
-                         GraphReconstructor::hasNoCopies(F);
+      bool Incremental = GraphReconstructor::hasNoCopies(F);
       if (Incremental) {
         ReconstructOldVRegs = F.numVRegs();
         for (unsigned I = 0; I < Ctx.LRS.numRanges(); ++I)

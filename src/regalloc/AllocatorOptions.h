@@ -85,13 +85,6 @@ struct AllocatorOptions {
   /// becomes a reported (and shrinkable) finding rather than a crash.
   bool VerifyReportOnly = false;
 
-  /// Graph reconstruction (§2): when a retry round cannot coalesce anything
-  /// anyway (the function has no copies left), patch the liveness /
-  /// live-range / interference-graph state incrementally instead of
-  /// recomputing it — the paper's compile-time optimization. Results are
-  /// identical either way (equivalence-tested).
-  bool IncrementalReconstruction = true;
-
   /// Concurrent function allocations in allocateModule: 1 = serial (the
   /// escape hatch; default), 0 = one job per hardware thread, N = exactly
   /// N jobs. Results are bit-identical at any setting; the engine reduces
@@ -105,12 +98,12 @@ struct AllocatorOptions {
   /// the fields that can change the allocation *result* (assignment,
   /// costs, emitted IR) — Kind, Optimistic, the three improvements, BSKey,
   /// CalleeModel, Ordering, AggressiveCoalescing, MaterializeSaveRestore.
-  /// The execution fields (Jobs, Verify, VerifyReportOnly,
-  /// IncrementalReconstruction) are excluded: results are bit-identical
-  /// across them, so two options differing only there MUST share a key,
-  /// and they are set from code, never from text. The form is order- and
-  /// default-insensitive by construction (fixed order, every included
-  /// field always emitted) and parses back through parseAllocatorOptions.
+  /// The execution fields (Jobs, Verify, VerifyReportOnly) are excluded:
+  /// results are bit-identical across them, so two options differing only
+  /// there MUST share a key, and they are set from code, never from text.
+  /// The form is order- and default-insensitive by construction (fixed
+  /// order, every included field always emitted) and parses back through
+  /// parseAllocatorOptions.
   /// Property-tested in tests/PropertyTest.cpp: semantically equal options
   /// produce equal keys and every behavior-affecting field perturbs the
   /// key. The wire protocol, `ccra_cc --options` and the content-addressed

@@ -67,27 +67,6 @@ void TextTable::print(std::ostream &OS) const {
     Emit(Row);
 }
 
-void TextTable::printCsv(std::ostream &OS) const {
-  auto Emit = [&](const std::vector<std::string> &Row) {
-    for (size_t I = 0; I < Row.size(); ++I) {
-      if (I != 0)
-        OS << ',';
-      // Cells produced by the harness never contain commas or quotes, but
-      // guard anyway.
-      bool NeedsQuote = Row[I].find(',') != std::string::npos;
-      if (NeedsQuote)
-        OS << '"' << Row[I] << '"';
-      else
-        OS << Row[I];
-    }
-    OS << '\n';
-  };
-  if (!Header.empty())
-    Emit(Header);
-  for (const auto &Row : Rows)
-    Emit(Row);
-}
-
 std::string TextTable::formatDouble(double Value, int Precision) {
   char Buffer[64];
   std::snprintf(Buffer, sizeof(Buffer), "%.*f", Precision, Value);

@@ -2,8 +2,7 @@
 ///
 /// \file
 /// The benchmark harness prints every reproduced table and figure as an
-/// aligned text table (for humans) and can emit the same data as CSV (for
-/// plotting). TextTable collects rows of strings and right-pads columns.
+/// aligned text table. TextTable collects rows of strings and pads columns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +31,6 @@ public:
   /// Renders the table with two-space column gaps. Numeric-looking cells
   /// are right-aligned, text cells left-aligned.
   void print(std::ostream &OS) const;
-
-  /// Renders the table as CSV (header first when set).
-  void printCsv(std::ostream &OS) const;
 
   /// Formats a double with \p Precision digits after the decimal point.
   static std::string formatDouble(double Value, int Precision = 2);

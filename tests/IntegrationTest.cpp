@@ -34,8 +34,8 @@ std::vector<AllocatorOptions> allAllocatorOptions() {
 TEST(Integration, EveryAllocatorConvergesOnEqntott) {
   std::unique_ptr<Module> M = buildSpecProxy("eqntott");
   for (const AllocatorOptions &Opts : allAllocatorOptions()) {
-    ExperimentResult R = runExperiment(*M, RegisterConfig(8, 6, 2, 2), Opts,
-                                       FrequencyMode::Profile);
+    ExperimentResult R =
+        runExperiment({M.get(), RegisterConfig(8, 6, 2, 2), Opts}).Result;
     EXPECT_GE(R.Costs.total(), 0.0) << Opts.describe();
     EXPECT_GT(R.Cycles, 0.0) << Opts.describe();
   }
@@ -47,10 +47,10 @@ TEST(Integration, EveryProxyAllocatesUnderMinimalAndFullConfigs) {
     std::unique_ptr<Module> M = buildSpecProxy(Name);
     for (const RegisterConfig &Config :
          {minimalMipsConfig(), fullMipsConfig()}) {
-      ExperimentResult Base = runExperiment(*M, Config, baseChaitinOptions(),
-                                            FrequencyMode::Profile);
-      ExperimentResult Improved = runExperiment(
-          *M, Config, improvedOptions(), FrequencyMode::Profile);
+      ExperimentResult Base =
+          runExperiment({M.get(), Config, baseChaitinOptions()}).Result;
+      ExperimentResult Improved =
+          runExperiment({M.get(), Config, improvedOptions()}).Result;
       EXPECT_GE(Base.Costs.total(), 0.0);
       EXPECT_GE(Improved.Costs.total(), 0.0);
     }
@@ -61,12 +61,10 @@ TEST(Integration, ImprovedBeatsBaseOnEqntottWithManyRegisters) {
   // §7: with ample registers the improved allocator removes nearly all of
   // the base allocator's callee-save overhead (factors of tens).
   std::unique_ptr<Module> M = buildSpecProxy("eqntott");
-  ExperimentResult Base = runExperiment(*M, fullMipsConfig(),
-                                        baseChaitinOptions(),
-                                        FrequencyMode::Profile);
-  ExperimentResult Improved = runExperiment(*M, fullMipsConfig(),
-                                            improvedOptions(),
-                                            FrequencyMode::Profile);
+  ExperimentResult Base =
+      runExperiment({M.get(), fullMipsConfig(), baseChaitinOptions()}).Result;
+  ExperimentResult Improved =
+      runExperiment({M.get(), fullMipsConfig(), improvedOptions()}).Result;
   EXPECT_GT(Base.Costs.total(), 5.0 * Improved.Costs.total());
 }
 
@@ -75,10 +73,10 @@ TEST(Integration, TomcatvIsInsensitiveToCallCostMachinery) {
   // are no-ops.
   std::unique_ptr<Module> M = buildSpecProxy("tomcatv");
   for (const RegisterConfig &Config : standardConfigSweep()) {
-    ExperimentResult Base = runExperiment(*M, Config, baseChaitinOptions(),
-                                          FrequencyMode::Profile);
-    ExperimentResult Improved = runExperiment(*M, Config, improvedOptions(),
-                                              FrequencyMode::Profile);
+    ExperimentResult Base =
+        runExperiment({M.get(), Config, baseChaitinOptions()}).Result;
+    ExperimentResult Improved =
+        runExperiment({M.get(), Config, improvedOptions()}).Result;
     EXPECT_NEAR(Base.Costs.total(), Improved.Costs.total(),
                 1e-6 * (1.0 + Base.Costs.total()))
         << Config.label();
@@ -90,15 +88,14 @@ TEST(Integration, Figure2ShapeSpillCollapsesThenCallCostGrows) {
   // registers, call cost takes over, and *more* registers then increase
   // the base allocator's total cost.
   std::unique_ptr<Module> M = buildSpecProxy("eqntott");
-  ExperimentResult Minimal = runExperiment(*M, minimalMipsConfig(),
-                                           baseChaitinOptions(),
-                                           FrequencyMode::Profile);
-  ExperimentResult Mid = runExperiment(*M, RegisterConfig(11, 8, 5, 4),
-                                       baseChaitinOptions(),
-                                       FrequencyMode::Profile);
-  ExperimentResult Full = runExperiment(*M, fullMipsConfig(),
-                                        baseChaitinOptions(),
-                                        FrequencyMode::Profile);
+  ExperimentResult Minimal = runExperiment({M.get(), minimalMipsConfig(),
+                                            baseChaitinOptions()})
+                                 .Result;
+  ExperimentResult Mid = runExperiment({M.get(), RegisterConfig(11, 8, 5, 4),
+                                        baseChaitinOptions()})
+                             .Result;
+  ExperimentResult Full =
+      runExperiment({M.get(), fullMipsConfig(), baseChaitinOptions()}).Result;
   EXPECT_GT(Minimal.Costs.Spill, 20.0 * Mid.Costs.total());
   EXPECT_DOUBLE_EQ(Mid.Costs.Spill, 0.0);
   EXPECT_DOUBLE_EQ(Full.Costs.Spill, 0.0);
@@ -111,10 +108,12 @@ TEST(Integration, Figure9ShapeOptimisticEarlyImprovedLate) {
   std::unique_ptr<Module> M = buildSpecProxy("fpppp");
   auto Ratio = [&](const RegisterConfig &Config,
                    const AllocatorOptions &Opts) {
-    ExperimentResult Base = runExperiment(*M, Config, baseChaitinOptions(),
-                                          FrequencyMode::Static);
+    ExperimentResult Base = runExperiment({M.get(), Config,
+                                           baseChaitinOptions(),
+                                           FrequencyMode::Static})
+                                .Result;
     ExperimentResult Other =
-        runExperiment(*M, Config, Opts, FrequencyMode::Static);
+        runExperiment({M.get(), Config, Opts, FrequencyMode::Static}).Result;
     return Base.Costs.total() / Other.Costs.total();
   };
   // Optimistic coloring shines while registers are scarce...
@@ -132,12 +131,11 @@ TEST(Integration, Figure9ShapeOptimisticEarlyImprovedLate) {
 TEST(Integration, OptimisticCanLoseOnceCallCostCounts) {
   // Tables 2/3's darkly shaded cells: optimistic coloring below 1.00.
   std::unique_ptr<Module> M = buildSpecProxy("li");
-  ExperimentResult Base = runExperiment(*M, RegisterConfig(9, 7, 3, 3),
-                                        baseChaitinOptions(),
-                                        FrequencyMode::Profile);
-  ExperimentResult Optimistic = runExperiment(*M, RegisterConfig(9, 7, 3, 3),
-                                              optimisticOptions(),
-                                              FrequencyMode::Profile);
+  RegisterConfig Config(9, 7, 3, 3);
+  ExperimentResult Base =
+      runExperiment({M.get(), Config, baseChaitinOptions()}).Result;
+  ExperimentResult Optimistic =
+      runExperiment({M.get(), Config, optimisticOptions()}).Result;
   EXPECT_LT(Base.Costs.total(), Optimistic.Costs.total());
   // But its *spill* component never exceeds base Chaitin's (§8).
   EXPECT_LE(Optimistic.Costs.Spill, Base.Costs.Spill + 1e-9);
@@ -148,20 +146,18 @@ TEST(Integration, CBHStarvesCallCrossingRanges) {
   // crossing ranges that improved coloring keeps in caller-save registers.
   std::unique_ptr<Module> M = buildSpecProxy("matrix300");
   RegisterConfig Config(10, 8, 3, 3);
-  ExperimentResult Base = runExperiment(*M, Config, baseChaitinOptions(),
-                                        FrequencyMode::Profile);
-  ExperimentResult Cbh =
-      runExperiment(*M, Config, cbhOptions(), FrequencyMode::Profile);
-  ExperimentResult Improved = runExperiment(*M, Config, improvedOptions(),
-                                            FrequencyMode::Profile);
+  ExperimentResult Base =
+      runExperiment({M.get(), Config, baseChaitinOptions()}).Result;
+  ExperimentResult Cbh = runExperiment({M.get(), Config, cbhOptions()}).Result;
+  ExperimentResult Improved =
+      runExperiment({M.get(), Config, improvedOptions()}).Result;
   EXPECT_GT(Cbh.Costs.total(), 2.0 * Base.Costs.total());
   EXPECT_LE(Improved.Costs.total(), Base.Costs.total() * 1.0 + 1e-9);
   // CBH recovers ground as callee-save registers are added.
   ExperimentResult CbhFull =
-      runExperiment(*M, fullMipsConfig(), cbhOptions(),
-                    FrequencyMode::Profile);
-  ExperimentResult BaseFull = runExperiment(
-      *M, fullMipsConfig(), baseChaitinOptions(), FrequencyMode::Profile);
+      runExperiment({M.get(), fullMipsConfig(), cbhOptions()}).Result;
+  ExperimentResult BaseFull =
+      runExperiment({M.get(), fullMipsConfig(), baseChaitinOptions()}).Result;
   EXPECT_LT(CbhFull.Costs.total() / BaseFull.Costs.total(),
             Cbh.Costs.total() / Base.Costs.total());
 }
@@ -171,12 +167,13 @@ TEST(Integration, PreferenceDecisionHelpsNasa7WithoutBS) {
   // visible over SC alone (benefit-driven simplification independently
   // achieves the same ordering when enabled — see EXPERIMENTS.md).
   std::unique_ptr<Module> M = buildSpecProxy("nasa7");
-  ExperimentResult Sc = runExperiment(*M, RegisterConfig(10, 8, 4, 4),
-                                      improvedOptions(true, false, false),
-                                      FrequencyMode::Profile);
-  ExperimentResult ScPr = runExperiment(*M, RegisterConfig(10, 8, 4, 4),
-                                        improvedOptions(true, false, true),
-                                        FrequencyMode::Profile);
+  RegisterConfig Config(10, 8, 4, 4);
+  ExperimentResult Sc =
+      runExperiment({M.get(), Config, improvedOptions(true, false, false)})
+          .Result;
+  ExperimentResult ScPr =
+      runExperiment({M.get(), Config, improvedOptions(true, false, true)})
+          .Result;
   EXPECT_GT(Sc.Costs.total(), 1.5 * ScPr.Costs.total());
 }
 
@@ -184,10 +181,10 @@ TEST(Integration, Table4SpeedupOrdering) {
   // spice has the least to gain (the paper's 1.0% row).
   auto Speedup = [](const std::string &Name) {
     std::unique_ptr<Module> M = buildSpecProxy(Name);
-    ExperimentResult Optimistic = runExperiment(
-        *M, fullMipsConfig(), optimisticOptions(), FrequencyMode::Profile);
-    ExperimentResult Improved = runExperiment(
-        *M, fullMipsConfig(), improvedOptions(), FrequencyMode::Profile);
+    ExperimentResult Optimistic =
+        runExperiment({M.get(), fullMipsConfig(), optimisticOptions()}).Result;
+    ExperimentResult Improved =
+        runExperiment({M.get(), fullMipsConfig(), improvedOptions()}).Result;
     return Optimistic.Cycles / Improved.Cycles - 1.0;
   };
   double Spice = Speedup("spice");
@@ -200,8 +197,9 @@ TEST(Integration, Table4SpeedupOrdering) {
 TEST(Integration, StaticAndDynamicModesBothWork) {
   std::unique_ptr<Module> M = buildSpecProxy("ear");
   for (FrequencyMode Mode : {FrequencyMode::Static, FrequencyMode::Profile}) {
-    ExperimentResult R = runExperiment(*M, RegisterConfig(9, 7, 3, 3),
-                                       improvedOptions(), Mode);
+    ExperimentResult R = runExperiment({M.get(), RegisterConfig(9, 7, 3, 3),
+                                        improvedOptions(), Mode})
+                             .Result;
     EXPECT_GE(R.Costs.total(), 0.0);
   }
 }

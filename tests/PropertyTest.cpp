@@ -207,7 +207,6 @@ AllocatorOptions randomOptions(Rng &R) {
   O.MaterializeSaveRestore = R.nextBool();
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
-  O.IncrementalReconstruction = R.nextBool();
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
   return O;
 }
@@ -217,14 +216,13 @@ AllocatorOptions behaviorOnly(AllocatorOptions O) {
   const AllocatorOptions Defaults;
   O.Verify = Defaults.Verify;
   O.VerifyReportOnly = Defaults.VerifyReportOnly;
-  O.IncrementalReconstruction = Defaults.IncrementalReconstruction;
   O.Jobs = Defaults.Jobs;
   return O;
 }
 
 TEST(OptionsRoundTrip, RandomOptionSpaceIsExact) {
-  // All fourteen fields randomized: the ten behavior fields come back
-  // exactly, the four execution fields come back at their defaults.
+  // All thirteen fields randomized: the ten behavior fields come back
+  // exactly, the three execution fields come back at their defaults.
   Rng R(20260806);
   for (int I = 0; I < 2000; ++I) {
     AllocatorOptions O = randomOptions(R);
@@ -289,7 +287,7 @@ TEST(OptionsRoundTrip, MalformedInputIsRejected) {
 }
 
 TEST(OptionsRoundTrip, NonKeyNamesAreRejected) {
-  // The four execution fields and the five deleted comparison knobs: none
+  // The three execution fields and the six deleted comparison knobs: none
   // of them is a key, so none can be set from the wire or `--options`.
   for (const char *Name :
        {"verify", "verify-report-only", "incremental-reconstruction", "jobs",
@@ -322,7 +320,6 @@ TEST(OptionsRoundTrip, NonKeyNamesAreRejected) {
 void scrambleExecutionFields(AllocatorOptions &O, Rng &R) {
   O.Verify = R.nextBool();
   O.VerifyReportOnly = R.nextBool();
-  O.IncrementalReconstruction = R.nextBool();
   O.Jobs = static_cast<unsigned>(R.nextBelow(64));
 }
 

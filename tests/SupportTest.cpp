@@ -282,13 +282,4 @@ TEST(TextTable, PrintAlignsColumns) {
   EXPECT_EQ(Table.numRows(), 2u);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable Table;
-  Table.setHeader({"a", "b"});
-  Table.addRow({"1", "2"});
-  std::ostringstream OS;
-  Table.printCsv(OS);
-  EXPECT_EQ(OS.str(), "a,b\n1,2\n");
-}
-
 } // namespace
