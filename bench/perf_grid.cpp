@@ -10,12 +10,16 @@
 //              engine.
 //   optimized: one ModuleAnalysisCache and one shared ThreadPool for the
 //              whole grid (runExperiments), baseline-liveness seeding,
-//              and nested batches on the one pool instead of nested pools.
+//              replayed round-1 coalescing per register budget, and nested
+//              batches on the one pool instead of nested pools.
 //
 // The grid is repeated, the two paths interleaved, until the optimized
 // path has run for at least MinOptimizedSeconds; the reported times are
-// the mean per grid over those repetitions, so the gated throughput rests
-// on a second of work rather than on one grid of a few milliseconds.
+// the mean per grid over those repetitions, so the gated number rests on a
+// second of work rather than on one grid of a few milliseconds. Each arm
+// reports wall-clock seconds and the process CPU seconds it used (all
+// threads); tools/bench_gate gates the optimized arm's CPU per point,
+// which a shared host's load moves far less than wall-clock throughput.
 //
 // The two paths must produce bit-identical ExperimentResults; any
 // divergence is a correctness bug and exits non-zero (tools/check.sh runs
@@ -31,6 +35,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 
@@ -46,6 +51,13 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
+}
+
+/// CPU seconds this process has used so far, summed over its threads.
+double processCpuSeconds() {
+  timespec TS{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &TS);
+  return static_cast<double>(TS.tv_sec) + TS.tv_nsec * 1e-9;
 }
 
 /// The legacy execution model: no shared cache, no shared pool (each
@@ -105,21 +117,28 @@ int main() {
   // has run for MinOptimizedSeconds; each path reports its mean per grid.
   runLegacyGrid(Specs, Jobs);
   double LegacyTotal = 0, OptimizedTotal = 0;
+  double LegacyCpu = 0, OptimizedCpu = 0;
   unsigned Reps = 0;
   std::vector<ExperimentRun> LegacyRuns, OptimizedRuns;
   TelemetrySnapshot GridTelemetry;
   do {
     auto T0 = std::chrono::steady_clock::now();
+    double C0 = processCpuSeconds();
     LegacyRuns = runLegacyGrid(Specs, Jobs);
+    LegacyCpu += processCpuSeconds() - C0;
     LegacyTotal += secondsSince(T0);
 
     auto T1 = std::chrono::steady_clock::now();
+    double C1 = processCpuSeconds();
     OptimizedRuns = runExperiments(Specs, Jobs, &GridTelemetry);
+    OptimizedCpu += processCpuSeconds() - C1;
     OptimizedTotal += secondsSince(T1);
     ++Reps;
   } while (OptimizedTotal < MinOptimizedSeconds);
   double LegacySeconds = LegacyTotal / Reps;
   double OptimizedSeconds = OptimizedTotal / Reps;
+  double LegacyCpuSeconds = LegacyCpu / Reps;
+  double OptimizedCpuSeconds = OptimizedCpu / Reps;
 
   // Correctness gate: the optimized grid must reproduce the legacy grid
   // bit for bit (same costs, same statistics, same cycle estimates).
@@ -152,9 +171,12 @@ int main() {
             << "-point sweep, jobs=" << Jobs << ", " << Reps
             << " repetitions ==\n"
             << "legacy:     " << TextTable::formatDouble(LegacySeconds, 4)
-            << " s per grid\n"
+            << " s per grid, "
+            << TextTable::formatDouble(LegacyCpuSeconds, 4) << " s CPU\n"
             << "optimized:  " << TextTable::formatDouble(OptimizedSeconds, 4)
-            << " s per grid (" << TextTable::formatDouble(OptimizedTotal, 2)
+            << " s per grid, "
+            << TextTable::formatDouble(OptimizedCpuSeconds, 4)
+            << " s CPU (" << TextTable::formatDouble(OptimizedTotal, 2)
             << " s in all)\n"
             << "speedup:    " << TextTable::formatDouble(Speedup, 2) << "x\n"
             << "bit-identical results: "
@@ -171,6 +193,8 @@ int main() {
        << "  \"repetitions\": " << Reps << ",\n"
        << "  \"legacy_seconds\": " << LegacySeconds << ",\n"
        << "  \"optimized_seconds\": " << OptimizedSeconds << ",\n"
+       << "  \"legacy_cpu_seconds\": " << LegacyCpuSeconds << ",\n"
+       << "  \"optimized_cpu_seconds\": " << OptimizedCpuSeconds << ",\n"
        << "  \"speedup\": " << Speedup << ",\n"
        << "  \"bit_identical\": " << (Divergences == 0 ? "true" : "false")
        << ",\n"

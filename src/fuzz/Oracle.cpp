@@ -4,7 +4,7 @@
 
 #include "analysis/AnalysisCache.h"
 #include "core/BenefitKeys.h"
-#include "core/EngineBuilder.h"
+#include "harness/Experiment.h"
 #include "ir/Cloner.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
@@ -71,29 +71,15 @@ LegCapture runLeg(const Module &M, const OracleLeg &Leg,
     Report.Failures.push_back({Leg.Name, Oracle, Detail});
   };
 
-  std::unique_ptr<Module> Clone = cloneModule(M);
-  FrequencyInfo Freq;
-  AnalysisSeeds Seeds;
-  const AnalysisSeeds *SeedsPtr = nullptr;
-  if (Leg.SeedFromCache) {
-    // The cache is keyed on the pristine source module; its frequencies and
-    // baseline liveness transfer to any clone by position / block-id
-    // identity (the same sharing contract the experiment grid relies on).
-    Freq = Cache.frequencies(M, OO.Mode).remappedTo(M, *Clone);
-    const auto &Fns = M.functions();
-    for (unsigned I = 0; I < Fns.size(); ++I) {
-      if (Fns[I]->isDeclaration())
-        continue;
-      Seeds.BaselineLiveness.push_back(&Cache.baselineLiveness(M, I));
-    }
-    SeedsPtr = &Seeds;
-  } else {
-    Freq = FrequencyInfo::compute(*Clone, OO.Mode);
-  }
-
-  AllocationEngine Engine =
-      EngineBuilder(OO.Config).options(Leg.Opts).build();
-  ModuleAllocationResult Result = Engine.allocateModule(*Clone, Freq, SeedsPtr);
+  // A seeded leg shares the lattice's cache, keyed on the pristine source
+  // module: frequencies, round-1 liveness and round-1 coalescing transfer
+  // to any clone (the sharing contract the experiment grid relies on).
+  SourceAllocation Job(M, Leg.SeedFromCache ? &Cache : nullptr);
+  Telemetry T;
+  ModuleAllocationResult Result =
+      Job.run(OO.Config, Leg.Opts, OO.Mode, Leg.Opts.Jobs, T);
+  Module *Clone = &Job.module();
+  const FrequencyInfo &Freq = Job.frequencies();
   ++Report.LegsRun;
 
   LegCapture Cap;
@@ -395,6 +381,9 @@ std::vector<OracleLeg> ccra::oracleLattice(unsigned ParallelJobs,
     Identical("jobs-parallel", O);
   }
   Identical("liveness-seeded", Base, /*Seeded=*/true);
+  // Same budget and mode as liveness-seeded, so every body's round 1
+  // replays the coalescing that leg recorded.
+  Identical("coalesce-replayed", Base, /*Seeded=*/true);
 
   if (SoundnessSweep) {
     auto Sound = [&](const std::string &Name, AllocatorOptions O) {

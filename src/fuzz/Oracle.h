@@ -7,11 +7,13 @@
 ///
 /// - **Equivalence oracles.** The execution choices left in the engine
 ///   (parallel vs. serial module allocation, cache-seeded baseline
-///   liveness) document a bit-identical-results contract. Legs
-///   `jobs-parallel` and `liveness-seeded` are diffed against the
-///   `baseline` leg: cost breakdowns and per-function counters must match
-///   exactly, every vreg must land in the same location, and the printed
-///   allocated IR must be byte-identical.
+///   liveness, replayed round-1 coalescing) document a
+///   bit-identical-results contract. Legs `jobs-parallel`,
+///   `liveness-seeded` and `coalesce-replayed` (which replays what
+///   `liveness-seeded` recorded in the shared cache) are diffed against
+///   the `baseline` leg: cost breakdowns and per-function counters must
+///   match exactly, every vreg must land in the same location, and the
+///   printed allocated IR must be byte-identical.
 ///
 /// - **Component check.** The engine runs one path through coalescing,
 ///   graph construction and simplification; the references it replaced

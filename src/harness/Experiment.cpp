@@ -42,6 +42,7 @@ ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
   AnalysisSeeds Seeds;
   const AnalysisSeeds *SeedsPtr = nullptr;
   if (Cache) {
+    std::vector<unsigned> FnIdx;
     const auto &Fns = Source->functions();
     for (unsigned I = 0; I < Fns.size(); ++I) {
       if (Fns[I]->isDeclaration())
@@ -50,7 +51,27 @@ ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
       Seeds.BaselineLiveness.push_back(
           &Cache->baselineLiveness(*Source, I, &Hit));
       ++(Hit ? CacheHits : CacheMisses);
+      FnIdx.push_back(I);
     }
+    // Round-1 coalescing depends on the register totals and the aggressive
+    // flag alone (analysis/AnalysisCache.h), so the memo serves every
+    // allocator, mode and caller/callee split of one budget. Each body
+    // looks up just before its round 1, so a point that trails another on
+    // the same budget by one body's work already replays.
+    auto KeyOf = [this, &Config, &Options,
+                  FnIdx = std::move(FnIdx)](std::size_t Body) {
+      return CoalesceKey{Source, FnIdx[Body], Config.totalCount(RegBank::Int),
+                         Config.totalCount(RegBank::Float),
+                         Options.AggressiveCoalescing};
+    };
+    Seeds.Lookup = [this, KeyOf](std::size_t Body) {
+      const CoalesceOutcome *Hit = Cache->coalesceOutcome(KeyOf(Body));
+      ++(Hit ? CoalesceHits : CoalesceMisses);
+      return Hit;
+    };
+    Seeds.Publish = [this, KeyOf](std::size_t Body, CoalesceOutcome Outcome) {
+      Cache->publishCoalesceOutcome(KeyOf(Body), std::move(Outcome));
+    };
     SeedsPtr = &Seeds;
   }
 
@@ -65,7 +86,8 @@ ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
 
 ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
                                   ModuleAnalysisCache *Cache,
-                                  ThreadPool *Pool) {
+                                  ThreadPool *Pool,
+                                  const AllocationObserver &Observe) {
   assert(Spec.Program && "experiment needs a program");
   ExperimentRun Run;
 
@@ -84,6 +106,8 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
     Run.Result.MaxRounds = std::max(Run.Result.MaxRounds, FA.Rounds);
   }
   Run.Result.Cycles = estimateDynamicCycles(Job.module(), Job.frequencies());
+  if (Observe)
+    Observe(Spec, Job.module(), Alloc);
 
   if (Cache) {
     T.addCount(telemetry::SchedAnalysisCacheHits,
@@ -98,7 +122,8 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
 
 std::vector<ExperimentRun>
 ccra::runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs,
-                     TelemetrySnapshot *GridTelemetry) {
+                     TelemetrySnapshot *GridTelemetry,
+                     const AllocationObserver &Observe) {
   std::vector<ExperimentRun> Runs(Specs.size());
   if (Jobs == 0)
     Jobs = ThreadPool::defaultParallelism();
@@ -122,16 +147,17 @@ ccra::runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs,
     Pool.emplace(Width);
   ThreadPool *P = Pool ? &*Pool : nullptr;
 
+  auto RunPoint = [&](std::size_t I) {
+    Runs[I] = runExperiment(Specs[I], &Cache, P, Observe);
+  };
   if (Jobs <= 1) {
     for (std::size_t I = 0; I < Specs.size(); ++I)
-      Runs[I] = runExperiment(Specs[I], &Cache, P);
+      RunPoint(I);
   } else {
     // Each grid point clones its program and owns its telemetry; results
     // land at their spec's index. The cache serializes only first
     // computation of a shared analysis.
-    P->parallelForEach(Specs.size(), [&](std::size_t I) {
-      Runs[I] = runExperiment(Specs[I], &Cache, P);
-    });
+    P->parallelForEach(Specs.size(), RunPoint);
   }
 
   if (GridTelemetry) {
@@ -141,6 +167,10 @@ ccra::runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs,
                static_cast<double>(CS.hits()));
     T.addCount(telemetry::SchedAnalysisCacheMisses,
                static_cast<double>(CS.misses()));
+    T.addCount(telemetry::SchedAnalysisCacheCoalesceHits,
+               static_cast<double>(CS.CoalesceHits));
+    T.addCount(telemetry::SchedAnalysisCacheCoalesceMisses,
+               static_cast<double>(CS.CoalesceMisses));
     if (Pool) {
       ThreadPool::Stats PS = Pool->stats();
       T.addCount(telemetry::SchedPoolBatches, static_cast<double>(PS.Batches));

@@ -14,9 +14,10 @@
 /// fans a whole grid across ONE shared thread pool that also serves each
 /// spec's per-function fan-out (Spec.Jobs) — nested batches on the shared
 /// pool, never nested pools — and shares one ModuleAnalysisCache across
-/// the grid so frequencies and baseline liveness are computed once per
-/// (module, mode) / (module, function) instead of once per grid point.
-/// Neither sharing changes any result bit.
+/// the grid so frequencies, baseline liveness and round-1 coalescing are
+/// computed once per (module, mode) / (module, function) / (module,
+/// function, register budget) instead of once per grid point. Neither
+/// sharing changes any result bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,8 @@
 #include "support/Telemetry.h"
 #include "target/MachineDescription.h"
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,8 +82,10 @@ class SourceAllocation {
 public:
   /// Allocates a clone of \p Source, which is never modified. \p Cache,
   /// when given, is keyed by \p Source: it supplies the frequencies
-  /// (rekeyed onto the clone) and the baseline-liveness seeds. Pure
-  /// compute-sharing: results are bit-identical with or without it.
+  /// (rekeyed onto the clone), the baseline-liveness seeds and each
+  /// function's recorded round-1 coalescing under the run's register
+  /// budget (recording it on a miss). Pure compute-sharing: results are
+  /// bit-identical with or without it.
   SourceAllocation(const Module &Source, ModuleAnalysisCache *Cache);
   /// Allocates \p InPlace itself: no clone, no shared analyses.
   explicit SourceAllocation(Module &InPlace);
@@ -106,24 +111,42 @@ public:
   /// whose telemetry every response-cache hit copies and encodes again.
   std::uint64_t cacheHits() const { return CacheHits; }
   std::uint64_t cacheMisses() const { return CacheMisses; }
+  /// How many function bodies replayed a recorded round-1 coalescing, and
+  /// how many coalesced (and recorded). Scheduling-dependent, like the
+  /// counts above; the daemon adds them to STATS, never to a response.
+  std::uint64_t coalesceHits() const { return CoalesceHits.load(); }
+  std::uint64_t coalesceMisses() const { return CoalesceMisses.load(); }
 
 private:
   const Module *Source;
   ModuleAnalysisCache *Cache = nullptr;
   std::uint64_t CacheHits = 0, CacheMisses = 0;
+  /// Counted from the engine's tasks, concurrently under Jobs > 1.
+  std::atomic<std::uint64_t> CoalesceHits = 0, CoalesceMisses = 0;
   std::unique_ptr<Module> Clone;
   Module *Work;
   FrequencyInfo Freq;
 };
 
+/// Sees one grid point's allocated clone and the engine's full result
+/// (per-function records included) before the run discards them; called
+/// from the thread that ran the point. \p Spec is the very spec the point
+/// ran (under runExperiments, an element of its Specs, so its address
+/// gives the point's index). Equivalence tests compare these.
+using AllocationObserver = std::function<void(
+    const ExperimentSpec &Spec, const Module &Allocated,
+    const ModuleAllocationResult &Alloc)>;
+
 /// Runs one grid point. Results are identical for any Spec.Jobs setting.
 /// \p Cache, when given, supplies shared frequencies (rekeyed onto the
-/// run's private clone) and baseline-liveness seeds; \p Pool, when given,
-/// carries the spec's function fan-out instead of a private pool. Both are
-/// pure compute-sharing: results are bit-identical with or without them.
+/// run's private clone), baseline-liveness seeds and recorded round-1
+/// coalescing; \p Pool, when given, carries the spec's function fan-out
+/// instead of a private pool. Both are pure compute-sharing: results are
+/// bit-identical with or without them.
 ExperimentRun runExperiment(const ExperimentSpec &Spec,
                             ModuleAnalysisCache *Cache,
-                            ThreadPool *Pool = nullptr);
+                            ThreadPool *Pool = nullptr,
+                            const AllocationObserver &Observe = nullptr);
 inline ExperimentRun runExperiment(const ExperimentSpec &Spec) {
   return runExperiment(Spec, nullptr, nullptr);
 }
@@ -134,10 +157,12 @@ inline ExperimentRun runExperiment(const ExperimentSpec &Spec) {
 /// cache and (when anything is parallel) one thread pool are shared by
 /// the whole grid; \p GridTelemetry, if non-null, receives the grid-level
 /// scheduling counters (cache hit/miss totals, pool batch/task counts,
-/// the busiest slot's share of tasks).
-std::vector<ExperimentRun> runExperiments(const std::vector<ExperimentSpec> &Specs,
-                                          unsigned Jobs = 1,
-                                          TelemetrySnapshot *GridTelemetry = nullptr);
+/// the busiest slot's share of tasks, the coalescing memo's hits and
+/// misses). \p Observe, if set, sees each point's allocation.
+std::vector<ExperimentRun>
+runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs = 1,
+               TelemetrySnapshot *GridTelemetry = nullptr,
+               const AllocationObserver &Observe = nullptr);
 
 /// The Table 4 cycle model: every instruction's cycle cost weighted by its
 /// block's frequency. The costs loosely follow the MIPS R3000 the paper

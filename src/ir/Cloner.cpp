@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <unordered_map>
+#include <vector>
 
 using namespace ccra;
 
@@ -12,11 +13,16 @@ std::unique_ptr<Module> ccra::cloneModule(const Module &M) {
 
   // First create every function so call targets can be remapped.
   std::unordered_map<const Function *, Function *> FuncMap;
+  FuncMap.reserve(M.functions().size());
   for (const auto &F : M.functions())
     FuncMap[F.get()] = Clone->createFunction(F->getName());
   if (M.getEntryFunction())
     Clone->setEntryFunction(FuncMap.at(M.getEntryFunction()));
 
+  // Every grid point and served request clones its module, so the copy is
+  // sized up front: each block's instruction vector is allocated once, and
+  // blocks are remapped through their ids instead of a hash map.
+  std::vector<BasicBlock *> BlockById;
   for (const auto &F : M.functions()) {
     Function *NewF = FuncMap.at(F.get());
 
@@ -33,19 +39,24 @@ std::unique_ptr<Module> ccra::cloneModule(const Module &M) {
       NewF->createSpillSlot();
 
     // Blocks, then instructions and edges.
-    std::unordered_map<const BasicBlock *, BasicBlock *> BlockMap;
-    for (const auto &BB : F->blocks())
-      BlockMap[BB.get()] = NewF->createBlock(BB->getName());
+    BlockById.clear();
     for (const auto &BB : F->blocks()) {
-      BasicBlock *NewBB = BlockMap.at(BB.get());
+      if (BB->getId() >= BlockById.size())
+        BlockById.resize(BB->getId() + 1, nullptr);
+      assert(!BlockById[BB->getId()] && "duplicate block id");
+      BlockById[BB->getId()] = NewF->createBlock(BB->getName());
+    }
+    for (const auto &BB : F->blocks()) {
+      BasicBlock *NewBB = BlockById[BB->getId()];
+      std::vector<Instruction> &Insts = NewBB->instructions();
+      Insts.reserve(BB->instructions().size());
       for (const Instruction &I : BB->instructions()) {
-        Instruction NewI = I;
+        Instruction &NewI = Insts.emplace_back(I);
         if (NewI.Callee)
           NewI.Callee = FuncMap.at(NewI.Callee);
-        NewBB->append(std::move(NewI));
       }
       for (const CfgEdge &E : BB->successors())
-        NewBB->addSuccessor(BlockMap.at(E.Succ), E.Probability);
+        NewBB->addSuccessor(BlockById[E.Succ->getId()], E.Probability);
     }
   }
   return Clone;

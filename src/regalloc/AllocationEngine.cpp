@@ -2,6 +2,7 @@
 
 #include "regalloc/AllocationEngine.h"
 
+#include "analysis/AnalysisCache.h"
 #include "analysis/Frequency.h"
 #include "ir/Module.h"
 #include "regalloc/AllocationScratch.h"
@@ -50,14 +51,14 @@ FunctionAllocation
 AllocationEngine::allocateFunction(Function &F,
                                    const FrequencyInfo &Freq) const {
   AllocationScratch Scratch;
-  return allocateWith(*Allocator, F, Freq, Telem, /*SeedLV=*/nullptr,
+  return allocateWith(*Allocator, F, Freq, Telem, /*Seeds=*/nullptr, 0,
                       Scratch);
 }
 
 FunctionAllocation
 AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
                                const FrequencyInfo &Freq, Telemetry *T,
-                               const Liveness *SeedLV,
+                               const AnalysisSeeds *Seeds, std::size_t Body,
                                AllocationScratch &Scratch) const {
   FunctionAllocation Out;
   if (F.isDeclaration())
@@ -79,11 +80,17 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
   // Liveness seed for the next coalescing round: the shared baseline at
   // round 1 (copied — the cached original stays pristine), the
   // spill-maintained solution at later rounds.
+  const Liveness *SeedLV = Seeds ? Seeds->BaselineLiveness[Body] : nullptr;
   bool CarriedLVValid = false;
   if (SeedLV) {
     CarriedLV = *SeedLV;
     CarriedLVValid = true;
   }
+  // Round 1's recorded coalescing to replay, or else whether to record it.
+  // Both need the baseline seed.
+  const CoalesceOutcome *Memo =
+      SeedLV && Seeds->Lookup ? Seeds->Lookup(Body) : nullptr;
+  const bool Record = SeedLV && !Memo && Seeds->Publish;
   unsigned LivenessComputes = 0, CoalescePasses = 0;
 
   for (unsigned Round = 1; Round <= MaxRounds; ++Round) {
@@ -116,8 +123,20 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
           Ctx.LV = std::move(CarriedLV);
           CarriedLVValid = false;
         }
+        CoalesceOutcome Recorded;
+        if (Round == 1 && Record)
+          Req.MergeLog = &Recorded.Merges;
         CoalesceStats CS =
-            Coalescer::run(F, Classes, MD, Freq, Ctx.LV, Req, Ctx.LRS, Ctx.IG);
+            Round == 1 && Memo
+                ? Coalescer::replay(F, Classes, MD, Freq, Ctx.LV, *Memo, Req,
+                                    Ctx.LRS, Ctx.IG)
+                : Coalescer::run(F, Classes, MD, Freq, Ctx.LV, Req, Ctx.LRS,
+                                 Ctx.IG);
+        if (Req.MergeLog && CS.Passes < Coalescer::MaxPasses) {
+          Recorded.Passes = CS.Passes;
+          Recorded.LivenessComputes = CS.LivenessComputes;
+          Seeds->Publish(Body, std::move(Recorded));
+        }
         Out.CoalescedMoves += CS.CoalescedMoves;
         LivenessComputes += CS.LivenessComputes;
         CoalescePasses += CS.Passes;
@@ -267,9 +286,6 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
       Bodies.push_back(F.get());
   assert((!Seeds || Seeds->BaselineLiveness.size() == Bodies.size()) &&
          "one baseline seed per function body");
-  auto SeedOf = [&](std::size_t I) -> const Liveness * {
-    return Seeds ? Seeds->BaselineLiveness[I] : nullptr;
-  };
 
   unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultParallelism()
                                  : Opts.Jobs;
@@ -285,7 +301,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
     AllocationScratch Scratch;
     for (std::size_t I = 0; I < Bodies.size(); ++I) {
       FunctionAllocation FA = allocateWith(*Allocator, *Bodies[I], Freq,
-                                           Telem, SeedOf(I), Scratch);
+                                           Telem, Seeds, I, Scratch);
       Result.Totals += FA.Costs;
       Result.PerFunction[Bodies[I]] = std::move(FA);
     }
@@ -338,7 +354,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
         std::unique_ptr<RegAllocBase> TaskAlloc = Factory(Opts);
         Telemetry Local;
         PerTask[I] = allocateWith(*TaskAlloc, *Bodies[I], Freq,
-                                  Telem ? &Local : nullptr, SeedOf(I),
+                                  Telem ? &Local : nullptr, Seeds, I,
                                   Scratches[Slot]);
         if (Telem)
           TaskTelemetry[I] = Local.snapshot();

@@ -38,20 +38,29 @@
 namespace ccra {
 
 class AllocationScratch;
+struct CoalesceOutcome;
 class FrequencyInfo;
 class Liveness;
 class Module;
 class ThreadPool;
 
-/// Optional shared-analysis seeds for allocateModule. BaselineLiveness[I]
-/// is the exact pre-allocation liveness of the I-th function *body*
-/// (functions with a definition, in module order); entries may be null.
-/// The harness fills this from a ModuleAnalysisCache computed on the
-/// pristine source module — valid for its clones too, since cloning
-/// preserves block ids and vreg numbering. Each allocation copies its
-/// seed, never mutates it.
+/// Optional shared-analysis seeds for allocateModule, indexed by function
+/// *body* (functions with a definition, in module order). The harness fills
+/// them from a ModuleAnalysisCache computed on the pristine source module —
+/// valid for its clones too, since cloning preserves block ids and vreg
+/// numbering. Each allocation copies what it reads, never mutates it.
 struct AnalysisSeeds {
+  /// The exact pre-allocation liveness of body I; entries may be null.
   std::vector<const Liveness *> BaselineLiveness;
+  /// The round-1 coalescing memo, consulted for seeded bodies only, from
+  /// the task allocating body I just before its round 1 (possibly
+  /// concurrently for different bodies). Lookup(I) returns body I's
+  /// recorded outcome under this engine's register totals and aggressive
+  /// flag, which round 1 replays (Coalescer::replay), or null: then round 1
+  /// coalesces and hands its outcome to Publish(I, ...). Either may be
+  /// empty.
+  std::function<const CoalesceOutcome *(std::size_t)> Lookup;
+  std::function<void(std::size_t, CoalesceOutcome)> Publish;
 };
 
 /// Creates a fresh allocator implementing \p Opts. Must be safe to call
@@ -97,7 +106,8 @@ public:
   /// identical to Jobs == 1 bit for bit. The parallel path hands tasks out
   /// biggest-function-first (long-tail load balancing) and keeps one
   /// scratch arena per worker slot; \p Seeds optionally provides shared
-  /// baseline liveness per body. None of this changes any result.
+  /// baseline liveness and round-1 coalescing per body. None of this
+  /// changes any result.
   ModuleAllocationResult allocateModule(Module &M, const FrequencyInfo &Freq,
                                         const AnalysisSeeds *Seeds) const;
   ModuleAllocationResult allocateModule(Module &M,
@@ -110,11 +120,11 @@ public:
 
 private:
   /// One whole-function allocation with an explicit allocator instance,
-  /// telemetry sink, optional baseline-liveness seed, and scratch arena
-  /// (all per-task in the parallel path).
+  /// telemetry sink, optional seeds (body \p Body of \p Seeds), and
+  /// scratch arena (all per-task in the parallel path).
   FunctionAllocation allocateWith(RegAllocBase &Alloc, Function &F,
                                   const FrequencyInfo &Freq, Telemetry *T,
-                                  const Liveness *SeedLV,
+                                  const AnalysisSeeds *Seeds, std::size_t Body,
                                   AllocationScratch &Scratch) const;
 
   MachineDescription MD;

@@ -29,6 +29,7 @@
 
 #include "regalloc/Coalescer.h"
 
+#include "analysis/AnalysisCache.h"
 #include "regalloc/AllocationScratch.h"
 #include "regalloc/InterferenceGraph.h"
 #include "regalloc/LiveRange.h"
@@ -91,7 +92,6 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
                              const CoalesceRequest &Req, LiveRangeSet &OutLRS,
                              InterferenceGraph &OutIG) {
   CoalesceStats Stats;
-  constexpr unsigned MaxPasses = 64;
   Telemetry *T = Req.T;
 
   AllocationScratch LocalScratch;
@@ -176,6 +176,8 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
         VirtReg RootS = LRS.range(Src).Root;
         VirtReg RootD = LRS.range(Dst).Root;
         VirtReg Winner = Classes.merge(RootS, RootD);
+        if (Req.MergeLog)
+          Req.MergeLog->push_back({RootS, RootD});
         if (Req.IncrementalLiveness)
           Merges.push_back({Winner, Winner == RootS ? RootD : RootS});
         Touched[Src] = Touched[Dst] = 1;
@@ -309,5 +311,96 @@ CoalesceStats Coalescer::run(Function &F, VRegClasses &Classes,
   ++Stats.LivenessComputes;
   OutLRS = LiveRangeSet::build(F, LV, Freq, Classes);
   OutIG = InterferenceGraph::build(F, LV, OutLRS, &S);
+  return Stats;
+}
+
+CoalesceStats Coalescer::replay(Function &F, VRegClasses &Classes,
+                                const MachineDescription &MD,
+                                const FrequencyInfo &Freq, Liveness &LV,
+                                const CoalesceOutcome &Outcome,
+                                const CoalesceRequest &Req,
+                                LiveRangeSet &OutLRS,
+                                InterferenceGraph &OutIG) {
+  assert(Req.SeededLV && "replay derives liveness from the baseline");
+  Classes.grow(F.numVRegs());
+  // Every register that loses a merge is gone from the final code, so its
+  // liveness is empty.
+  for (const auto &[A, B] : Outcome.Merges) {
+    VirtReg RootA = Classes.find(A), RootB = Classes.find(B);
+    VirtReg Winner = Classes.merge(RootA, RootB);
+    LV.eraseRegister(Winner == RootA ? RootB : RootA);
+  }
+
+  // One walk: canonicalize, and drop the copies the run deleted. Under the
+  // final classes each of them is `w <- w`, and no kept move is (the run's
+  // final pass found no same-class copy). Only the classes of dropped
+  // copies changed code, so only their roots need new liveness.
+  std::vector<int> RootSlot(F.numVRegs(), -1);
+  std::vector<VirtReg> Roots;
+  for (const auto &BB : F.blocks()) {
+    auto &Insts = BB->instructions();
+    std::size_t W = 0;
+    for (std::size_t Idx = 0; Idx < Insts.size(); ++Idx) {
+      Instruction &I = Insts[Idx];
+      for (VirtReg &R : I.Defs)
+        R = Classes.find(R);
+      for (VirtReg &R : I.Uses)
+        R = Classes.find(R);
+      if (I.isMove() && I.moveSource() == I.moveDest()) {
+        VirtReg Root = I.moveDest();
+        if (RootSlot[Root.Id] < 0) {
+          RootSlot[Root.Id] = static_cast<int>(Roots.size());
+          Roots.push_back(Root);
+        }
+        continue;
+      }
+      if (W != Idx)
+        Insts[W] = std::move(Insts[Idx]);
+      ++W;
+    }
+    Insts.erase(Insts.begin() + static_cast<std::ptrdiff_t>(W), Insts.end());
+  }
+
+  // Upward-exposed-use and kill bits of every such root, in one more walk,
+  // then one single-register re-solve per root.
+  const std::size_t NumBlocks = F.numBlocks();
+  std::vector<unsigned char> UE(Roots.size() * NumBlocks),
+      Kill(Roots.size() * NumBlocks);
+  for (const auto &BB : F.blocks()) {
+    const std::size_t Block = BB->getId();
+    for (const Instruction &I : BB->instructions()) {
+      for (VirtReg U : I.Uses)
+        if (int Slot = RootSlot[U.Id]; Slot >= 0) {
+          std::size_t At = Slot * NumBlocks + Block;
+          if (!Kill[At])
+            UE[At] = 1;
+        }
+      for (VirtReg D : I.Defs)
+        if (int Slot = RootSlot[D.Id]; Slot >= 0)
+          Kill[Slot * NumBlocks + Block] = 1;
+    }
+  }
+  std::vector<unsigned char> RootUE(NumBlocks), RootKill(NumBlocks);
+  for (std::size_t Slot = 0; Slot < Roots.size(); ++Slot) {
+    auto From = static_cast<std::ptrdiff_t>(Slot * NumBlocks);
+    auto To = From + static_cast<std::ptrdiff_t>(NumBlocks);
+    std::copy(UE.begin() + From, UE.begin() + To, RootUE.begin());
+    std::copy(Kill.begin() + From, Kill.begin() + To, RootKill.begin());
+    LV.recomputeRegister(F, Roots[Slot], RootUE, RootKill);
+  }
+
+  // The run's final pass, as run() makes it.
+  CoalesceRequest Final = Req;
+  Final.MergeLog = nullptr;
+  CoalesceStats Confirm = run(F, Classes, MD, Freq, LV, Final, OutLRS, OutIG);
+  assert(Confirm.Passes == 1 && Confirm.LivenessComputes == 0 &&
+         "replayed coalescing is not at the recorded fixpoint");
+  (void)Confirm;
+
+  CoalesceStats Stats;
+  Stats.CoalescedMoves = static_cast<unsigned>(Outcome.Merges.size());
+  Stats.Passes = Outcome.Passes;
+  Stats.LivenessComputes = Outcome.LivenessComputes;
+  Stats.IncrementalLVUpdates = Outcome.Passes - Outcome.LivenessComputes;
   return Stats;
 }

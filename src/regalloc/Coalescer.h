@@ -25,6 +25,14 @@
 /// can prove it. The fuzz oracle's component check compares every
 /// maintained result with a recompute-every-pass run.
 ///
+/// Round 1 of every allocation of one source function under one register
+/// budget coalesces identically (analysis/AnalysisCache.h says why), so
+/// with a shared analysis cache the engine records a run's merges once
+/// (CoalesceRequest::MergeLog) and replays them everywhere else
+/// (Coalescer::replay): one canonicalizing walk, per-root liveness
+/// re-solves on the cached baseline, and the usual final pass, instead of
+/// every intermediate pass.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCRA_REGALLOC_COALESCER_H
@@ -32,9 +40,13 @@
 
 #include "analysis/Liveness.h"
 
+#include <utility>
+#include <vector>
+
 namespace ccra {
 
 class AllocationScratch;
+struct CoalesceOutcome;
 class FrequencyInfo;
 class Function;
 class InterferenceGraph;
@@ -70,10 +82,17 @@ struct CoalesceRequest {
   AllocationScratch *Scratch = nullptr;
   /// Optional recorder for the build_ranges / build_graph phase timers.
   Telemetry *T = nullptr;
+  /// Optional log: run() appends the operands of every VRegClasses::merge
+  /// call, in order (a CoalesceOutcome's Merges).
+  std::vector<std::pair<VirtReg, VirtReg>> *MergeLog = nullptr;
 };
 
 class Coalescer {
 public:
+  /// Safety cap on passes; a run that reaches it rebuilds from scratch and
+  /// is not recorded for replay.
+  static constexpr unsigned MaxPasses = 64;
+
   /// Coalesces to a fixpoint. Merged copies are deleted from \p F and
   /// their classes merged in \p Classes. On return \p LV holds exact
   /// liveness for the final code, and \p OutLRS / \p OutIG hold the final
@@ -84,6 +103,22 @@ public:
                            const FrequencyInfo &Freq, Liveness &LV,
                            const CoalesceRequest &Req, LiveRangeSet &OutLRS,
                            InterferenceGraph &OutIG);
+
+  /// Reproduces run() on the pristine code \p F from \p Outcome, a run's
+  /// record for this function under the same register totals and mode:
+  /// replays the merges on identity \p Classes, canonicalizes and drops
+  /// every move that became `w <- w` (exactly the copies the run deleted),
+  /// and derives the final liveness from \p LV, the baseline: members of
+  /// merged classes vanish, and each root whose code changed is re-solved
+  /// alone. Then run()'s final pass builds \p OutLRS / \p OutIG; that
+  /// pass must change nothing (asserted). Returns the recorded counters,
+  /// so telemetry matches the run being reproduced.
+  static CoalesceStats replay(Function &F, VRegClasses &Classes,
+                              const MachineDescription &MD,
+                              const FrequencyInfo &Freq, Liveness &LV,
+                              const CoalesceOutcome &Outcome,
+                              const CoalesceRequest &Req,
+                              LiveRangeSet &OutLRS, InterferenceGraph &OutIG);
 };
 
 } // namespace ccra

@@ -36,9 +36,10 @@ ModuleTier::insert(std::uint64_t Hash, bool Binary, const std::string &Bytes,
   assert(admits(Binary, Bytes.size()) && "module over the per-entry cap");
   // The new slot (key copy included) is built, and a losing or evicted
   // entry freed, outside the lock: both are declared before it.
+  const std::size_t Charge = charge(Binary, Bytes.size());
   SlotList Fresh;
-  Fresh.push_back({Hash, Binary, Bytes, charge(Binary, Bytes.size()),
-                   std::make_shared<Entry>()});
+  Fresh.push_back({Hash, Binary, Bytes, Charge,
+                   std::make_shared<Entry>(Charge / MemoShare)});
   std::shared_ptr<Entry> Value = Fresh.front().Value;
   Value->Program = std::move(Program);
   SlotList Evicted;
@@ -74,5 +75,7 @@ ModuleTierStats ModuleTier::stats() const {
   S.Evictions = Evictions;
   S.Entries = Lru.size();
   S.Bytes = TotalBytes;
+  for (const Slot &E : Lru)
+    S.MemoBytes += E.Value->Analyses.stats().CoalesceBytes;
   return S;
 }

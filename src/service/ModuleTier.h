@@ -6,11 +6,12 @@
 /// helps on an exact repeat; a request for a module the daemon has already
 /// seen under other options, another register config or the other
 /// frequency mode is a response miss. The module tier lets such a miss
-/// skip parse (or binary decode), IR verification, frequency analysis and
-/// baseline liveness: each entry holds the pristine, verified Module and
-/// its own ModuleAnalysisCache, and every allocation of it runs on a clone
-/// (harness/Experiment.h SourceAllocation), exactly as an experiment-grid
-/// point does.
+/// skip parse (or binary decode), IR verification, frequency analysis,
+/// baseline liveness and, once the request's register budget has been
+/// seen, all but the final pass of round-1 coalescing: each entry holds
+/// the pristine, verified Module and its own ModuleAnalysisCache, and
+/// every allocation of it runs on a clone (harness/Experiment.h
+/// SourceAllocation), exactly as an experiment-grid point does.
 ///
 /// Keying mirrors the response cache: the wire codec tag plus the exact
 /// module bytes, hash-addressed (the caller passes the support/Hash.h
@@ -20,15 +21,26 @@
 /// pointer: one server-wide cache could hand an evicted module's analyses
 /// to a new module that reuses its address.
 ///
-/// Bounded by bytes. An entry is charged its wire size times the measured
-/// expansion of parsed IR over its encoding (TextExpansion,
-/// BinaryExpansion; analyses add at most ~15% more on the corpus), and
-/// least-recently-used entries go first. An entry charged more than an
-/// eighth of the budget is never retained: large modules visited in a
-/// cycle are LRU's worst case, and retaining them only raises the peak
-/// footprint. Evicted entries stay alive, via shared_ptr, for the requests
-/// still allocating clones of them. Thread-safe: one mutex, held only for
-/// map and list operations.
+/// Bounded by bytes. An entry is charged its wire size times the
+/// expansion of parsed IR plus analyses over its encoding (TextExpansion,
+/// BinaryExpansion), and least-recently-used entries go first. A quarter
+/// of the charge is the entry's round-1 coalescing memo, which grows with
+/// every register budget the module is allocated under: the entry's
+/// analysis cache stores no outcome past that many bytes (it counts its
+/// own heap), and a later new budget coalesces in full. The other three
+/// quarters cover the key bytes, the parsed IR, its frequencies and its
+/// baseline liveness: measured as heap bytes on the 34 population
+/// programs and on FuzzGen modules, the last three come to at most 9.1x
+/// the text and 31x the CIR2 bytes, against 12x and 36x. The memo of all
+/// 15 standard register budgets counts at most 2.2x the text and 6.8x the
+/// CIR2 bytes, against 4x and 12x, so the standard sweep is memoized in
+/// full. An entry charged more than an eighth of the budget is never
+/// retained: large modules visited in a cycle are LRU's worst case, and
+/// retaining them only raises the peak footprint. Evicted entries stay
+/// alive, via shared_ptr, for the requests still allocating clones of
+/// them.
+/// Thread-safe: one mutex, held only for map and list operations (stats()
+/// also reads each entry's memo size under it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +65,8 @@ struct ModuleTierStats {
   std::uint64_t Evictions = 0;
   std::size_t Entries = 0;
   std::size_t Bytes = 0; ///< sum of the retained entries' charges
+  /// Sum of the retained entries' coalescing memo bytes (within Bytes).
+  std::size_t MemoBytes = 0;
 };
 
 class ModuleTier {
@@ -60,14 +74,18 @@ public:
   /// One retained module. Program is never allocated (only its clones
   /// are), so Analyses stay exact for the entry's lifetime.
   struct Entry {
+    /// \p MemoBytes bounds the coalescing memo (a quarter of the charge).
+    explicit Entry(std::size_t MemoBytes) : Analyses(MemoBytes) {}
     std::unique_ptr<const Module> Program;
     ModuleAnalysisCache Analyses;
   };
 
-  /// Parsed-IR bytes per wire byte: parsed IR measured 9-12x its text and
-  /// 33-36x its CIR2 encoding.
-  static constexpr std::size_t TextExpansion = 12;
-  static constexpr std::size_t BinaryExpansion = 40;
+  /// Charged bytes per wire byte: parsed IR plus all its analyses (see the
+  /// file comment).
+  static constexpr std::size_t TextExpansion = 16;
+  static constexpr std::size_t BinaryExpansion = 48;
+  /// An entry's coalescing memo may fill 1/MemoShare of its charge.
+  static constexpr std::size_t MemoShare = 4;
 
   /// \p MaxBytes = 0 disables the tier (lookup misses without counting,
   /// nothing is admitted).

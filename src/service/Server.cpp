@@ -134,6 +134,8 @@ TelemetrySnapshot AllocationServer::stats() const {
       static_cast<double>(TS.Evictions);
   S.Counters[telemetry::CacheModuleEntries] = static_cast<double>(TS.Entries);
   S.Counters[telemetry::CacheModuleBytes] = static_cast<double>(TS.Bytes);
+  S.Counters[telemetry::CacheModuleMemoBytes] =
+      static_cast<double>(TS.MemoBytes);
   return S;
 }
 
@@ -286,8 +288,8 @@ void AllocationServer::serve(PendingRequest &P) {
   }
 
   // Module admission. A module the tier holds is cloned: no parse, no
-  // verify, and its frequencies and baseline liveness come from the
-  // entry's analysis cache. Otherwise binary modules decode straight into
+  // verify, and its frequencies, baseline liveness and round-1 coalescing
+  // come from the entry's analysis cache. Otherwise binary modules decode straight into
   // IR (a bounds-checked byte walk, not a text parse) and the verifier runs
   // on both: decode guarantees structural sanity, not semantic
   // admissibility. A verified module the tier does not retain (over the
@@ -353,6 +355,13 @@ void AllocationServer::serve(PendingRequest &P) {
       Telem.addCount(telemetry::ServeMalformed);
       Loop.postResponse(P.ConnId, errorFrame("malformed", E.what()));
       return;
+    }
+    if (Entry) {
+      // STATS only: a response carries no scheduling-dependent counter.
+      Telem.addCount(telemetry::CacheModuleCoalesceHits,
+                     static_cast<double>(Job->coalesceHits()));
+      Telem.addCount(telemetry::CacheModuleCoalesceMisses,
+                     static_cast<double>(Job->coalesceMisses()));
     }
     TelemetrySnapshot ItemTelem = EngineTelem.takeSnapshot();
     Module *M = &Job->module();

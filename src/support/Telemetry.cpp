@@ -230,6 +230,35 @@ void Telemetry::addTimeMs(const std::string &Name, double Ms) {
   Data.TimersMs[Name] += Ms;
 }
 
+double &Telemetry::SlotCache::get(Map &Entries, const char *Name) {
+  for (auto &[Address, It] : Slots)
+    if (Address == Name) {
+      if (It->first != Name)
+        It = Entries.try_emplace(Name).first;
+      return It->second;
+    }
+  auto It = Entries.try_emplace(Name).first;
+  if (Slots.size() < MaxSlots)
+    Slots.emplace_back(Name, It);
+  return It->second;
+}
+
+void Telemetry::addCount(const char *Name, double Delta) {
+  std::lock_guard<std::mutex> Lock(M);
+  CounterSlots.get(Data.Counters, Name) += Delta;
+}
+
+void Telemetry::noteMax(const char *Name, double Value) {
+  std::lock_guard<std::mutex> Lock(M);
+  double &Slot = CounterSlots.get(Data.Counters, Name);
+  Slot = std::max(Slot, Value);
+}
+
+void Telemetry::addTimeMs(const char *Name, double Ms) {
+  std::lock_guard<std::mutex> Lock(M);
+  TimerSlots.get(Data.TimersMs, Name) += Ms;
+}
+
 void Telemetry::merge(const TelemetrySnapshot &Other) {
   std::lock_guard<std::mutex> Lock(M);
   Data += Other;
@@ -254,10 +283,14 @@ TelemetrySnapshot Telemetry::takeSnapshot() {
   std::lock_guard<std::mutex> Lock(M);
   TelemetrySnapshot Out = std::move(Data);
   Data = TelemetrySnapshot();
+  CounterSlots.clear();
+  TimerSlots.clear();
   return Out;
 }
 
 void Telemetry::reset() {
   std::lock_guard<std::mutex> Lock(M);
   Data = TelemetrySnapshot();
+  CounterSlots.clear();
+  TimerSlots.clear();
 }

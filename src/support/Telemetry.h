@@ -28,10 +28,13 @@
 #define CCRA_SUPPORT_TELEMETRY_H
 
 #include <chrono>
+#include <cstddef>
 #include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace ccra {
 
@@ -84,6 +87,12 @@ public:
   /// snapshot merging takes the max instead of the sum.
   void noteMax(const std::string &Name, double Value);
   void addTimeMs(const std::string &Name, double Ms);
+  /// The same for a C-string name, such as the telemetry:: constants: a
+  /// repeat of a recently used name address finds its entry without
+  /// building a std::string or walking the map (see SlotCache).
+  void addCount(const char *Name, double Delta = 1.0);
+  void noteMax(const char *Name, double Value);
+  void addTimeMs(const char *Name, double Ms);
   void merge(const TelemetrySnapshot &Other);
 
   double count(const std::string &Name) const;
@@ -121,8 +130,28 @@ public:
   };
 
 private:
+  /// Entries of one of Data's maps by the address of the name they were
+  /// last reached with. The engine records about twenty counters and
+  /// timers per allocated function under a few dozen constant names (~80
+  /// per paper-grid point), so a short linear scan of addresses replaces a
+  /// string build and a map walk per record. A hit is confirmed against
+  /// the entry's key, so a caller that reuses one buffer for different
+  /// names still reaches the right entry. Map nodes never move, so entries
+  /// stay valid until Data is replaced.
+  class SlotCache {
+  public:
+    using Map = std::map<std::string, double>;
+    double &get(Map &Entries, const char *Name);
+    void clear() { Slots.clear(); }
+
+  private:
+    static constexpr std::size_t MaxSlots = 64;
+    std::vector<std::pair<const char *, Map::iterator>> Slots;
+  };
+
   mutable std::mutex M;
   TelemetrySnapshot Data;
+  SlotCache CounterSlots, TimerSlots; ///< guarded by M, like Data
 };
 
 /// Canonical names used by the allocation engine, so every reporter (tool,
@@ -155,6 +184,12 @@ inline constexpr const char *SchedAnalysisCacheHits =
     "sched.analysis_cache_hits";
 inline constexpr const char *SchedAnalysisCacheMisses =
     "sched.analysis_cache_misses";
+/// Round-1 coalescing memo lookups (ModuleAnalysisCache::coalesceOutcome):
+/// a hit replays recorded merges, a miss coalesces and records them.
+inline constexpr const char *SchedAnalysisCacheCoalesceHits =
+    "sched.analysis_cache_coalesce_hits";
+inline constexpr const char *SchedAnalysisCacheCoalesceMisses =
+    "sched.analysis_cache_coalesce_misses";
 inline constexpr const char *SchedScratchReuses = "sched.scratch_reuses";
 inline constexpr const char *SchedPoolBatches = "sched.pool_batches";
 inline constexpr const char *SchedPoolTasks = "sched.pool_tasks";
@@ -217,6 +252,15 @@ inline constexpr const char *CacheModuleMisses = "cache.module_misses";
 inline constexpr const char *CacheModuleEvictions = "cache.module_evictions";
 inline constexpr const char *CacheModuleEntries = "cache.module_entries";
 inline constexpr const char *CacheModuleBytes = "cache.module_bytes";
+/// Round-1 coalescing memo lookups of the module tier's entries, summed
+/// over served requests (one per function body of a tier-held module).
+inline constexpr const char *CacheModuleCoalesceHits =
+    "cache.module_coalesce_hits";
+inline constexpr const char *CacheModuleCoalesceMisses =
+    "cache.module_coalesce_misses";
+/// Heap bytes the retained entries' coalescing memos hold; each entry's
+/// is at most a quarter of its charge.
+inline constexpr const char *CacheModuleMemoBytes = "cache.module_memo_bytes";
 
 // Phase timers.
 inline constexpr const char *CoalescePhase = "coalesce";

@@ -117,9 +117,9 @@ TEST(FuzzLattice, FreshSeedsPassAllOracles) {
     OO.Config = fuzzRegisterConfig(ConfigRng);
     OO.ParallelJobs = 2;
     OracleReport Report = runOracleLattice(*M, OO);
-    // Three equivalence legs plus six soundness legs, and the component
+    // Four equivalence legs plus six soundness legs, and the component
     // check on every function body.
-    EXPECT_EQ(Report.LegsRun, 9u);
+    EXPECT_EQ(Report.LegsRun, 10u);
     unsigned Bodies = 0;
     for (const auto &F : M->functions())
       Bodies += F->isDeclaration() ? 0 : 1;

@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <gtest/gtest.h>
+#include <latch>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace ccra;
@@ -278,6 +280,102 @@ TEST(ParallelAllocation, ExperimentGridIsDeterministic) {
   // The two specs that differ only in per-experiment Jobs agree too.
   EXPECT_EQ(Serial[0].Result.Costs.total(), Serial[1].Result.Costs.total());
   EXPECT_EQ(Serial[2].Result.Costs.total(), Serial[3].Result.Costs.total());
+}
+
+// --- The round-1 coalescing memo under contention ------------------------
+
+TEST(AnalysisCacheConcurrency, RacingPublishersAllSeeTheFirstOutcome) {
+  // Every thread publishes its own (distinguishable) outcome for one key,
+  // then reads the key back. Exactly one outcome is stored, and every
+  // publisher and reader gets that same entry.
+  constexpr unsigned Threads = 8;
+  ModuleAnalysisCache Cache;
+  Module Source("m");
+  Source.createFunction("f");
+  const CoalesceKey Key{&Source, 0, 12, 8, false};
+  std::vector<const CoalesceOutcome *> Published(Threads), Read(Threads);
+  std::latch Start(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned I = 0; I < Threads; ++I)
+    Workers.emplace_back([&, I] {
+      CoalesceOutcome Mine;
+      Mine.Merges = {{VirtReg(I), VirtReg(I + 1)}};
+      Mine.Passes = I + 2;
+      Start.arrive_and_wait();
+      Published[I] = Cache.publishCoalesceOutcome(Key, std::move(Mine));
+      Read[I] = Cache.coalesceOutcome(Key);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  const CoalesceOutcome *Winner = Published[0];
+  ASSERT_NE(Winner, nullptr);
+  for (unsigned I = 0; I < Threads; ++I) {
+    EXPECT_EQ(Published[I], Winner);
+    EXPECT_EQ(Read[I], Winner);
+  }
+  ASSERT_EQ(Winner->Merges.size(), 1u);
+  unsigned Id = Winner->Merges[0].first.Id;
+  EXPECT_EQ(Winner->Merges[0].second.Id, Id + 1);
+  EXPECT_EQ(Winner->Passes, Id + 2);
+  ModuleAnalysisCache::Stats S = Cache.stats();
+  EXPECT_EQ(S.CoalesceHits, Threads);
+  EXPECT_EQ(S.CoalesceMisses, 0u);
+}
+
+TEST(AnalysisCacheConcurrency, RacingAllocationsOnOneBudgetAreBitIdentical) {
+  // Allocations of one module under one register budget race on every
+  // function's memo key: they start together, several miss and coalesce,
+  // the first publisher wins. Every allocation, the losers' included, must
+  // equal its cache-less reference.
+  std::unique_ptr<Module> M = generateRandomProgram(manyFunctionParams(63));
+  const RegisterConfig Config(6, 4, 2, 2);
+  const std::vector<AllocatorOptions> Arms = {
+      improvedOptions(), improvedOptions(), baseChaitinOptions(),
+      cbhOptions(),      priorityOptions(), improvedOptimisticOptions()};
+  const unsigned Threads = static_cast<unsigned>(Arms.size());
+
+  std::vector<std::unique_ptr<Module>> RefClones(Threads);
+  std::vector<ModuleAllocationResult> Refs(Threads);
+  for (unsigned I = 0; I < Threads; ++I)
+    Refs[I] = allocateClone(*M, 1, Arms[I], RefClones[I]);
+
+  ModuleAnalysisCache Cache;
+  std::vector<std::unique_ptr<SourceAllocation>> Jobs(Threads);
+  std::vector<ModuleAllocationResult> Results(Threads);
+  std::latch Start(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned I = 0; I < Threads; ++I)
+    Workers.emplace_back([&, I] {
+      Jobs[I] = std::make_unique<SourceAllocation>(*M, &Cache);
+      Telemetry T;
+      Start.arrive_and_wait();
+      Results[I] = Jobs[I]->run(Config, Arms[I], FrequencyMode::Profile,
+                                /*Jobs=*/1, T);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  unsigned Bodies = 0;
+  for (unsigned FnIdx = 0; FnIdx < M->functions().size(); ++FnIdx) {
+    if (M->functions()[FnIdx]->isDeclaration())
+      continue;
+    ++Bodies;
+    EXPECT_NE(Cache.coalesceOutcome({M.get(), FnIdx, 8, 6, false}), nullptr)
+        << "function " << FnIdx << " was never published";
+  }
+  std::uint64_t Lookups = 0;
+  for (unsigned I = 0; I < Threads; ++I) {
+    SCOPED_TRACE("thread " + std::to_string(I));
+    expectIdenticalAllocations(*RefClones[I], Refs[I], Jobs[I]->module(),
+                               Results[I]);
+    std::string RefIr, Ir;
+    printModule(*RefClones[I], RefIr);
+    printModule(Jobs[I]->module(), Ir);
+    EXPECT_EQ(RefIr, Ir);
+    Lookups += Jobs[I]->coalesceHits() + Jobs[I]->coalesceMisses();
+  }
+  EXPECT_EQ(Lookups, std::uint64_t{Threads} * Bodies);
 }
 
 } // namespace

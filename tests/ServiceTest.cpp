@@ -28,6 +28,7 @@
 
 #include "core/EngineBuilder.h"
 #include "fuzz/Corpus.h"
+#include "harness/Experiment.h"
 #include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
@@ -47,6 +48,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -1758,6 +1762,141 @@ TEST(ModuleTier, WarmModuleMissComputesNoLiveness) {
   EXPECT_EQ(0.0, Warm.Telemetry.count(telemetry::LivenessComputes));
   EXPECT_EQ(1.0, serverStats(C).count(telemetry::CacheModuleHits));
 }
+
+TEST(ModuleTier, SameBudgetReplaysRound1CoalescingAndSaysSoInStats) {
+  // Two requests on one held module, with other allocators and caller/
+  // callee splits but the same register totals (12 Int, 10 Float): the
+  // second replays every function's recorded round-1 coalescing. Both are
+  // served exactly as cache-less in-process allocation; STATS counts the
+  // lookups, and no response carries them.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Request = proxyRequest("sc");
+  std::unique_ptr<Module> Proxy = buildSpecProxy("sc");
+  unsigned Bodies = 0;
+  for (const auto &F : Proxy->functions())
+    Bodies += F->isDeclaration() ? 0 : 1;
+  ASSERT_GT(Bodies, 0u);
+
+  Request.Config = RegisterConfig(9, 7, 3, 3);
+  AllocResponse First;
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "recording",
+                            &First);
+  Request.Config = RegisterConfig(8, 6, 4, 4);
+  Request.Options = cbhOptions();
+  Request.Mode = FrequencyMode::Static;
+  AllocResponse Second;
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "replaying",
+                            &Second);
+
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(Bodies, Stats.count(telemetry::CacheModuleCoalesceMisses));
+  EXPECT_EQ(Bodies, Stats.count(telemetry::CacheModuleCoalesceHits));
+  for (const AllocResponse *R : {&First, &Second}) {
+    EXPECT_EQ(0u, R->Telemetry.Counters.count(
+                      telemetry::CacheModuleCoalesceHits));
+    EXPECT_EQ(0u, R->Telemetry.Counters.count(
+                      telemetry::SchedAnalysisCacheCoalesceHits));
+  }
+}
+
+/// Register configurations of 128 distinct (Int, Float) totals, none of
+/// them in the standard sweep's band of small files: a calling-convention
+/// search's traffic on one module.
+std::vector<RegisterConfig> manyBudgets() {
+  std::vector<RegisterConfig> Configs;
+  for (unsigned Int = 20; Int < 52; ++Int)
+    for (unsigned Float = 12; Float < 16; ++Float)
+      Configs.emplace_back(Int, Float, 2, 2);
+  return Configs;
+}
+
+TEST(ModuleTier, ManyBudgetsFillOnlyTheEntrysMemoShare) {
+  // One held module under 128 register budgets: the entry's coalescing
+  // memo stops at a quarter of its charge, every request is still served
+  // exactly as in-process allocation, and a budget recorded before the
+  // memo filled still replays while one seen after it coalesces anew.
+  LiveServer S;
+  ServiceClient C = S.connect();
+  AllocRequest Request = proxyRequest("sc");
+  std::unique_ptr<Module> Proxy = buildSpecProxy("sc");
+  double Bodies = 0;
+  for (const auto &F : Proxy->functions())
+    Bodies += F->isDeclaration() ? 0 : 1;
+  const std::vector<RegisterConfig> Budgets = manyBudgets();
+  for (std::size_t I = 0; I < Budgets.size(); ++I) {
+    Request.Config = Budgets[I];
+    expectServedLikeInProcess(C, Request, Request.ModuleText,
+                              "budget " + std::to_string(I));
+  }
+  const std::size_t Charge =
+      ModuleTier::charge(false, Request.ModuleText.size());
+  TelemetrySnapshot Stats = serverStats(C);
+  EXPECT_EQ(static_cast<double>(Charge),
+            Stats.count(telemetry::CacheModuleBytes));
+  const double Memo = Stats.count(telemetry::CacheModuleMemoBytes);
+  EXPECT_GT(Memo, 0.0);
+  EXPECT_LE(Memo, static_cast<double>(Charge / ModuleTier::MemoShare));
+  EXPECT_EQ(Bodies * Budgets.size(),
+            Stats.count(telemetry::CacheModuleCoalesceMisses))
+      << "every budget is new";
+
+  // Another allocator on the first budget replays; on the last budget,
+  // which found the memo full, it coalesces again, storing nothing.
+  Request.Options = cbhOptions();
+  Request.Config = Budgets.front();
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "first again");
+  Request.Config = Budgets.back();
+  expectServedLikeInProcess(C, Request, Request.ModuleText, "last again");
+  TelemetrySnapshot After = serverStats(C);
+  EXPECT_EQ(Stats.count(telemetry::CacheModuleCoalesceHits) + Bodies,
+            After.count(telemetry::CacheModuleCoalesceHits));
+  EXPECT_EQ(Stats.count(telemetry::CacheModuleCoalesceMisses) + Bodies,
+            After.count(telemetry::CacheModuleCoalesceMisses));
+  EXPECT_EQ(Memo, After.count(telemetry::CacheModuleMemoBytes));
+}
+
+#ifdef __GLIBC__
+TEST(ModuleTier, ChargeCoversTheEntrysHeapUnderManyBudgets) {
+  // The tier's bound in heap bytes: one entry (key bytes, parsed module,
+  // frequencies, baseline liveness and the coalescing memo), allocated
+  // under 128 budgets by five allocators, holds no more of the heap than
+  // its charge. Measured with glibc's in-use byte count on this one
+  // thread; a sanitizer's allocator bypasses that count, and the check
+  // then holds trivially.
+  const std::string Text = printed(*buildSpecProxy("sc"));
+  const std::vector<RegisterConfig> Budgets = manyBudgets();
+  auto AllocateAll = [&](ModuleTier::Entry &E) {
+    for (const RegisterConfig &Config : Budgets)
+      for (const AllocatorOptions &Options : paperAllocators()) {
+        SourceAllocation Job(*E.Program, &E.Analyses);
+        Telemetry T;
+        Job.run(Config, Options, FrequencyMode::Profile, /*Jobs=*/1, T);
+      }
+  };
+  {
+    // Warm-up: every allocation-time buffer that outlives a run (the
+    // thread's scratch arena) grows to size outside the measurement.
+    ModuleTier::Entry Warm(static_cast<std::size_t>(-1));
+    Warm.Program = parseModule(Text).M;
+    AllocateAll(Warm);
+  }
+
+  const std::size_t Before = mallinfo2().uordblks;
+  ModuleTier Tier(64u << 20);
+  std::shared_ptr<ModuleTier::Entry> E;
+  {
+    ParseResult PR = parseModule(Text);
+    ASSERT_TRUE(PR.ok());
+    E = Tier.insert(hash64(Text), false, Text, std::move(PR.M));
+  }
+  AllocateAll(*E);
+  const std::size_t Held = mallinfo2().uordblks - Before;
+  EXPECT_LE(Held, ModuleTier::charge(false, Text.size()));
+  EXPECT_LE(Tier.stats().MemoBytes,
+            ModuleTier::charge(false, Text.size()) / ModuleTier::MemoShare);
+}
+#endif
 
 TEST(ModuleTier, DisabledCachesDisableTheTier) {
   ServerConfig Config;

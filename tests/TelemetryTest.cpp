@@ -4,6 +4,8 @@
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 #include <sstream>
 #include <thread>
 
@@ -98,6 +100,33 @@ TEST(Telemetry, RecorderIsThreadSafe) {
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(T.count("hits"), 4000.0);
+}
+
+TEST(Telemetry, CStringNamesAreKeyedByContentNotAddress) {
+  // One buffer carries two names in turn, and a second buffer repeats the
+  // first: every record lands on the entry its text names, before and
+  // after the recorder is drained.
+  Telemetry T;
+  char Name[16] = "alpha";
+  T.addCount(Name);
+  std::snprintf(Name, sizeof Name, "beta");
+  T.addCount(Name, 2.0);
+  T.noteMax(Name, 5.0);
+  T.addTimeMs(Name, 1.5);
+  const std::string Alpha = "alpha";
+  T.addCount(Alpha.c_str(), 10.0);
+  std::snprintf(Name, sizeof Name, "alpha");
+  T.addCount(Name);
+  TelemetrySnapshot Snap = T.takeSnapshot();
+  EXPECT_EQ(Snap.count("alpha"), 12.0);
+  EXPECT_EQ(Snap.count("beta"), 5.0);
+  EXPECT_EQ(Snap.timeMs("beta"), 1.5);
+  EXPECT_EQ(Snap.Counters.size(), 2u);
+  EXPECT_EQ(Snap.TimersMs.size(), 1u);
+
+  T.addCount(Name, 3.0);
+  EXPECT_EQ(T.snapshot().Counters,
+            (std::map<std::string, double>{{"alpha", 3.0}}));
 }
 
 TEST(Telemetry, ScopedTimerIsNullSafeAndRecords) {
