@@ -53,7 +53,8 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
-// Experiment driver: one evaluation grid point per run.
+// SourceAllocation, the one allocation entry point the tools share, and
+// the experiment driver: one evaluation grid point per run.
 #include "harness/Experiment.h"
 
 #endif // CCRA_CCRA_H

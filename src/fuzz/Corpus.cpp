@@ -17,14 +17,14 @@ namespace fs = std::filesystem;
 std::vector<CorpusEntry>
 ccra::loadCorpusDir(const std::string &Dir, std::vector<std::string> &Errors) {
   std::vector<CorpusEntry> Entries;
-  std::error_code EC;
-  if (!fs::is_directory(Dir, EC))
-    return Entries;
-
   std::vector<std::string> Paths;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC))
-    if (E.is_regular_file() && E.path().extension() == ".ccra")
-      Paths.push_back(E.path().string());
+  std::error_code EC;
+  if (fs::is_regular_file(Dir, EC))
+    Paths.push_back(Dir);
+  else if (fs::is_directory(Dir, EC))
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC))
+      if (E.is_regular_file() && E.path().extension() == ".ccra")
+        Paths.push_back(E.path().string());
   std::sort(Paths.begin(), Paths.end());
 
   for (const std::string &Path : Paths) {
@@ -79,4 +79,12 @@ std::string ccra::writeCorpusFile(const Module &M, const std::string &Dir,
     Out << "; " << Line << '\n';
   printModule(M, Out);
   return Out ? Path : "";
+}
+
+bool ccra::configFromHeader(const CorpusEntry &Entry, RegisterConfig &Config,
+                            std::string *Err) {
+  for (const std::string &Line : Entry.HeaderLines)
+    if (Line.rfind("config: ", 0) == 0)
+      return parseRegisterConfig(Line.substr(8), Config, Err);
+  return true;
 }

@@ -15,6 +15,7 @@
 #define CCRA_FUZZ_CORPUS_H
 
 #include "ir/Module.h"
+#include "target/MachineDescription.h"
 
 #include <memory>
 #include <string>
@@ -32,9 +33,9 @@ struct CorpusEntry {
 };
 
 /// Loads every `.ccra` file under \p Dir (sorted by filename, so replay
-/// order is stable). Files that fail to parse or IR-verify are reported in
-/// \p Errors and skipped. A missing directory is not an error — it is an
-/// empty corpus.
+/// order is stable), or \p Dir itself when it names a file. Files that
+/// fail to parse or IR-verify are reported in \p Errors and skipped. A
+/// missing path is not an error — it is an empty corpus.
 std::vector<CorpusEntry> loadCorpusDir(const std::string &Dir,
                                        std::vector<std::string> &Errors);
 
@@ -44,6 +45,12 @@ std::vector<CorpusEntry> loadCorpusDir(const std::string &Dir,
 std::string writeCorpusFile(const Module &M, const std::string &Dir,
                             const std::string &Tag,
                             const std::vector<std::string> &HeaderLines);
+
+/// Applies \p Entry's "config: Ri,Rf,Ei,Ef" header line, if it has one,
+/// to \p Config. False, with parseRegisterConfig's reason in \p Err, when
+/// that line names no usable configuration.
+bool configFromHeader(const CorpusEntry &Entry, RegisterConfig &Config,
+                      std::string *Err = nullptr);
 
 } // namespace ccra
 

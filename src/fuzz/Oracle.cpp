@@ -19,6 +19,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 using namespace ccra;
@@ -63,10 +64,12 @@ std::string firstDiffLine(const std::string &A, const std::string &B) {
 }
 
 /// Allocates a private clone of \p M under \p Leg, appending soundness
-/// findings to \p Report as it goes.
-LegCapture runLeg(const Module &M, const OracleLeg &Leg,
-                  const OracleOptions &OO, ModuleAnalysisCache &Cache,
-                  OracleReport &Report) {
+/// findings to \p Report as it goes. Empty when the configuration cannot
+/// color \p M (reported as an "uncolorable" finding).
+std::optional<LegCapture> runLeg(const Module &M, const OracleLeg &Leg,
+                                 const OracleOptions &OO,
+                                 ModuleAnalysisCache &Cache,
+                                 OracleReport &Report) {
   auto Fail = [&](const std::string &Oracle, const std::string &Detail) {
     Report.Failures.push_back({Leg.Name, Oracle, Detail});
   };
@@ -76,11 +79,16 @@ LegCapture runLeg(const Module &M, const OracleLeg &Leg,
   // to any clone (the sharing contract the experiment grid relies on).
   SourceAllocation Job(M, Leg.SeedFromCache ? &Cache : nullptr);
   Telemetry T;
-  ModuleAllocationResult Result =
+  AllocationOutcome Outcome =
       Job.run(OO.Config, Leg.Opts, OO.Mode, Leg.Opts.Jobs, T);
+  ++Report.LegsRun;
+  if (!Outcome.ok()) {
+    Fail("uncolorable", Outcome.Diagnostic);
+    return std::nullopt;
+  }
+  const ModuleAllocationResult &Result = Outcome.Result;
   Module *Clone = &Job.module();
   const FrequencyInfo &Freq = Job.frequencies();
-  ++Report.LegsRun;
 
   LegCapture Cap;
   Cap.Totals = Result.Totals;
@@ -424,11 +432,15 @@ OracleReport ccra::runOracleLattice(const Module &M,
   LegCapture Baseline;
   for (std::size_t I = 0; I < Legs.size(); ++I) {
     const OracleLeg &Leg = Legs[I];
-    LegCapture Cap = runLeg(M, Leg, Opts, Cache, Report);
+    std::optional<LegCapture> Cap = runLeg(M, Leg, Opts, Cache, Report);
+    // A configuration too small for the module is the input's fault:
+    // reported once, by the first leg, with nothing left to compare.
+    if (!Cap)
+      break;
     if (I == 0)
-      Baseline = std::move(Cap);
+      Baseline = std::move(*Cap);
     else if (Leg.ExpectIdentical)
-      diffAgainstBaseline(Baseline, Cap, Leg.Name, Report);
+      diffAgainstBaseline(Baseline, *Cap, Leg.Name, Report);
   }
   return Report;
 }

@@ -34,7 +34,9 @@
 ///   is a finding, not an abort), keeps the module IR-verified, yields
 ///   finite non-negative costs, and reconciles: the §3 cost measured off
 ///   the materialized overhead instructions must equal the analytically
-///   derived cost.
+///   derived cost. A register configuration too small for the module
+///   (SourceAllocation's diagnostic) is one "uncolorable" finding, under
+///   the first leg, and ends the lattice.
 ///
 /// Adding the next engine optimization = adding one OracleLeg, or one pair
 /// to the component check (see DESIGN.md "The oracle lattice").

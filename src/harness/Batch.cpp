@@ -18,7 +18,8 @@ AllocationBatchResult runItem(const AllocationBatchItem &Item,
   Telemetry T;
   Out.Result = SourceAllocation(*Item.Program)
                    .run(Item.Config, Item.Options, Item.Mode,
-                        Item.Options.Jobs, T, Pool);
+                        Item.Options.Jobs, T, Pool)
+                   .takeOrThrow();
   Out.Telemetry = T.takeSnapshot();
   return Out;
 }

@@ -46,8 +46,9 @@ struct AllocationBatchResult {
 /// fans its functions out on the same pool when its Options.Jobs asks for
 /// parallelism — nested batches, never nested pools). Output order matches
 /// input order and each result is bit-identical to a serial run of the
-/// same item. The first exception an item's engine throws is rethrown
-/// after the batch drains.
+/// same item. An item whose configuration cannot color its module throws
+/// UncolorableError with SourceAllocation's diagnostic; the first
+/// exception an item throws is rethrown after the batch drains.
 std::vector<AllocationBatchResult>
 runAllocationBatch(const std::vector<AllocationBatchItem> &Items,
                    ThreadPool *Pool);

@@ -6,6 +6,7 @@
 #include "core/EngineBuilder.h"
 #include "ir/Cloner.h"
 #include "ir/Module.h"
+#include "support/Table.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -22,10 +23,16 @@ SourceAllocation::SourceAllocation(const Module &Source,
 SourceAllocation::SourceAllocation(Module &InPlace)
     : Source(&InPlace), Work(&InPlace) {}
 
-ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
-                                             const AllocatorOptions &Options,
-                                             FrequencyMode Mode, unsigned Jobs,
-                                             Telemetry &T, ThreadPool *Pool) {
+ModuleAllocationResult AllocationOutcome::takeOrThrow() {
+  if (!ok())
+    throw UncolorableError(Diagnostic);
+  return std::move(Result);
+}
+
+AllocationOutcome SourceAllocation::run(const RegisterConfig &Config,
+                                        const AllocatorOptions &Options,
+                                        FrequencyMode Mode, unsigned Jobs,
+                                        Telemetry &T, ThreadPool *Pool) {
   // With a cache the analyses run (at most) once per source module across
   // every allocation of it: frequencies transfer to the clone by position
   // (same doubles), baseline liveness seeds round 1 by block-id identity.
@@ -81,7 +88,13 @@ ModuleAllocationResult SourceAllocation::run(const RegisterConfig &Config,
                                 .telemetry(&T)
                                 .pool(Pool)
                                 .build();
-  return Engine.allocateModule(*Work, Freq, SeedsPtr);
+  AllocationOutcome Out;
+  try {
+    Out.Result = Engine.allocateModule(*Work, Freq, SeedsPtr);
+  } catch (const UncolorableError &E) {
+    Out.Diagnostic = E.what();
+  }
+  return Out;
 }
 
 ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
@@ -94,7 +107,8 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
   SourceAllocation Job(*Spec.Program, Cache);
   Telemetry T;
   ModuleAllocationResult Alloc =
-      Job.run(Spec.Config, Spec.Options, Spec.Mode, Spec.Jobs, T, Pool);
+      Job.run(Spec.Config, Spec.Options, Spec.Mode, Spec.Jobs, T, Pool)
+          .takeOrThrow();
 
   Run.Result.Costs = Alloc.Totals;
   for (const auto &[F, FA] : Alloc.PerFunction) {
@@ -218,4 +232,27 @@ double ccra::estimateDynamicCycles(const Module &M,
     }
   }
   return Cycles;
+}
+
+void ccra::printCostTable(const Module &M, const ModuleAllocationResult &Alloc,
+                          std::ostream &OS) {
+  TextTable Table;
+  Table.setHeader({"function", "spill", "caller_sv", "callee_sv", "total",
+                   "rounds", "spilled"});
+  for (const auto &F : M.functions()) {
+    if (F->isDeclaration())
+      continue;
+    const FunctionAllocation &FA = Alloc.PerFunction.at(F.get());
+    Table.addRow({"@" + F->getName(), TextTable::formatCount(FA.Costs.Spill),
+                  TextTable::formatCount(FA.Costs.CallerSave),
+                  TextTable::formatCount(FA.Costs.CalleeSave),
+                  TextTable::formatCount(FA.Costs.total()),
+                  std::to_string(FA.Rounds),
+                  std::to_string(FA.SpilledRanges)});
+  }
+  Table.addRow({"TOTAL", TextTable::formatCount(Alloc.Totals.Spill),
+                TextTable::formatCount(Alloc.Totals.CallerSave),
+                TextTable::formatCount(Alloc.Totals.CalleeSave),
+                TextTable::formatCount(Alloc.Totals.total()), "", ""});
+  Table.print(OS);
 }

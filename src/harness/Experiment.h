@@ -4,9 +4,16 @@
 /// Runs one point of the paper's evaluation grid — (workload, register
 /// configuration, allocator, frequency source) — on a clone of the
 /// workload, and the Table 4 execution-time model. bench/paper_tables runs
-/// every reproduced table through runExperiments. The step inside a grid
-/// point (clone, shared analyses, engine) is SourceAllocation, which the
-/// allocation service's workers run too.
+/// every reproduced table through runExperiments.
+///
+/// SourceAllocation is the one way to request an allocation: the grid
+/// points, allocation batches, the service's workers, the oracle lattice
+/// and the command-line tools all allocate through it (frequencies,
+/// shared analyses, engine). It is also the one place that catches
+/// UncolorableError: a configuration too small for the module comes back
+/// as an AllocationOutcome carrying the diagnostic. runExperiment and
+/// runAllocationBatch, whose interfaces report failure by exception,
+/// throw it again with the same text.
 ///
 /// A grid point is described by an ExperimentSpec and produces an
 /// ExperimentRun: the cost/statistics summary plus the telemetry the
@@ -32,6 +39,7 @@
 
 #include <atomic>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,11 +81,25 @@ struct ExperimentRun {
   TelemetrySnapshot Telemetry;
 };
 
-/// One allocation of a module: the step the experiment grid and the
-/// allocation service share. Construction picks the module the engine
-/// mutates (a private clone of a shared source, or a caller's module
-/// allocated in place); run() gets its frequencies and round-1 liveness
-/// seeds, builds the engine and allocates.
+/// What one SourceAllocation::run produced: the engine's result, or, when
+/// the register configuration cannot color some instruction's operands,
+/// the UncolorableError diagnostic (naming the function and the
+/// configuration). The input is at fault, not the allocator: callers
+/// answer it like malformed input.
+struct AllocationOutcome {
+  ModuleAllocationResult Result; ///< empty when Diagnostic is set
+  std::string Diagnostic;        ///< empty on success
+  bool ok() const { return Diagnostic.empty(); }
+  /// The result, for callers that report failure by exception: throws
+  /// UncolorableError carrying Diagnostic when there is one.
+  ModuleAllocationResult takeOrThrow();
+};
+
+/// One allocation of a module: the step every caller shares. Construction
+/// picks the module the engine mutates (a private clone of a shared
+/// source, or a caller's module allocated in place); run() gets its
+/// frequencies and round-1 liveness seeds, builds the engine and
+/// allocates.
 class SourceAllocation {
 public:
   /// Allocates a clone of \p Source, which is never modified. \p Cache,
@@ -96,11 +118,12 @@ public:
   /// Allocates the module once, recording the engine's telemetry into
   /// \p T (plus freq_compute when frequencies are computed here, without
   /// a cache). \p Pool, when given, carries the Jobs fan-out instead of a
-  /// private pool.
-  ModuleAllocationResult run(const RegisterConfig &Config,
-                             const AllocatorOptions &Options,
-                             FrequencyMode Mode, unsigned Jobs, Telemetry &T,
-                             ThreadPool *Pool = nullptr);
+  /// private pool. An uncolorable configuration returns its diagnostic
+  /// and leaves module() partly allocated.
+  AllocationOutcome run(const RegisterConfig &Config,
+                        const AllocatorOptions &Options, FrequencyMode Mode,
+                        unsigned Jobs, Telemetry &T,
+                        ThreadPool *Pool = nullptr);
 
   /// The allocated module and its frequencies (complete after run()).
   Module &module() { return *Work; }
@@ -142,7 +165,8 @@ using AllocationObserver = std::function<void(
 /// run's private clone), baseline-liveness seeds and recorded round-1
 /// coalescing; \p Pool, when given, carries the spec's function fan-out
 /// instead of a private pool. Both are pure compute-sharing: results are
-/// bit-identical with or without them.
+/// bit-identical with or without them. Throws UncolorableError with
+/// SourceAllocation's diagnostic when Spec.Config cannot color the program.
 ExperimentRun runExperiment(const ExperimentSpec &Spec,
                             ModuleAnalysisCache *Cache,
                             ThreadPool *Pool = nullptr,
@@ -170,6 +194,12 @@ runExperiments(const std::vector<ExperimentSpec> &Specs, unsigned Jobs = 1,
 /// divide (integer or floating point), 2 for a call, 2 for a memory access
 /// (every overhead load and store included), and 1 for anything else.
 double estimateDynamicCycles(const Module &M, const FrequencyInfo &Freq);
+
+/// The cost table ccra_alloc and ccra_cc print for an allocation of \p M:
+/// one row per defined function (spill, caller-save and callee-save
+/// overhead, their total, rounds, spilled ranges), then a TOTAL row.
+void printCostTable(const Module &M, const ModuleAllocationResult &Alloc,
+                    std::ostream &OS);
 
 } // namespace ccra
 

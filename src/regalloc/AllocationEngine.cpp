@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <optional>
 
@@ -348,17 +349,35 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
   // executing one batch, so arenas are never shared between concurrent
   // tasks even on a pool serving several engines at once.
   std::vector<AllocationScratch> Scratches(P->size());
+  // The serial loop stops at the first uncolorable body in function order.
+  // Here the lowest-indexed failing body's diagnostic is thrown, whichever
+  // task failed first, so the message depends neither on Jobs nor on
+  // scheduling.
+  std::mutex FailureMutex;
+  std::size_t FailedBody = Bodies.size();
+  std::string Failure;
   P->parallelForEachSlot(
       Order.size(), [&](std::size_t TaskIdx, unsigned Slot) {
         std::size_t I = Order[TaskIdx];
         std::unique_ptr<RegAllocBase> TaskAlloc = Factory(Opts);
         Telemetry Local;
-        PerTask[I] = allocateWith(*TaskAlloc, *Bodies[I], Freq,
-                                  Telem ? &Local : nullptr, Seeds, I,
-                                  Scratches[Slot]);
+        try {
+          PerTask[I] = allocateWith(*TaskAlloc, *Bodies[I], Freq,
+                                    Telem ? &Local : nullptr, Seeds, I,
+                                    Scratches[Slot]);
+        } catch (const UncolorableError &E) {
+          std::lock_guard<std::mutex> Lock(FailureMutex);
+          if (I < FailedBody) {
+            FailedBody = I;
+            Failure = E.what();
+          }
+          return;
+        }
         if (Telem)
           TaskTelemetry[I] = Local.snapshot();
       });
+  if (FailedBody < Bodies.size())
+    throw UncolorableError(Failure);
 
   for (std::size_t I = 0; I < Bodies.size(); ++I) {
     Result.Totals += PerTask[I].Costs;

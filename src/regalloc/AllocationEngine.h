@@ -107,7 +107,9 @@ public:
   /// biggest-function-first (long-tail load balancing) and keeps one
   /// scratch arena per worker slot; \p Seeds optionally provides shared
   /// baseline liveness and round-1 coalescing per body. None of this
-  /// changes any result.
+  /// changes any result. A configuration too small for some body throws
+  /// UncolorableError naming the first such body in function order, at
+  /// any Jobs setting.
   ModuleAllocationResult allocateModule(Module &M, const FrequencyInfo &Freq,
                                         const AnalysisSeeds *Seeds) const;
   ModuleAllocationResult allocateModule(Module &M,

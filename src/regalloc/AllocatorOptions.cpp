@@ -220,3 +220,21 @@ AllocatorOptions ccra::cbhOptions() {
   Opts.Kind = AllocatorKind::CBH;
   return Opts;
 }
+
+bool ccra::allocatorOptionsFor(const std::string &Name, AllocatorOptions &Out) {
+  if (Name == "base")
+    Out = baseChaitinOptions();
+  else if (Name == "optimistic")
+    Out = optimisticOptions();
+  else if (Name == "improved")
+    Out = improvedOptions();
+  else if (Name == "improved-opt")
+    Out = improvedOptimisticOptions();
+  else if (Name == "priority")
+    Out = priorityOptions();
+  else if (Name == "cbh")
+    Out = cbhOptions();
+  else
+    return false;
+  return true;
+}

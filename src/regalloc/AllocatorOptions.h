@@ -139,6 +139,11 @@ AllocatorOptions priorityOptions(
 /// The CBH model (§10).
 AllocatorOptions cbhOptions();
 
+/// The command-line names of the configurations above: base | optimistic
+/// | improved | improved-opt | priority | cbh. Returns false for any other
+/// name, leaving \p Out unchanged.
+bool allocatorOptionsFor(const std::string &Name, AllocatorOptions &Out);
+
 } // namespace ccra
 
 #endif // CCRA_REGALLOC_ALLOCATOROPTIONS_H

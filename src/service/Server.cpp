@@ -345,17 +345,17 @@ void AllocationServer::serve(PendingRequest &P) {
   {
     Telemetry::ScopedTimer Timer(&Telem, telemetry::ServeBatchPhase);
     Telemetry EngineTelem;
-    ModuleAllocationResult Result;
-    try {
-      Result = Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
-                        P.Request.Options.Jobs, EngineTelem);
-    } catch (const UncolorableError &E) {
+    AllocationOutcome Outcome =
+        Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
+                 P.Request.Options.Jobs, EngineTelem);
+    if (!Outcome.ok()) {
       // The request's configuration is too small for its module: the
       // input's fault, answered like any other malformed request.
       Telem.addCount(telemetry::ServeMalformed);
-      Loop.postResponse(P.ConnId, errorFrame("malformed", E.what()));
+      Loop.postResponse(P.ConnId, errorFrame("malformed", Outcome.Diagnostic));
       return;
     }
+    const ModuleAllocationResult &Result = Outcome.Result;
     if (Entry) {
       // STATS only: a response carries no scheduling-dependent counter.
       Telem.addCount(telemetry::CacheModuleCoalesceHits,

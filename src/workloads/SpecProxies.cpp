@@ -10,10 +10,15 @@
 
 #include "workloads/SpecProxies.h"
 
+#include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "workloads/SyntheticBuilder.h"
 
+#include <algorithm>
 #include <cassert>
+#include <fstream>
+#include <iostream>
+#include <sstream>
 
 using namespace ccra;
 
@@ -584,4 +589,32 @@ ccra::buildAllSpecProxies() {
   for (const std::string &Name : specProxyNames())
     All.emplace_back(Name, buildSpecProxy(Name));
   return All;
+}
+
+std::unique_ptr<Module> ccra::loadProgram(const std::string &Input,
+                                          std::ostream &Diag) {
+  const auto &Proxies = specProxyNames();
+  if (std::find(Proxies.begin(), Proxies.end(), Input) != Proxies.end())
+    return buildSpecProxy(Input);
+
+  std::ostringstream Buffer;
+  if (Input == "-") {
+    Buffer << std::cin.rdbuf();
+  } else {
+    std::ifstream File(Input);
+    if (!File) {
+      Diag << "cannot open '" << Input << "'\n";
+      return nullptr;
+    }
+    Buffer << File.rdbuf();
+  }
+  ParseResult R = parseModule(Buffer.str());
+  std::vector<std::string> Errors;
+  if (!R.ok())
+    Errors = std::move(R.Errors);
+  else if (verifyModule(*R.M, &Errors))
+    return std::move(R.M);
+  for (const std::string &E : Errors)
+    Diag << Input << ": " << E << '\n';
+  return nullptr;
 }

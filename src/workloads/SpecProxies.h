@@ -34,6 +34,7 @@
 
 #include "ir/Module.h"
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +50,12 @@ std::unique_ptr<Module> buildSpecProxy(const std::string &Name);
 /// Builds every proxy.
 std::vector<std::pair<std::string, std::unique_ptr<Module>>>
 buildAllSpecProxies();
+
+/// The command-line tools' program argument: a proxy name, an IR file, or
+/// "-" for stdin. A file is parsed and verified; null, with the diagnostics
+/// written to \p Diag, when it cannot be opened, parsed or verified.
+std::unique_ptr<Module> loadProgram(const std::string &Input,
+                                    std::ostream &Diag);
 
 } // namespace ccra
 

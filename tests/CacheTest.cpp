@@ -23,8 +23,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EngineBuilder.h"
 #include "fuzz/Corpus.h"
+#include "harness/Experiment.h"
 #include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <set>
 #include <sstream>
 #include <string>
@@ -456,21 +455,19 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
   for (const CorpusEntry &Entry : Entries) {
     AllocRequest Request;
     Request.Options = improvedOptions();
-    for (const std::string &Line : Entry.HeaderLines) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Line.c_str(), "config: %u,%u,%u,%u", &Ri, &Rf, &Ei,
-                      &Ef) == 4)
-        Request.Config = RegisterConfig(Ri, Rf, Ei, Ef);
-    }
+    std::string ConfigErr;
+    ASSERT_TRUE(configFromHeader(Entry, Request.Config, &ConfigErr))
+        << Entry.Path << ": " << ConfigErr;
     Request.ModuleText = printed(*Entry.M);
 
     // In-process expectation: the cold half of the bit-identity contract.
     ParseResult PR = parseModule(Request.ModuleText);
     ASSERT_TRUE(PR.ok()) << Entry.Path;
-    FrequencyInfo Freq = FrequencyInfo::compute(*PR.M, Request.Mode);
-    AllocationEngine Engine =
-        EngineBuilder(Request.Config).options(Request.Options).build();
-    ModuleAllocationResult Cold = Engine.allocateModule(*PR.M, Freq);
+    Telemetry T;
+    AllocationOutcome Cold = SourceAllocation(*PR.M).run(
+        Request.Config, Request.Options, Request.Mode, Request.Options.Jobs,
+        T);
+    ASSERT_TRUE(Cold.ok()) << Entry.Path << ": " << Cold.Diagnostic;
     const std::string ExpectedIr = printed(*PR.M);
 
     // Each codec's round one misses and allocates; its round two must be
@@ -508,7 +505,7 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
       ASSERT_TRUE(parseAllocResponse(Payload, Parsed, &Err))
           << Entry.Path << ": " << Err;
       EXPECT_EQ(ExpectedIr, Parsed.AllocatedIr) << Entry.Path;
-      EXPECT_TRUE(Cold.Totals == Parsed.Totals) << Entry.Path;
+      EXPECT_TRUE(Cold.Result.Totals == Parsed.Totals) << Entry.Path;
     }
   }
 

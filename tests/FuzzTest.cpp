@@ -53,12 +53,9 @@ TEST(FuzzCorpus, SeedCorpusReplaysClean) {
   for (const CorpusEntry &Entry : Entries) {
     OracleOptions OO;
     // Reproducers carry their original register file in the header.
-    for (const std::string &Line : Entry.HeaderLines) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Line.c_str(), "config: %u,%u,%u,%u", &Ri, &Rf, &Ei,
-                      &Ef) == 4)
-        OO.Config = RegisterConfig(Ri, Rf, Ei, Ef);
-    }
+    std::string ConfigErr;
+    ASSERT_TRUE(configFromHeader(Entry, OO.Config, &ConfigErr))
+        << Entry.Path << ": " << ConfigErr;
     OracleReport Report = runOracleLattice(*Entry.M, OO);
     for (const std::string &Line : Report.lines())
       ADD_FAILURE() << Entry.Path << ": " << Line;

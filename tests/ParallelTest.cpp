@@ -10,6 +10,7 @@
 
 #include "ccra.h"
 #include "workloads/RandomProgram.h"
+#include "workloads/SpecProxies.h"
 
 #include <atomic>
 #include <gtest/gtest.h>
@@ -208,6 +209,24 @@ TEST(ParallelAllocation, HardwareJobsMatchesSerial) {
   expectIdenticalAllocations(*SerialClone, Serial, *ParallelClone, Parallel);
 }
 
+TEST(ParallelAllocation, UncolorableDiagnosticMatchesSerialAtAnyJobs) {
+  // Under (1,1,0,0) every body of li is uncolorable. The serial loop stops
+  // at the first body; the parallel path, which starts the biggest body
+  // first, must name that same body.
+  std::unique_ptr<Module> M = buildSpecProxy("li");
+  auto Diagnostic = [&](unsigned Jobs) {
+    Telemetry T;
+    return SourceAllocation(*M, nullptr)
+        .run(RegisterConfig(1, 1, 0, 0), improvedOptions(),
+             FrequencyMode::Profile, Jobs, T)
+        .Diagnostic;
+  };
+  const std::string Serial = Diagnostic(1);
+  ASSERT_NE(Serial.find("cannot color"), std::string::npos) << Serial;
+  for (unsigned Jobs : {2u, 4u, 0u})
+    EXPECT_EQ(Serial, Diagnostic(Jobs)) << "jobs " << Jobs;
+}
+
 TEST(ParallelAllocation, TelemetryCountersMatchSerial) {
   // Timers are wall-clock and may differ; every counter outside the
   // "sched." namespace is a deterministic function of the allocation and
@@ -351,7 +370,8 @@ TEST(AnalysisCacheConcurrency, RacingAllocationsOnOneBudgetAreBitIdentical) {
       Telemetry T;
       Start.arrive_and_wait();
       Results[I] = Jobs[I]->run(Config, Arms[I], FrequencyMode::Profile,
-                                /*Jobs=*/1, T);
+                                /*Jobs=*/1, T)
+                       .Result;
     });
   for (std::thread &W : Workers)
     W.join();

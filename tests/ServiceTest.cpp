@@ -26,7 +26,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EngineBuilder.h"
 #include "fuzz/Corpus.h"
 #include "harness/Experiment.h"
 #include "ir/IRBinary.h"
@@ -74,18 +73,19 @@ std::string printed(const Module &M) {
   return OS.str();
 }
 
-/// In-process allocation rendered exactly as the server renders it.
+/// In-process allocation through SourceAllocation, the path the server's
+/// workers take: the allocated IR and cost totals a response must match.
 void expectedAllocation(const std::string &ModuleText,
                         const AllocRequest &Request, std::string &IrOut,
                         CostBreakdown &TotalsOut) {
   ParseResult PR = parseModule(ModuleText);
   ASSERT_TRUE(PR.ok());
-  FrequencyInfo Freq = FrequencyInfo::compute(*PR.M, Request.Mode);
-  AllocationEngine Engine =
-      EngineBuilder(Request.Config).options(Request.Options).build();
-  ModuleAllocationResult R = Engine.allocateModule(*PR.M, Freq);
+  Telemetry T;
+  AllocationOutcome Outcome = SourceAllocation(*PR.M).run(
+      Request.Config, Request.Options, Request.Mode, Request.Options.Jobs, T);
+  ASSERT_TRUE(Outcome.ok()) << Outcome.Diagnostic;
   IrOut = printed(*PR.M);
-  TotalsOut = R.Totals;
+  TotalsOut = Outcome.Result.Totals;
 }
 
 /// A server on an ephemeral loopback port plus a connected client.
@@ -400,12 +400,9 @@ TEST(Service, CorpusReplaysBitIdenticalOverTheWire) {
   for (const CorpusEntry &Entry : Entries) {
     AllocRequest Request;
     Request.Options = improvedOptions();
-    for (const std::string &Line : Entry.HeaderLines) {
-      unsigned Ri, Rf, Ei, Ef;
-      if (std::sscanf(Line.c_str(), "config: %u,%u,%u,%u", &Ri, &Rf, &Ei,
-                      &Ef) == 4)
-        Request.Config = RegisterConfig(Ri, Rf, Ei, Ef);
-    }
+    std::string ConfigErr;
+    ASSERT_TRUE(configFromHeader(Entry, Request.Config, &ConfigErr))
+        << Entry.Path << ": " << ConfigErr;
     Request.ModuleText = printed(*Entry.M);
 
     std::string ExpectedIr;

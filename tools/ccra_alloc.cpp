@@ -33,15 +33,10 @@
 
 #include "ccra.h"
 #include "support/BuildInfo.h"
-#include "support/Table.h"
 #include "workloads/SpecProxies.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace ccra;
 
@@ -118,59 +113,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   return true;
 }
 
-bool allocatorOptionsFor(const std::string &Name, AllocatorOptions &Opts) {
-  if (Name == "base")
-    Opts = baseChaitinOptions();
-  else if (Name == "optimistic")
-    Opts = optimisticOptions();
-  else if (Name == "improved")
-    Opts = improvedOptions();
-  else if (Name == "improved-opt")
-    Opts = improvedOptimisticOptions();
-  else if (Name == "priority")
-    Opts = priorityOptions();
-  else if (Name == "cbh")
-    Opts = cbhOptions();
-  else
-    return false;
-  return true;
-}
-
-std::unique_ptr<Module> loadInput(const std::string &Input) {
-  const auto &Proxies = specProxyNames();
-  if (std::find(Proxies.begin(), Proxies.end(), Input) != Proxies.end())
-    return buildSpecProxy(Input);
-
-  std::string Text;
-  if (Input == "-") {
-    std::ostringstream Buffer;
-    Buffer << std::cin.rdbuf();
-    Text = Buffer.str();
-  } else {
-    std::ifstream File(Input);
-    if (!File) {
-      std::cerr << "cannot open '" << Input << "'\n";
-      return nullptr;
-    }
-    std::ostringstream Buffer;
-    Buffer << File.rdbuf();
-    Text = Buffer.str();
-  }
-  ParseResult R = parseModule(Text);
-  if (!R.ok()) {
-    for (const std::string &E : R.Errors)
-      std::cerr << Input << ": " << E << '\n';
-    return nullptr;
-  }
-  std::vector<std::string> Errors;
-  if (!verifyModule(*R.M, &Errors)) {
-    for (const std::string &E : Errors)
-      std::cerr << Input << ": " << E << '\n';
-    return nullptr;
-  }
-  return std::move(R.M);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -199,24 +141,18 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  std::unique_ptr<Module> M = loadInput(Cli.Input);
+  std::unique_ptr<Module> M = loadProgram(Cli.Input, std::cerr);
   if (!M)
     return 1;
 
-  FrequencyInfo Freq = FrequencyInfo::compute(*M, Cli.Mode);
   Telemetry T;
-  AllocationEngine Engine = EngineBuilder(Cli.Config)
-                                .options(AllocOpts)
-                                .jobs(Cli.Jobs)
-                                .telemetry(Cli.EmitTelemetry ? &T : nullptr)
-                                .build();
-  ModuleAllocationResult Result;
-  try {
-    Result = Engine.allocateModule(*M, Freq);
-  } catch (const UncolorableError &E) {
-    std::cerr << "ccra_alloc: " << E.what() << '\n';
+  AllocationOutcome Outcome =
+      SourceAllocation(*M).run(Cli.Config, AllocOpts, Cli.Mode, Cli.Jobs, T);
+  if (!Outcome.ok()) {
+    std::cerr << "ccra_alloc: " << Outcome.Diagnostic << '\n';
     return 1;
   }
+  const ModuleAllocationResult &Result = Outcome.Result;
 
   if (Cli.EmitIr)
     printModule(*M, std::cout);
@@ -239,28 +175,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  TextTable Table;
-  Table.setHeader({"function", "spill", "caller_sv", "callee_sv", "total",
-                   "rounds", "spilled"});
-  for (const auto &F : M->functions()) {
-    if (F->isDeclaration())
-      continue;
-    const FunctionAllocation &FA = Result.PerFunction.at(F.get());
-    Table.addRow({"@" + F->getName(), TextTable::formatCount(FA.Costs.Spill),
-                  TextTable::formatCount(FA.Costs.CallerSave),
-                  TextTable::formatCount(FA.Costs.CalleeSave),
-                  TextTable::formatCount(FA.Costs.total()),
-                  std::to_string(FA.Rounds),
-                  std::to_string(FA.SpilledRanges)});
-  }
-  Table.addRow({"TOTAL", TextTable::formatCount(Result.Totals.Spill),
-                TextTable::formatCount(Result.Totals.CallerSave),
-                TextTable::formatCount(Result.Totals.CalleeSave),
-                TextTable::formatCount(Result.Totals.total()), "", ""});
   std::cout << "allocator=" << AllocOpts.describe()
             << " config=" << Cli.Config.label() << " freq="
             << frequencyModeName(Cli.Mode) << '\n';
-  Table.print(std::cout);
+  printCostTable(*M, Result, std::cout);
 
   if (Cli.EmitTelemetry) {
     TelemetrySnapshot Snap = T.snapshot();

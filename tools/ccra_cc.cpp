@@ -37,7 +37,6 @@
 #include "frontend/Frontend.h"
 #include "fuzz/Corpus.h"
 #include "support/BuildInfo.h"
-#include "support/Table.h"
 
 #include <iostream>
 #include <sstream>
@@ -107,32 +106,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   return true;
 }
 
+/// --options (a canonical AllocatorOptions key) overrides --allocator.
 bool allocatorOptionsFor(const CliOptions &Cli, AllocatorOptions &Opts) {
-  if (!Cli.OptionsKey.empty()) {
-    std::string Error;
-    if (!parseAllocatorOptions(Cli.OptionsKey, Opts, &Error)) {
-      std::cerr << "bad --options: " << Error << '\n';
-      return false;
-    }
-    return true;
-  }
-  if (Cli.Allocator == "base")
-    Opts = baseChaitinOptions();
-  else if (Cli.Allocator == "optimistic")
-    Opts = optimisticOptions();
-  else if (Cli.Allocator == "improved")
-    Opts = improvedOptions();
-  else if (Cli.Allocator == "improved-opt")
-    Opts = improvedOptimisticOptions();
-  else if (Cli.Allocator == "priority")
-    Opts = priorityOptions();
-  else if (Cli.Allocator == "cbh")
-    Opts = cbhOptions();
-  else {
+  if (Cli.OptionsKey.empty()) {
+    if (ccra::allocatorOptionsFor(Cli.Allocator, Opts))
+      return true;
     std::cerr << "unknown allocator '" << Cli.Allocator << "'\n";
     return false;
   }
-  return true;
+  std::string Error;
+  if (parseAllocatorOptions(Cli.OptionsKey, Opts, &Error))
+    return true;
+  std::cerr << "bad --options: " << Error << '\n';
+  return false;
 }
 
 CompileResult compileInput(const std::string &Input) {
@@ -173,34 +159,6 @@ bool checkModule(const std::string &Input, const Module &M) {
     return false;
   }
   return true;
-}
-
-void printCostTable(const Module &M, const ModuleAllocationResult &Result,
-                    const AllocatorOptions &AllocOpts,
-                    const CliOptions &Cli) {
-  TextTable Table;
-  Table.setHeader({"function", "spill", "caller_sv", "callee_sv", "total",
-                   "rounds", "spilled"});
-  for (const auto &F : M.functions()) {
-    if (F->isDeclaration())
-      continue;
-    const FunctionAllocation &FA = Result.PerFunction.at(F.get());
-    Table.addRow({"@" + F->getName(), TextTable::formatCount(FA.Costs.Spill),
-                  TextTable::formatCount(FA.Costs.CallerSave),
-                  TextTable::formatCount(FA.Costs.CalleeSave),
-                  TextTable::formatCount(FA.Costs.total()),
-                  std::to_string(FA.Rounds),
-                  std::to_string(FA.SpilledRanges)});
-  }
-  Table.addRow({"TOTAL", TextTable::formatCount(Result.Totals.Spill),
-                TextTable::formatCount(Result.Totals.CallerSave),
-                TextTable::formatCount(Result.Totals.CalleeSave),
-                TextTable::formatCount(Result.Totals.total()), "", ""});
-  std::cout << "module=" << M.getName()
-            << " allocator=" << AllocOpts.describe()
-            << " config=" << Cli.Config.label()
-            << " freq=" << frequencyModeName(Cli.Mode) << '\n';
-  Table.print(std::cout);
 }
 
 } // namespace
@@ -270,18 +228,19 @@ int main(int Argc, char **Argv) {
     if (Cli.EmitIr)
       printModule(M, std::cout);
     if (Cli.Alloc) {
-      FrequencyInfo Freq = FrequencyInfo::compute(M, Cli.Mode);
-      AllocationEngine Engine =
-          EngineBuilder(Cli.Config).options(AllocOpts).build();
-      ModuleAllocationResult Result;
-      try {
-        Result = Engine.allocateModule(M, Freq);
-      } catch (const UncolorableError &E) {
-        std::cerr << Input << ": " << E.what() << '\n';
+      Telemetry T;
+      AllocationOutcome Outcome = SourceAllocation(M).run(
+          Cli.Config, AllocOpts, Cli.Mode, AllocOpts.Jobs, T);
+      if (!Outcome.ok()) {
+        std::cerr << Input << ": " << Outcome.Diagnostic << '\n';
         AllOk = false;
         continue;
       }
-      printCostTable(M, Result, AllocOpts, Cli);
+      std::cout << "module=" << M.getName()
+                << " allocator=" << AllocOpts.describe()
+                << " config=" << Cli.Config.label()
+                << " freq=" << frequencyModeName(Cli.Mode) << '\n';
+      printCostTable(M, Outcome.Result, std::cout);
     }
   }
   return AllOk ? 0 : 1;

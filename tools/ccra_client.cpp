@@ -45,11 +45,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EngineBuilder.h"
+#include "harness/Experiment.h"
 #include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
-#include "ir/Verifier.h"
 #include "service/Client.h"
 #include "support/BuildInfo.h"
 #include "support/Rng.h"
@@ -59,7 +58,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -106,78 +104,29 @@ void printUsage() {
          "              --deadline-every=N --zipf --wire=v1|v2\n";
 }
 
-bool allocatorOptionsFor(const std::string &Name, AllocatorOptions &Opts) {
-  if (Name == "base")
-    Opts = baseChaitinOptions();
-  else if (Name == "optimistic")
-    Opts = optimisticOptions();
-  else if (Name == "improved")
-    Opts = improvedOptions();
-  else if (Name == "improved-opt")
-    Opts = improvedOptimisticOptions();
-  else if (Name == "priority")
-    Opts = priorityOptions();
-  else if (Name == "cbh")
-    Opts = cbhOptions();
-  else
-    return false;
-  return true;
-}
-
-std::unique_ptr<Module> loadInput(const std::string &Input) {
-  const auto &Proxies = specProxyNames();
-  if (std::find(Proxies.begin(), Proxies.end(), Input) != Proxies.end())
-    return buildSpecProxy(Input);
-
-  std::string Text;
-  if (Input == "-") {
-    std::ostringstream Buffer;
-    Buffer << std::cin.rdbuf();
-    Text = Buffer.str();
-  } else {
-    std::ifstream File(Input);
-    if (!File) {
-      std::cerr << "cannot open '" << Input << "'\n";
-      return nullptr;
-    }
-    std::ostringstream Buffer;
-    Buffer << File.rdbuf();
-    Text = Buffer.str();
-  }
-  ParseResult R = parseModule(Text);
-  if (!R.ok()) {
-    for (const std::string &E : R.Errors)
-      std::cerr << Input << ": " << E << '\n';
-    return nullptr;
-  }
-  std::vector<std::string> Errors;
-  if (!verifyModule(*R.M, &Errors)) {
-    for (const std::string &E : Errors)
-      std::cerr << Input << ": " << E << '\n';
-    return nullptr;
-  }
-  return std::move(R.M);
-}
-
 std::string moduleText(const Module &M) {
   std::ostringstream OS;
   printModule(M, OS);
   return OS.str();
 }
 
-/// The in-process half of the bit-identity contract: allocate \p Request's
-/// module locally and render exactly what the server renders.
+/// The in-process half of the bit-identity contract: allocates \p
+/// Request's module in place through SourceAllocation, as the server's
+/// workers allocate their clones, and returns the allocated IR and cost
+/// totals that a response to the request must match. False when the
+/// module does not parse or the configuration cannot color it.
 bool expectedAllocation(const AllocRequest &Request, std::string &IrOut,
                         CostBreakdown &TotalsOut) {
   ParseResult PR = parseModule(Request.ModuleText);
   if (!PR.ok())
     return false;
-  FrequencyInfo Freq = FrequencyInfo::compute(*PR.M, Request.Mode);
-  AllocationEngine Engine =
-      EngineBuilder(Request.Config).options(Request.Options).build();
-  ModuleAllocationResult R = Engine.allocateModule(*PR.M, Freq);
+  Telemetry T;
+  AllocationOutcome Outcome = SourceAllocation(*PR.M).run(
+      Request.Config, Request.Options, Request.Mode, Request.Options.Jobs, T);
+  if (!Outcome.ok())
+    return false;
   IrOut = moduleText(*PR.M);
-  TotalsOut = R.Totals;
+  TotalsOut = Outcome.Result.Totals;
   return true;
 }
 
@@ -222,7 +171,7 @@ int runAlloc(const Endpoint &EP, int Argc, char **Argv, int First) {
     printUsage();
     return 2;
   }
-  std::unique_ptr<Module> M = loadInput(Input);
+  std::unique_ptr<Module> M = loadProgram(Input, std::cerr);
   if (!M)
     return 1;
   Request.ModuleText = moduleText(*M);

@@ -42,10 +42,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/EngineBuilder.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Shrinker.h"
+#include "harness/Experiment.h"
 #include "ir/IRBinary.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
@@ -139,30 +139,16 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   return true;
 }
 
-/// "config: Ri,Rf,Ei,Ef" from a reproducer header, if present.
-bool configFromHeader(const std::vector<std::string> &Header,
-                      RegisterConfig &Config) {
-  for (const std::string &Line : Header) {
-    unsigned Ri, Rf, Ei, Ef;
-    if (std::sscanf(Line.c_str(), "config: %u,%u,%u,%u", &Ri, &Rf, &Ei,
-                    &Ef) == 4) {
-      Config = RegisterConfig(Ri, Rf, Ei, Ef);
-      return true;
-    }
-  }
-  return false;
-}
-
 /// The wire codec v2 equivalence contract, checked for one module:
 ///
 ///   printModule(decodeModuleBinary(encodeModuleBinary(M)))
 ///     == printModule(parseModule(printModule(M)))
 ///
 /// and, beyond bytes, both round-tripped forms must ALLOCATE identically
-/// (same printed allocation, same cost totals) under \p Config / \p Mode —
-/// a byte-equal module that diverged under allocation would mean the
-/// decoder rebuilt some table the printer does not cover. Returns false
-/// with a diagnostic in \p Why.
+/// (same printed allocation, same cost totals, or the same uncolorable
+/// diagnostic) under \p Config / \p Mode — a byte-equal module that
+/// diverged under allocation would mean the decoder rebuilt some table the
+/// printer does not cover. Returns false with a diagnostic in \p Why.
 bool checkCodecEquivalence(const Module &M, const RegisterConfig &Config,
                            FrequencyMode Mode, std::string &Why) {
   std::string Text;
@@ -195,22 +181,25 @@ bool checkCodecEquivalence(const Module &M, const RegisterConfig &Config,
     return false;
   }
 
-  auto Allocate = [&](Module &Target, std::string &IrOut,
-                      CostBreakdown &Totals) {
-    FrequencyInfo Freq = FrequencyInfo::compute(Target, Mode);
-    AllocationEngine Engine = EngineBuilder(Config).build();
-    Totals = Engine.allocateModule(Target, Freq).Totals;
+  auto Allocate = [&](Module &Target, std::string &IrOut) {
+    Telemetry T;
+    AllocationOutcome Outcome = SourceAllocation(Target).run(
+        Config, AllocatorOptions(), Mode, /*Jobs=*/1, T);
     printModule(Target, IrOut);
+    return Outcome;
   };
   std::string TextIr, BinaryIr;
-  CostBreakdown TextTotals, BinaryTotals;
-  Allocate(*PR.M, TextIr, TextTotals);
-  Allocate(*Decoded, BinaryIr, BinaryTotals);
+  AllocationOutcome ViaTextAlloc = Allocate(*PR.M, TextIr);
+  AllocationOutcome ViaBinaryAlloc = Allocate(*Decoded, BinaryIr);
+  if (ViaTextAlloc.Diagnostic != ViaBinaryAlloc.Diagnostic) {
+    Why = "only one ingestion path is uncolorable";
+    return false;
+  }
   if (TextIr != BinaryIr) {
     Why = "allocations diverge between ingestion paths";
     return false;
   }
-  if (!(TextTotals == BinaryTotals)) {
+  if (!(ViaTextAlloc.Result.Totals == ViaBinaryAlloc.Result.Totals)) {
     Why = "cost totals diverge between ingestion paths";
     return false;
   }
@@ -311,28 +300,11 @@ std::string sourceFromHeader(const std::vector<std::string> &HeaderLines) {
 }
 
 int replayCorpus(const CliOptions &Cli) {
+  // A single .ccra file replays as a one-entry corpus, and must exist.
   std::vector<std::string> Errors;
-  std::vector<CorpusEntry> Entries;
-  // A single .ccra file replays as a one-entry corpus.
-  if (Cli.Replay.size() > 5 &&
-      Cli.Replay.rfind(".ccra") == Cli.Replay.size() - 5) {
-    size_t Slash = Cli.Replay.find_last_of('/');
-    std::string Dir =
-        Slash == std::string::npos ? "." : Cli.Replay.substr(0, Slash);
-    std::string File =
-        Slash == std::string::npos ? Cli.Replay : Cli.Replay.substr(Slash + 1);
-    for (CorpusEntry &E : loadCorpusDir(Dir, Errors)) {
-      size_t ESlash = E.Path.find_last_of('/');
-      std::string EFile =
-          ESlash == std::string::npos ? E.Path : E.Path.substr(ESlash + 1);
-      if (EFile == File)
-        Entries.push_back(std::move(E));
-    }
-    if (Entries.empty() && Errors.empty())
-      Errors.push_back(Cli.Replay + ": not found");
-  } else {
-    Entries = loadCorpusDir(Cli.Replay, Errors);
-  }
+  std::vector<CorpusEntry> Entries = loadCorpusDir(Cli.Replay, Errors);
+  if (Entries.empty() && Errors.empty() && Cli.Replay.ends_with(".ccra"))
+    Errors.push_back(Cli.Replay + ": not found");
   for (const std::string &E : Errors)
     std::cerr << "corpus error: " << E << '\n';
   if (!Errors.empty())
@@ -342,7 +314,13 @@ int replayCorpus(const CliOptions &Cli) {
   for (const CorpusEntry &Entry : Entries) {
     OracleOptions OO;
     OO.ParallelJobs = Cli.JobsLeg;
-    configFromHeader(Entry.HeaderLines, OO.Config); // default when absent
+    std::string ConfigErr; // the lattice's default config when absent
+    if (!configFromHeader(Entry, OO.Config, &ConfigErr)) {
+      ++Failures;
+      std::cerr << "FAIL replay " << Entry.Path << ":\n  " << ConfigErr
+                << '\n';
+      continue;
+    }
     std::string Source = sourceFromHeader(Entry.HeaderLines);
     if (!Source.empty())
       ++FromFrontend;

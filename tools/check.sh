@@ -41,10 +41,12 @@ ctest --test-dir build --output-on-failure
 echo "== C frontend smoke: compile, verify, round-trip the committed corpus =="
 # Every examples/corpus_c program must compile through the C frontend,
 # pass the IR verifier, and round-trip byte-exactly through the printer
-# and parser (--check-corpus exits non-zero otherwise). Then recompile
+# and parser (--check-corpus exits non-zero otherwise), and allocate
+# through the tools' allocation path (--alloc). Then recompile
 # into a scratch dir and diff against the committed fuzz/corpus lowering:
 # frontend changes must regenerate cc-*.ccra in the same commit.
 ./build/tools/ccra_cc --check-corpus examples/corpus_c/*.c
+./build/tools/ccra_cc --alloc examples/corpus_c/*.c > /dev/null
 rm -rf build/cc-corpus-check
 ./build/tools/ccra_cc --emit-corpus=build/cc-corpus-check \
       examples/corpus_c/*.c > /dev/null
