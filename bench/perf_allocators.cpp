@@ -76,11 +76,11 @@ void allocateWith(benchmark::State &State, const AllocatorOptions &Opts) {
   TelemetrySnapshot Snap = T.snapshot();
   auto PerIteration = benchmark::Counter(
       0, benchmark::Counter::kAvgIterations);
-  for (const char *Name : {telemetry::Rounds, telemetry::SpilledRanges,
-                           telemetry::CoalescedMoves,
-                           telemetry::CalleeRegsPaid}) {
-    PerIteration.value = Snap.count(Name);
-    State.counters[Name] = PerIteration;
+  for (telemetry::Metric Id : {telemetry::Rounds, telemetry::SpilledRanges,
+                                telemetry::CoalescedMoves,
+                                telemetry::CalleeRegsPaid}) {
+    PerIteration.value = Snap.count(Id);
+    State.counters[telemetry::info(Id).Name] = PerIteration;
   }
 }
 

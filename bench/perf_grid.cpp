@@ -154,14 +154,10 @@ int main() {
   // baseline seed covers round 1).
   double Computes = 0, Rounds = 0, CacheHits = 0, ScratchReuses = 0;
   for (const ExperimentRun &Run : OptimizedRuns) {
-    auto Count = [&](const char *Key) {
-      auto It = Run.Telemetry.Counters.find(Key);
-      return It == Run.Telemetry.Counters.end() ? 0.0 : It->second;
-    };
-    Computes += Count(telemetry::LivenessComputes);
-    Rounds += Count(telemetry::Rounds);
-    CacheHits += Count(telemetry::SchedAnalysisCacheHits);
-    ScratchReuses += Count(telemetry::SchedScratchReuses);
+    Computes += Run.Telemetry.count(telemetry::LivenessComputes);
+    Rounds += Run.Telemetry.count(telemetry::Rounds);
+    CacheHits += Run.Telemetry.count(telemetry::SchedAnalysisCacheHits);
+    ScratchReuses += Run.Telemetry.count(telemetry::SchedScratchReuses);
   }
   bool ComputesBounded = Computes <= Rounds;
 

@@ -80,7 +80,7 @@ std::optional<LegCapture> runLeg(const Module &M, const OracleLeg &Leg,
   SourceAllocation Job(M, Leg.SeedFromCache ? &Cache : nullptr);
   Telemetry T;
   AllocationOutcome Outcome =
-      Job.run(OO.Config, Leg.Opts, OO.Mode, Leg.Opts.Jobs, T);
+      Job.run(OO.Config, Leg.Opts, OO.Mode, Leg.Opts.Jobs, &T);
   ++Report.LegsRun;
   if (!Outcome.ok()) {
     Fail("uncolorable", Outcome.Diagnostic);

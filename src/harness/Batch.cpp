@@ -18,9 +18,9 @@ AllocationBatchResult runItem(const AllocationBatchItem &Item,
   Telemetry T;
   Out.Result = SourceAllocation(*Item.Program)
                    .run(Item.Config, Item.Options, Item.Mode,
-                        Item.Options.Jobs, T, Pool)
+                        Item.Options.Jobs, &T, Pool)
                    .takeOrThrow();
-  Out.Telemetry = T.takeSnapshot();
+  Out.Telemetry = T.snapshot();
   return Out;
 }
 

@@ -32,7 +32,7 @@ ModuleAllocationResult AllocationOutcome::takeOrThrow() {
 AllocationOutcome SourceAllocation::run(const RegisterConfig &Config,
                                         const AllocatorOptions &Options,
                                         FrequencyMode Mode, unsigned Jobs,
-                                        Telemetry &T, ThreadPool *Pool) {
+                                        Telemetry *T, ThreadPool *Pool) {
   // With a cache the analyses run (at most) once per source module across
   // every allocation of it: frequencies transfer to the clone by position
   // (same doubles), baseline liveness seeds round 1 by block-id identity.
@@ -42,7 +42,7 @@ AllocationOutcome SourceAllocation::run(const RegisterConfig &Config,
     ++(Hit ? CacheHits : CacheMisses);
     Freq = Shared.remappedTo(*Source, *Work);
   } else {
-    Telemetry::ScopedTimer Timer(&T, telemetry::FreqComputePhase);
+    Telemetry::ScopedTimer Timer(T, telemetry::FreqComputePhase);
     Freq = FrequencyInfo::compute(*Work, Mode);
   }
 
@@ -85,7 +85,7 @@ AllocationOutcome SourceAllocation::run(const RegisterConfig &Config,
   AllocationEngine Engine = EngineBuilder(Config)
                                 .options(Options)
                                 .jobs(Jobs)
-                                .telemetry(&T)
+                                .telemetry(T)
                                 .pool(Pool)
                                 .build();
   AllocationOutcome Out;
@@ -107,7 +107,7 @@ ExperimentRun ccra::runExperiment(const ExperimentSpec &Spec,
   SourceAllocation Job(*Spec.Program, Cache);
   Telemetry T;
   ModuleAllocationResult Alloc =
-      Job.run(Spec.Config, Spec.Options, Spec.Mode, Spec.Jobs, T, Pool)
+      Job.run(Spec.Config, Spec.Options, Spec.Mode, Spec.Jobs, &T, Pool)
           .takeOrThrow();
 
   Run.Result.Costs = Alloc.Totals;

@@ -117,12 +117,13 @@ public:
 
   /// Allocates the module once, recording the engine's telemetry into
   /// \p T (plus freq_compute when frequencies are computed here, without
-  /// a cache). \p Pool, when given, carries the Jobs fan-out instead of a
-  /// private pool. An uncolorable configuration returns its diagnostic
-  /// and leaves module() partly allocated.
+  /// a cache); a null \p T records nothing. \p Pool, when given, carries
+  /// the Jobs fan-out instead of a private pool. An uncolorable
+  /// configuration returns its diagnostic and leaves module() partly
+  /// allocated.
   AllocationOutcome run(const RegisterConfig &Config,
                         const AllocatorOptions &Options, FrequencyMode Mode,
-                        unsigned Jobs, Telemetry &T,
+                        unsigned Jobs, Telemetry *T,
                         ThreadPool *Pool = nullptr);
 
   /// The allocated module and its frequencies (complete after run()).

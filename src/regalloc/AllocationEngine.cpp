@@ -34,13 +34,6 @@ AllocationEngine::AllocationEngine(MachineDescription MD,
   assert(Allocator && "factory returned no allocator");
 }
 
-AllocationEngine::AllocationEngine(MachineDescription MD,
-                                   AllocatorOptions Opts,
-                                   std::unique_ptr<RegAllocBase> Allocator)
-    : MD(MD), Opts(Opts), Allocator(std::move(Allocator)) {
-  assert(this->Allocator && "engine needs an allocator");
-}
-
 namespace {
 
 /// Safety cap on spill-and-retry rounds.
@@ -290,10 +283,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
 
   unsigned Jobs = Opts.Jobs == 0 ? ThreadPool::defaultParallelism()
                                  : Opts.Jobs;
-  // Without a factory there is exactly one allocator instance; and one
-  // function cannot be split.
-  if (!Factory)
-    Jobs = 1;
+  // One function cannot be split.
   Jobs = static_cast<unsigned>(
       std::min<std::size_t>(Jobs, Bodies.size() ? Bodies.size() : 1));
 
@@ -344,7 +334,7 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
   }
 
   std::vector<FunctionAllocation> PerTask(Bodies.size());
-  std::vector<TelemetrySnapshot> TaskTelemetry(Bodies.size());
+  std::vector<Telemetry> TaskTelemetry(Telem ? Bodies.size() : 0);
   // One scratch arena per worker slot. Slots are unique among the threads
   // executing one batch, so arenas are never shared between concurrent
   // tasks even on a pool serving several engines at once.
@@ -360,21 +350,17 @@ AllocationEngine::allocateModule(Module &M, const FrequencyInfo &Freq,
       Order.size(), [&](std::size_t TaskIdx, unsigned Slot) {
         std::size_t I = Order[TaskIdx];
         std::unique_ptr<RegAllocBase> TaskAlloc = Factory(Opts);
-        Telemetry Local;
         try {
           PerTask[I] = allocateWith(*TaskAlloc, *Bodies[I], Freq,
-                                    Telem ? &Local : nullptr, Seeds, I,
-                                    Scratches[Slot]);
+                                    Telem ? &TaskTelemetry[I] : nullptr,
+                                    Seeds, I, Scratches[Slot]);
         } catch (const UncolorableError &E) {
           std::lock_guard<std::mutex> Lock(FailureMutex);
           if (I < FailedBody) {
             FailedBody = I;
             Failure = E.what();
           }
-          return;
         }
-        if (Telem)
-          TaskTelemetry[I] = Local.snapshot();
       });
   if (FailedBody < Bodies.size())
     throw UncolorableError(Failure);

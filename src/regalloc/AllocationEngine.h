@@ -70,16 +70,10 @@ using AllocatorFactory =
 
 class AllocationEngine {
 public:
-  /// Preferred constructor: \p Factory mints one allocator per concurrent
-  /// allocation task, enabling Jobs > 1.
+  /// \p Factory (non-null) mints one allocator per concurrent allocation
+  /// task, enabling Jobs > 1.
   AllocationEngine(MachineDescription MD, AllocatorOptions Opts,
                    AllocatorFactory Factory);
-
-  /// Single-allocator constructor, kept for callers that hand-build one
-  /// allocator instance. The engine owns it; with no factory to mint more,
-  /// allocateModule always runs serially.
-  AllocationEngine(MachineDescription MD, AllocatorOptions Opts,
-                   std::unique_ptr<RegAllocBase> Allocator);
 
   /// Attaches (or detaches, with null) a telemetry recorder. Not owned;
   /// must outlive every allocate call.
@@ -131,7 +125,7 @@ private:
 
   MachineDescription MD;
   AllocatorOptions Opts;
-  AllocatorFactory Factory; ///< null when built from a single allocator
+  AllocatorFactory Factory;
   std::unique_ptr<RegAllocBase> Allocator; ///< serial-path instance
   Telemetry *Telem = nullptr;
   ThreadPool *Pool = nullptr; ///< external shared pool (not owned)

@@ -113,29 +113,26 @@ TelemetrySnapshot AllocationServer::stats() const {
   TelemetrySnapshot S = Telem.snapshot();
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);
-    S.Counters["serve.queue_depth"] = static_cast<double>(Queue.size());
+    S.set(telemetry::ServeQueueDepth, static_cast<double>(Queue.size()));
   }
-  S.Counters[telemetry::ServeOpenConnections] =
-      static_cast<double>(Loop.openConnections());
+  S.set(telemetry::ServeOpenConnections,
+        static_cast<double>(Loop.openConnections()));
 
   AllocationCacheStats CS = Cache.stats();
-  S.Counters[telemetry::CacheHits] = static_cast<double>(CS.Hits);
-  S.Counters[telemetry::CacheMisses] = static_cast<double>(CS.Misses);
-  S.Counters[telemetry::CacheEvictions] = static_cast<double>(CS.Evictions);
-  S.Counters[telemetry::CacheBytes] = static_cast<double>(CS.Bytes);
-  S.Counters[telemetry::CacheInsertions] =
-      static_cast<double>(CS.Insertions);
-  S.Counters[telemetry::CacheModules] = static_cast<double>(CS.Modules);
+  S.set(telemetry::CacheHits, static_cast<double>(CS.Hits));
+  S.set(telemetry::CacheMisses, static_cast<double>(CS.Misses));
+  S.set(telemetry::CacheEvictions, static_cast<double>(CS.Evictions));
+  S.set(telemetry::CacheBytes, static_cast<double>(CS.Bytes));
+  S.set(telemetry::CacheInsertions, static_cast<double>(CS.Insertions));
+  S.set(telemetry::CacheModules, static_cast<double>(CS.Modules));
 
   ModuleTierStats TS = Tier.stats();
-  S.Counters[telemetry::CacheModuleHits] = static_cast<double>(TS.Hits);
-  S.Counters[telemetry::CacheModuleMisses] = static_cast<double>(TS.Misses);
-  S.Counters[telemetry::CacheModuleEvictions] =
-      static_cast<double>(TS.Evictions);
-  S.Counters[telemetry::CacheModuleEntries] = static_cast<double>(TS.Entries);
-  S.Counters[telemetry::CacheModuleBytes] = static_cast<double>(TS.Bytes);
-  S.Counters[telemetry::CacheModuleMemoBytes] =
-      static_cast<double>(TS.MemoBytes);
+  S.set(telemetry::CacheModuleHits, static_cast<double>(TS.Hits));
+  S.set(telemetry::CacheModuleMisses, static_cast<double>(TS.Misses));
+  S.set(telemetry::CacheModuleEvictions, static_cast<double>(TS.Evictions));
+  S.set(telemetry::CacheModuleEntries, static_cast<double>(TS.Entries));
+  S.set(telemetry::CacheModuleBytes, static_cast<double>(TS.Bytes));
+  S.set(telemetry::CacheModuleMemoBytes, static_cast<double>(TS.MemoBytes));
   return S;
 }
 
@@ -347,7 +344,7 @@ void AllocationServer::serve(PendingRequest &P) {
     Telemetry EngineTelem;
     AllocationOutcome Outcome =
         Job->run(P.Request.Config, P.Request.Options, P.Request.Mode,
-                 P.Request.Options.Jobs, EngineTelem);
+                 P.Request.Options.Jobs, &EngineTelem);
     if (!Outcome.ok()) {
       // The request's configuration is too small for its module: the
       // input's fault, answered like any other malformed request.
@@ -363,7 +360,6 @@ void AllocationServer::serve(PendingRequest &P) {
       Telem.addCount(telemetry::CacheModuleCoalesceMisses,
                      static_cast<double>(Job->coalesceMisses()));
     }
-    TelemetrySnapshot ItemTelem = EngineTelem.takeSnapshot();
     Module *M = &Job->module();
 
     AllocResponse Resp;
@@ -382,11 +378,9 @@ void AllocationServer::serve(PendingRequest &P) {
       printModule(*M, Resp.AllocatedIr);
     }
 
-    Telem.merge(ItemTelem);
+    Telem.merge(EngineTelem);
     Telem.addCount(telemetry::ServeResponsesOk);
-    // Last consumer of the item's telemetry: move it into the response
-    // instead of copying the ~50-entry maps again.
-    Resp.Telemetry = std::move(ItemTelem);
+    Resp.Telemetry = EngineTelem.snapshot();
     {
       Telemetry::ScopedTimer Encode(&Telem, telemetry::ServeEncodePhase);
       Out = encodeAllocResponseFrame(Resp);

@@ -3,126 +3,101 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 using namespace ccra;
+using namespace ccra::telemetry;
 
 // --- TelemetrySnapshot ------------------------------------------------------
 
-double TelemetrySnapshot::count(const std::string &Name) const {
-  auto It = Counters.find(Name);
-  return It == Counters.end() ? 0.0 : It->second;
+double TelemetrySnapshot::count(Metric Id) const {
+  assert(info(Id).Kind == MetricKind::Counter && "count() of a timer");
+  return Values[Id];
 }
 
-double TelemetrySnapshot::timeMs(const std::string &Name) const {
-  auto It = TimersMs.find(Name);
-  return It == TimersMs.end() ? 0.0 : It->second;
+double TelemetrySnapshot::timeMs(Metric Id) const {
+  assert(info(Id).Kind == MetricKind::Timer && "timeMs() of a counter");
+  return Values[Id];
 }
 
-static bool isMaxCounter(const std::string &Name) {
-  const std::string Prefix = telemetry::MaxCounterPrefix;
-  return Name.compare(0, Prefix.size(), Prefix) == 0;
+void TelemetrySnapshot::set(Metric Id, double Value) {
+  Values[Id] = Value;
+  Recorded.set(Id);
+}
+
+void TelemetrySnapshot::record(Metric Id, double Value) {
+  double &Slot = Values[Id];
+  Slot = info(Id).Merge == MergeRule::Max ? std::max(Slot, Value)
+                                          : Slot + Value;
+  Recorded.set(Id);
 }
 
 TelemetrySnapshot &
 TelemetrySnapshot::operator+=(const TelemetrySnapshot &Other) {
-  for (const auto &[Name, Value] : Other.Counters) {
-    double &Slot = Counters[Name];
-    if (isMaxCounter(Name))
-      Slot = std::max(Slot, Value);
-    else
-      Slot += Value;
-  }
-  for (const auto &[Name, Value] : Other.TimersMs)
-    TimersMs[Name] += Value;
+  for (unsigned I = 0; I < NumMetrics; ++I)
+    if (Other.Recorded.test(I))
+      record(Metric(I), Other.Values[I]);
   return *this;
 }
 
-/// %.17g: enough digits that a double survives the text round trip.
-static std::string formatNumber(double Value) {
+template <typename Fn>
+void TelemetrySnapshot::forEach(MetricKind Kind, Fn Visit) const {
   char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
-  return Buffer;
-}
-
-static void writeJsonMap(std::ostream &OS,
-                         const std::map<std::string, double> &Map) {
-  OS << '{';
-  bool First = true;
-  for (const auto &[Name, Value] : Map) {
-    if (!First)
-      OS << ", ";
-    First = false;
-    OS << '"' << Name << "\": " << formatNumber(Value);
+  for (unsigned I = 0; I < NumMetrics; ++I) {
+    if (Metrics[I].Kind != Kind || !Recorded.test(I))
+      continue;
+    // %.17g: enough digits that a double survives the text round trip.
+    std::snprintf(Buffer, sizeof(Buffer), "%.17g", Values[I]);
+    Visit(Metrics[I].Name, Buffer);
   }
-  OS << '}';
-}
-
-void TelemetrySnapshot::writeJson(std::ostream &OS) const {
-  OS << "{\"counters\": ";
-  writeJsonMap(OS, Counters);
-  OS << ", \"timers_ms\": ";
-  writeJsonMap(OS, TimersMs);
-  OS << "}\n";
-}
-
-static void appendJsonMap(std::string &Out,
-                          const std::map<std::string, double> &Map) {
-  Out += '{';
-  bool First = true;
-  char Buffer[64];
-  for (const auto &[Name, Value] : Map) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += '"';
-    Out += Name;
-    Out += "\": ";
-    std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
-    Out += Buffer;
-  }
-  Out += '}';
 }
 
 std::string TelemetrySnapshot::toJson() const {
   // String-append rather than ostringstream: the allocation service
   // renders one of these per response, where stream construction alone
-  // is measurable against sub-millisecond requests. Byte-identical to
-  // writeJson (same %.17g formatting).
+  // is measurable against sub-millisecond requests.
   std::string Out;
-  Out.reserve(32 * (Counters.size() + TimersMs.size()) + 64);
-  Out += "{\"counters\": ";
-  appendJsonMap(Out, Counters);
-  Out += ", \"timers_ms\": ";
-  appendJsonMap(Out, TimersMs);
-  Out += "}\n";
+  Out.reserve(32 * Recorded.count() + 64);
+  const char *Separator;
+  auto Append = [&](const char *Name, const char *Number) {
+    Out += Separator;
+    Out += '"';
+    Out += Name;
+    Out += "\": ";
+    Out += Number;
+    Separator = ", ";
+  };
+  Out += "{\"counters\": {";
+  Separator = "";
+  forEach(MetricKind::Counter, Append);
+  Out += "}, \"timers_ms\": {";
+  Separator = "";
+  forEach(MetricKind::Timer, Append);
+  Out += "}}\n";
   return Out;
 }
 
+void TelemetrySnapshot::writeJson(std::ostream &OS) const { OS << toJson(); }
+
 void TelemetrySnapshot::writeCsv(std::ostream &OS) const {
   OS << "kind,name,value\n";
-  for (const auto &[Name, Value] : Counters)
-    OS << "counter," << Name << ',' << formatNumber(Value) << '\n';
-  for (const auto &[Name, Value] : TimersMs)
-    OS << "timer_ms," << Name << ',' << formatNumber(Value) << '\n';
+  forEach(MetricKind::Counter, [&](const char *Name, const char *Number) {
+    OS << "counter," << Name << ',' << Number << '\n';
+  });
+  forEach(MetricKind::Timer, [&](const char *Name, const char *Number) {
+    OS << "timer_ms," << Name << ',' << Number << '\n';
+  });
 }
 
 TelemetrySnapshot TelemetrySnapshot::withoutSchedulingCounters() const {
-  TelemetrySnapshot Out = *this;
-  const std::string Prefix = telemetry::SchedPrefix;
-  for (auto It = Out.Counters.begin(); It != Out.Counters.end();) {
-    // Peak counters measure buffer capacity, which depends on arena reuse
-    // order — scheduling-dependent just like the "sched." namespace.
-    if (It->first.compare(0, Prefix.size(), Prefix) == 0 ||
-        isMaxCounter(It->first))
-      It = Out.Counters.erase(It);
-    else
-      ++It;
-  }
+  TelemetrySnapshot Out;
+  for (unsigned I = 0; I < NumMetrics; ++I)
+    if (Recorded.test(I) && Metrics[I].Class == Determinism::Deterministic)
+      Out.set(Metric(I), Values[I]);
   return Out;
 }
 
@@ -171,19 +146,25 @@ struct JsonCursor {
     P = NumEnd;
     return true;
   }
-  bool parseNumberMap(std::map<std::string, double> &Out) {
-    Out.clear();
+  /// Parses one {"name": number, ...} object of \p Kind's rows into \p Out.
+  bool parseMetrics(MetricKind Kind, TelemetrySnapshot &Out) {
     if (!consume('{'))
       return false;
     skipSpace();
     if (consume('}'))
       return true;
+    std::string Key;
     while (true) {
-      std::string Key;
       double Value;
       if (!parseString(Key) || !consume(':') || !parseNumber(Value))
         return false;
-      Out[Key] = Value;
+      unsigned I = 0;
+      while (I < NumMetrics &&
+             (Metrics[I].Kind != Kind || Key != Metrics[I].Name))
+        ++I;
+      if (I == NumMetrics)
+        return false;
+      Out.set(Metric(I), Value);
       if (consume(','))
         continue;
       return consume('}');
@@ -201,10 +182,10 @@ bool TelemetrySnapshot::fromJson(const std::string &Text,
     return false;
   std::string Key;
   if (!C.parseString(Key) || Key != "counters" || !C.consume(':') ||
-      !C.parseNumberMap(Out.Counters))
+      !C.parseMetrics(MetricKind::Counter, Out))
     return false;
   if (!C.consume(',') || !C.parseString(Key) || Key != "timers_ms" ||
-      !C.consume(':') || !C.parseNumberMap(Out.TimersMs))
+      !C.consume(':') || !C.parseMetrics(MetricKind::Timer, Out))
     return false;
   if (!C.consume('}'))
     return false;
@@ -214,64 +195,40 @@ bool TelemetrySnapshot::fromJson(const std::string &Text,
 
 // --- Telemetry --------------------------------------------------------------
 
-void Telemetry::addCount(const std::string &Name, double Delta) {
+void Telemetry::addCount(Metric Id, double Delta) {
+  assert(info(Id).Kind == MetricKind::Counter &&
+         info(Id).Merge == MergeRule::Sum && "addCount() of a non-sum row");
   std::lock_guard<std::mutex> Lock(M);
-  Data.Counters[Name] += Delta;
+  Data.record(Id, Delta);
 }
 
-void Telemetry::noteMax(const std::string &Name, double Value) {
+void Telemetry::noteMax(Metric Id, double Value) {
+  assert(info(Id).Kind == MetricKind::Counter &&
+         info(Id).Merge == MergeRule::Max && "noteMax() of a non-max row");
   std::lock_guard<std::mutex> Lock(M);
-  double &Slot = Data.Counters[Name];
-  Slot = std::max(Slot, Value);
+  Data.record(Id, Value);
 }
 
-void Telemetry::addTimeMs(const std::string &Name, double Ms) {
+void Telemetry::addTimeMs(Metric Id, double Ms) {
+  assert(info(Id).Kind == MetricKind::Timer && "addTimeMs() of a counter");
   std::lock_guard<std::mutex> Lock(M);
-  Data.TimersMs[Name] += Ms;
+  Data.record(Id, Ms);
 }
 
-double &Telemetry::SlotCache::get(Map &Entries, const char *Name) {
-  for (auto &[Address, It] : Slots)
-    if (Address == Name) {
-      if (It->first != Name)
-        It = Entries.try_emplace(Name).first;
-      return It->second;
-    }
-  auto It = Entries.try_emplace(Name).first;
-  if (Slots.size() < MaxSlots)
-    Slots.emplace_back(Name, It);
-  return It->second;
+void Telemetry::merge(const Telemetry &Other) {
+  assert(&Other != this && "merging a recorder into itself");
+  std::scoped_lock Lock(M, Other.M);
+  Data += Other.Data;
 }
 
-void Telemetry::addCount(const char *Name, double Delta) {
+double Telemetry::count(Metric Id) const {
   std::lock_guard<std::mutex> Lock(M);
-  CounterSlots.get(Data.Counters, Name) += Delta;
+  return Data.count(Id);
 }
 
-void Telemetry::noteMax(const char *Name, double Value) {
+double Telemetry::timeMs(Metric Id) const {
   std::lock_guard<std::mutex> Lock(M);
-  double &Slot = CounterSlots.get(Data.Counters, Name);
-  Slot = std::max(Slot, Value);
-}
-
-void Telemetry::addTimeMs(const char *Name, double Ms) {
-  std::lock_guard<std::mutex> Lock(M);
-  TimerSlots.get(Data.TimersMs, Name) += Ms;
-}
-
-void Telemetry::merge(const TelemetrySnapshot &Other) {
-  std::lock_guard<std::mutex> Lock(M);
-  Data += Other;
-}
-
-double Telemetry::count(const std::string &Name) const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Data.count(Name);
-}
-
-double Telemetry::timeMs(const std::string &Name) const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Data.timeMs(Name);
+  return Data.timeMs(Id);
 }
 
 TelemetrySnapshot Telemetry::snapshot() const {
@@ -279,18 +236,7 @@ TelemetrySnapshot Telemetry::snapshot() const {
   return Data;
 }
 
-TelemetrySnapshot Telemetry::takeSnapshot() {
-  std::lock_guard<std::mutex> Lock(M);
-  TelemetrySnapshot Out = std::move(Data);
-  Data = TelemetrySnapshot();
-  CounterSlots.clear();
-  TimerSlots.clear();
-  return Out;
-}
-
 void Telemetry::reset() {
   std::lock_guard<std::mutex> Lock(M);
   Data = TelemetrySnapshot();
-  CounterSlots.clear();
-  TimerSlots.clear();
 }

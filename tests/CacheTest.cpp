@@ -193,8 +193,8 @@ TEST(AllocationCacheAdapter, RecordInsertThenResponseLookupRoundTrips) {
   using FunctionRecord = AllocationCache::FunctionRecord;
   AllocResponse Original;
   Original.Totals = {1.5, 2.5, 0.1, 1e-300};
-  Original.Telemetry.Counters["functions"] = 1;
-  Original.Telemetry.TimersMs["alloc.total"] = 0.1 + 0.2;
+  Original.Telemetry.set(telemetry::Functions, 1);
+  Original.Telemetry.set(telemetry::AllocateTotal, 0.1 + 0.2);
   FunctionRecord Fn;
   Fn.HasSummary = true;
   Fn.Summary = {"f_m", {1.5, 2.5, 0.1, 1e-300}, 2, 1, 0, 3, 2};
@@ -463,10 +463,9 @@ TEST(CacheService, CorpusReplaysHitAndStayByteIdenticalToCold) {
     // In-process expectation: the cold half of the bit-identity contract.
     ParseResult PR = parseModule(Request.ModuleText);
     ASSERT_TRUE(PR.ok()) << Entry.Path;
-    Telemetry T;
-    AllocationOutcome Cold = SourceAllocation(*PR.M).run(
-        Request.Config, Request.Options, Request.Mode, Request.Options.Jobs,
-        T);
+    AllocationOutcome Cold =
+        SourceAllocation(*PR.M).run(Request.Config, Request.Options,
+                                    Request.Mode, Request.Options.Jobs, nullptr);
     ASSERT_TRUE(Cold.ok()) << Entry.Path << ": " << Cold.Diagnostic;
     const std::string ExpectedIr = printed(*PR.M);
 

@@ -195,7 +195,7 @@ TEST(CoalesceReplay, MatchesTheFullRunOnEveryPopulationFunctionAndBudget) {
 /// records and the allocated IR text.
 struct PointCapture {
   ExperimentResult Result;
-  std::map<std::string, double> Counters;
+  TelemetrySnapshot Counters; ///< the deterministic rows only
   std::uint64_t RecordsHash = 0;
   std::uint64_t IrHash = 0;
   unsigned Bodies = 0;
@@ -247,7 +247,7 @@ void observe(PointCapture &P, const Module &M,
 
 void finish(PointCapture &P, const ExperimentRun &Run) {
   P.Result = Run.Result;
-  P.Counters = Run.Telemetry.withoutSchedulingCounters().Counters;
+  P.Counters = Run.Telemetry.withoutSchedulingCounters();
 }
 
 /// Compares a cached point with its cache-less reference. Every
@@ -272,14 +272,14 @@ void expectSamePoint(const PointCapture &Ref, const PointCapture &Got,
   EXPECT_EQ(Ref.IrHash, Got.IrHash) << "allocated IR text";
   ASSERT_EQ(Ref.Bodies, Got.Bodies);
 
-  std::map<std::string, double> RefCounters = Ref.Counters;
-  std::map<std::string, double> GotCounters = Got.Counters;
-  EXPECT_EQ(RefCounters[telemetry::LivenessComputes],
-            GotCounters[telemetry::LivenessComputes] + Ref.Bodies);
-  RefCounters.erase(telemetry::LivenessComputes);
-  GotCounters.erase(telemetry::LivenessComputes);
-  EXPECT_TRUE(RefCounters.count(telemetry::CoalescePasses));
-  EXPECT_TRUE(RefCounters.count(telemetry::CoalescedMoves));
+  TelemetrySnapshot RefCounters = Ref.Counters;
+  TelemetrySnapshot GotCounters = Got.Counters;
+  EXPECT_EQ(RefCounters.count(telemetry::LivenessComputes),
+            GotCounters.count(telemetry::LivenessComputes) + Ref.Bodies);
+  RefCounters.set(telemetry::LivenessComputes, 0);
+  GotCounters.set(telemetry::LivenessComputes, 0);
+  EXPECT_TRUE(RefCounters.has(telemetry::CoalescePasses));
+  EXPECT_TRUE(RefCounters.has(telemetry::CoalescedMoves));
   EXPECT_EQ(RefCounters, GotCounters);
 }
 
@@ -346,9 +346,10 @@ TEST(CoalesceMemo, FullPopulationGridMatchesCachelessAllocation) {
   for (const auto &M : population())
     for (const auto &F : M->functions())
       BodiesPerBudget += F->isDeclaration() ? 0 : 1;
-  double Hits = Grid.Counters.at(telemetry::SchedAnalysisCacheCoalesceHits);
-  double Misses =
-      Grid.Counters.at(telemetry::SchedAnalysisCacheCoalesceMisses);
+  ASSERT_TRUE(Grid.has(telemetry::SchedAnalysisCacheCoalesceHits));
+  ASSERT_TRUE(Grid.has(telemetry::SchedAnalysisCacheCoalesceMisses));
+  double Hits = Grid.count(telemetry::SchedAnalysisCacheCoalesceHits);
+  double Misses = Grid.count(telemetry::SchedAnalysisCacheCoalesceMisses);
   EXPECT_EQ(Hits + Misses, 10.0 * 17 * BodiesPerBudget);
   EXPECT_GE(Misses, 15.0 * BodiesPerBudget);
   EXPECT_LE(Misses, 5 * 15.0 * BodiesPerBudget);

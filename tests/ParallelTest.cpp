@@ -215,10 +215,9 @@ TEST(ParallelAllocation, UncolorableDiagnosticMatchesSerialAtAnyJobs) {
   // first, must name that same body.
   std::unique_ptr<Module> M = buildSpecProxy("li");
   auto Diagnostic = [&](unsigned Jobs) {
-    Telemetry T;
     return SourceAllocation(*M, nullptr)
         .run(RegisterConfig(1, 1, 0, 0), improvedOptions(),
-             FrequencyMode::Profile, Jobs, T)
+             FrequencyMode::Profile, Jobs, nullptr)
         .Diagnostic;
   };
   const std::string Serial = Diagnostic(1);
@@ -237,8 +236,8 @@ TEST(ParallelAllocation, TelemetryCountersMatchSerial) {
   std::unique_ptr<Module> C1, C2;
   allocateClone(*M, 1, improvedOptions(), C1, &SerialT);
   allocateClone(*M, 3, improvedOptions(), C2, &ParallelT);
-  EXPECT_EQ(SerialT.snapshot().withoutSchedulingCounters().Counters,
-            ParallelT.snapshot().withoutSchedulingCounters().Counters);
+  EXPECT_EQ(SerialT.snapshot().withoutSchedulingCounters(),
+            ParallelT.snapshot().withoutSchedulingCounters());
   EXPECT_GT(SerialT.count(telemetry::Functions), 0.0);
   // Both paths exercised their scratch arenas.
   EXPECT_GT(SerialT.count(telemetry::SchedScratchReuses), 0.0);
@@ -293,8 +292,8 @@ TEST(ParallelAllocation, ExperimentGridIsDeterministic) {
     EXPECT_EQ(Serial[I].Result.Costs.total(), Parallel[I].Result.Costs.total());
     EXPECT_EQ(Serial[I].Result.Cycles, Parallel[I].Result.Cycles);
     EXPECT_EQ(Serial[I].Result.SpilledRanges, Parallel[I].Result.SpilledRanges);
-    EXPECT_EQ(Serial[I].Telemetry.withoutSchedulingCounters().Counters,
-              Parallel[I].Telemetry.withoutSchedulingCounters().Counters);
+    EXPECT_EQ(Serial[I].Telemetry.withoutSchedulingCounters(),
+              Parallel[I].Telemetry.withoutSchedulingCounters());
   }
   // The two specs that differ only in per-experiment Jobs agree too.
   EXPECT_EQ(Serial[0].Result.Costs.total(), Serial[1].Result.Costs.total());
@@ -370,7 +369,7 @@ TEST(AnalysisCacheConcurrency, RacingAllocationsOnOneBudgetAreBitIdentical) {
       Telemetry T;
       Start.arrive_and_wait();
       Results[I] = Jobs[I]->run(Config, Arms[I], FrequencyMode::Profile,
-                                /*Jobs=*/1, T)
+                                /*Jobs=*/1, &T)
                        .Result;
     });
   for (std::thread &W : Workers)

@@ -80,9 +80,9 @@ void expectedAllocation(const std::string &ModuleText,
                         CostBreakdown &TotalsOut) {
   ParseResult PR = parseModule(ModuleText);
   ASSERT_TRUE(PR.ok());
-  Telemetry T;
-  AllocationOutcome Outcome = SourceAllocation(*PR.M).run(
-      Request.Config, Request.Options, Request.Mode, Request.Options.Jobs, T);
+  AllocationOutcome Outcome =
+      SourceAllocation(*PR.M).run(Request.Config, Request.Options,
+                                  Request.Mode, Request.Options.Jobs, nullptr);
   ASSERT_TRUE(Outcome.ok()) << Outcome.Diagnostic;
   IrOut = printed(*PR.M);
   TotalsOut = Outcome.Result.Totals;
@@ -313,8 +313,8 @@ TEST(WireCodec, AllocResponseRoundTripsBitExactDoubles) {
   R.Totals = {0.1 + 0.2, 1e300, 4.9e-324, 123456.789012345};
   R.Functions.push_back({"f", {3.14159265358979, 0, 2.5, 0.1}, 3, 2, 1, 7, 4});
   R.Functions.push_back({"g", {}, 1, 0, 0, 0, 0});
-  R.Telemetry.Counters["rounds"] = 4;
-  R.Telemetry.TimersMs["color"] = 0.12345;
+  R.Telemetry.set(telemetry::Rounds, 4);
+  R.Telemetry.set(telemetry::ColorPhase, 0.12345);
   R.AllocatedIr = "module m\nfunc @f {\nentry:\n  ret\n}\n";
 
   AllocResponse Back;
@@ -383,7 +383,7 @@ TEST(Service, AllocationIsBitIdenticalToInProcess) {
     EXPECT_EQ(ExpectedIr, Response.AllocatedIr) << Proxy;
     EXPECT_TRUE(ExpectedTotals == Response.Totals) << Proxy;
     EXPECT_FALSE(Response.Functions.empty());
-    EXPECT_GT(Response.Telemetry.count("functions"), 0.0);
+    EXPECT_GT(Response.Telemetry.count(telemetry::Functions), 0.0);
   }
 }
 
@@ -442,7 +442,7 @@ TEST(Service, StatsReflectServedRequests) {
   EXPECT_GE(Stats.count(telemetry::ServeBatches), 1.0);
   EXPECT_GE(Stats.count(telemetry::ServeConnections), 1.0);
   // The server merged the request's engine telemetry into its own.
-  EXPECT_GT(Stats.count("functions"), 0.0);
+  EXPECT_GT(Stats.count(telemetry::Functions), 0.0);
 }
 
 TEST(Service, MalformedModuleAnswersErrorAndKeepsConnection) {
@@ -914,19 +914,21 @@ TEST(Service, StatsReportOneQueue) {
 
   TelemetrySnapshot Stats;
   ASSERT_EQ(RpcStatus::Ok, C.stats(Stats, ServerError));
-  ASSERT_TRUE(Stats.Counters.count("serve.queue_depth"));
-  EXPECT_EQ(0.0, Stats.count("serve.queue_depth"));
+  ASSERT_TRUE(Stats.has(telemetry::ServeQueueDepth));
+  EXPECT_EQ(0.0, Stats.count(telemetry::ServeQueueDepth));
   // Every dotted key belongs to the server's namespaces or the engine's:
   // no per-queue keys.
   const std::set<std::string> Namespaces = {"serve", "cache", "alloc",
                                             "sched"};
-  for (const auto *Map : {&Stats.Counters, &Stats.TimersMs})
-    for (const auto &[Key, Value] : *Map) {
-      std::size_t Dot = Key.find('.');
-      if (Dot != std::string::npos) {
-        EXPECT_TRUE(Namespaces.count(Key.substr(0, Dot))) << Key;
-      }
+  for (unsigned I = 0; I < telemetry::NumMetrics; ++I) {
+    if (!Stats.has(telemetry::Metric(I)))
+      continue;
+    const std::string Key = telemetry::Metrics[I].Name;
+    std::size_t Dot = Key.find('.');
+    if (Dot != std::string::npos) {
+      EXPECT_TRUE(Namespaces.count(Key.substr(0, Dot))) << Key;
     }
+  }
 }
 
 TEST(Service, RepeatRequestServedFromCacheByteIdentical) {
@@ -1790,10 +1792,9 @@ TEST(ModuleTier, SameBudgetReplaysRound1CoalescingAndSaysSoInStats) {
   EXPECT_EQ(Bodies, Stats.count(telemetry::CacheModuleCoalesceMisses));
   EXPECT_EQ(Bodies, Stats.count(telemetry::CacheModuleCoalesceHits));
   for (const AllocResponse *R : {&First, &Second}) {
-    EXPECT_EQ(0u, R->Telemetry.Counters.count(
-                      telemetry::CacheModuleCoalesceHits));
-    EXPECT_EQ(0u, R->Telemetry.Counters.count(
-                      telemetry::SchedAnalysisCacheCoalesceHits));
+    EXPECT_FALSE(R->Telemetry.has(telemetry::CacheModuleCoalesceHits));
+    EXPECT_FALSE(
+        R->Telemetry.has(telemetry::SchedAnalysisCacheCoalesceHits));
   }
 }
 
@@ -1868,7 +1869,7 @@ TEST(ModuleTier, ChargeCoversTheEntrysHeapUnderManyBudgets) {
       for (const AllocatorOptions &Options : paperAllocators()) {
         SourceAllocation Job(*E.Program, &E.Analyses);
         Telemetry T;
-        Job.run(Config, Options, FrequencyMode::Profile, /*Jobs=*/1, T);
+        Job.run(Config, Options, FrequencyMode::Profile, /*Jobs=*/1, &T);
       }
   };
   {

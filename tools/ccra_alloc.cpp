@@ -147,7 +147,8 @@ int main(int Argc, char **Argv) {
 
   Telemetry T;
   AllocationOutcome Outcome =
-      SourceAllocation(*M).run(Cli.Config, AllocOpts, Cli.Mode, Cli.Jobs, T);
+      SourceAllocation(*M).run(Cli.Config, AllocOpts, Cli.Mode, Cli.Jobs,
+                               Cli.EmitTelemetry ? &T : nullptr);
   if (!Outcome.ok()) {
     std::cerr << "ccra_alloc: " << Outcome.Diagnostic << '\n';
     return 1;

@@ -228,9 +228,8 @@ int main(int Argc, char **Argv) {
     if (Cli.EmitIr)
       printModule(M, std::cout);
     if (Cli.Alloc) {
-      Telemetry T;
       AllocationOutcome Outcome = SourceAllocation(M).run(
-          Cli.Config, AllocOpts, Cli.Mode, AllocOpts.Jobs, T);
+          Cli.Config, AllocOpts, Cli.Mode, AllocOpts.Jobs, nullptr);
       if (!Outcome.ok()) {
         std::cerr << Input << ": " << Outcome.Diagnostic << '\n';
         AllOk = false;

@@ -120,9 +120,9 @@ bool expectedAllocation(const AllocRequest &Request, std::string &IrOut,
   ParseResult PR = parseModule(Request.ModuleText);
   if (!PR.ok())
     return false;
-  Telemetry T;
-  AllocationOutcome Outcome = SourceAllocation(*PR.M).run(
-      Request.Config, Request.Options, Request.Mode, Request.Options.Jobs, T);
+  AllocationOutcome Outcome =
+      SourceAllocation(*PR.M).run(Request.Config, Request.Options,
+                                  Request.Mode, Request.Options.Jobs, nullptr);
   if (!Outcome.ok())
     return false;
   IrOut = moduleText(*PR.M);

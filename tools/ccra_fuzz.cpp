@@ -182,9 +182,8 @@ bool checkCodecEquivalence(const Module &M, const RegisterConfig &Config,
   }
 
   auto Allocate = [&](Module &Target, std::string &IrOut) {
-    Telemetry T;
     AllocationOutcome Outcome = SourceAllocation(Target).run(
-        Config, AllocatorOptions(), Mode, /*Jobs=*/1, T);
+        Config, AllocatorOptions(), Mode, /*Jobs=*/1, nullptr);
     printModule(Target, IrOut);
     return Outcome;
   };
