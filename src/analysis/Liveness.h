@@ -37,7 +37,7 @@ public:
   /// use-before-def bug.
   bool liveIntoEntry(const Function &F, VirtReg R) const;
 
-  // Incremental maintenance. Graph reconstruction after spilling: a
+  // Incremental maintenance. Spill code insertion (SpillCodeInserter): a
   // spilled register vanishes from the code (clear its bits); reload
   // temporaries never live across block boundaries (grow the universe with
   // zero bits). Coalescing: folding two non-interfering ranges unions

@@ -11,7 +11,6 @@
 #include "ir/Verifier.h"
 #include "regalloc/Coalescer.h"
 #include "regalloc/CostAccounting.h"
-#include "regalloc/GraphReconstructor.h"
 #include "regalloc/SpillCodeInserter.h"
 #include "regalloc/VRegClasses.h"
 
@@ -236,12 +235,13 @@ bool sameRanges(const LiveRangeSet &A, const LiveRangeSet &B,
 /// copies, final liveness, live ranges, graph edges), the dense and the
 /// sparse graph against the register-granularity reference scan, the
 /// worklist against the O(V^2) reference simplifier (pessimistic and
-/// optimistic, in id order and under the §5 key), CBH's worklist
-/// simplification against its rescan, and — after a spill that left no
-/// copies, where the engine patches the round's state with
-/// GraphReconstructor — that patched state against the next round's
-/// rebuild (liveness, live ranges, graph edges). The engine runs one path
-/// through each component; this is where the others live.
+/// optimistic, in id order and under the §5 key), and CBH's worklist
+/// simplification against its rescan. After every spill, with or without
+/// copies left in the code, the liveness the spill rewrite patched — the
+/// engine's seed for the next round's coalescer — must equal a fresh
+/// Liveness::compute of the rewritten function ("spill-liveness"). The
+/// engine runs one path through each component; this is where the others
+/// live.
 void checkComponents(const Module &M, const OracleOptions &OO,
                      OracleReport &Report) {
   MachineDescription MD(OO.Config);
@@ -258,11 +258,6 @@ void checkComponents(const Module &M, const OracleOptions &OO,
       continue;
     ++Report.ComponentChecks;
     VRegClasses Classes(F.numVRegs()), RefClasses(G.numVRegs());
-    // The previous round's spill, reconstructed as the engine does it.
-    bool Reconstructed = false;
-    Liveness PatchedLV;
-    LiveRangeSet PatchedLRS;
-    InterferenceGraph PatchedIG;
     bool Failed = false;
     for (unsigned Round = 1; Round <= 16 && !Failed; ++Round) {
       auto Check = [&](bool Ok, const std::string &Oracle) {
@@ -291,10 +286,6 @@ void checkComponents(const Module &M, const OracleOptions &OO,
       Check(LV == RefLV, "coalesce-liveness");
       Check(sameRanges(LRS, RefLRS, F.numVRegs()), "coalesce-ranges");
       Check(sameEdges(IG, RefIG), "coalesce-graph");
-      if (Reconstructed)
-        Check(LV == PatchedLV && sameRanges(LRS, PatchedLRS, F.numVRegs()) &&
-                  sameEdges(IG, PatchedIG),
-              "reconstruct-rebuild");
 
       InterferenceGraph Dense =
           InterferenceGraph::build(F, LV, LRS, nullptr, GraphRep::Dense);
@@ -343,19 +334,12 @@ void checkComponents(const Module &M, const OracleOptions &OO,
         if (Range >= 0 && SpillIndex[Range] >= 0)
           SpilledClasses[SpillIndex[Range]].push_back(VirtReg(V));
       }
-      Reconstructed = GraphReconstructor::hasNoCopies(F);
-      unsigned OldNumVRegs = F.numVRegs();
-      SpillCodeInserter::run(F, SpilledClasses);
+      SpillCodeInserter::run(F, SpilledClasses, &Ctx.LV);
       SpillCodeInserter::run(G, SpilledClasses);
       Classes.grow(F.numVRegs());
       RefClasses.grow(G.numVRegs());
-      if (Reconstructed) {
-        GraphReconstructor::apply(F, Freq, Ctx.LV, Ctx.LRS, IG,
-                                  Spiller.SpilledNodes, OldNumVRegs);
-        PatchedLV = std::move(Ctx.LV);
-        PatchedLRS = std::move(Ctx.LRS);
-        PatchedIG = std::move(IG);
-      }
+      ++Report.SpillLivenessChecks;
+      Check(Ctx.LV == Liveness::compute(F), "spill-liveness");
     }
   }
 }

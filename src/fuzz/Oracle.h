@@ -23,9 +23,12 @@
 ///   sparse interference graph vs. the register-granularity reference
 ///   scan, the worklist vs. the O(V^2) reference
 ///   simplifier (stack and spill set), for Chaitin's simplification and
-///   for CBH's, and graph reconstruction after a copy-free spill vs. the
-///   next round's rebuild. Findings are reported under the
-///   leg name "component".
+///   for CBH's. After every spill round it also checks the invariant the
+///   engine's seeded coalescer trusts: the previous round's liveness,
+///   patched by spill code insertion (spilled registers erased, universe
+///   grown for the reload temporaries), equals a fresh Liveness::compute
+///   of the rewritten function ("spill-liveness"). Findings are reported
+///   under the leg name "component".
 ///
 /// - **Soundness oracles.** Every leg — including configurations with
 ///   legitimately different results, like the two §4 callee-save cost
@@ -99,6 +102,9 @@ struct OracleReport {
   unsigned LegsRun = 0;
   /// Function bodies the component check compared.
   unsigned ComponentChecks = 0;
+  /// Spill rounds whose patched liveness the component check compared
+  /// against a fresh dataflow run ("spill-liveness").
+  unsigned SpillLivenessChecks = 0;
   bool ok() const { return Failures.empty(); }
   /// One line per failure, for logs and reproducer headers.
   std::vector<std::string> lines() const;

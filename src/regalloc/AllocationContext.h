@@ -4,8 +4,8 @@
 /// Everything a coloring allocator sees in one round of the framework
 /// (Figure 1 of the paper): the function, the target, frequencies,
 /// liveness, the live-range set, and the interference graph. After a spill
-/// the driver rebuilds the context and re-runs the allocator (graph
-/// reconstruction + restart from coalescing).
+/// the driver rebuilds the context from coalescing (seeded with the
+/// spill-patched liveness) and re-runs the allocator.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "regalloc/AllocationVerifier.h"
 #include "regalloc/Coalescer.h"
 #include "regalloc/CostAccounting.h"
-#include "regalloc/GraphReconstructor.h"
 #include "regalloc/OverheadMaterializer.h"
 #include "regalloc/SpillCodeInserter.h"
 #include "regalloc/VRegClasses.h"
@@ -63,23 +62,13 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
   VRegClasses Classes(F.numVRegs());
   std::vector<PhysReg> RefusedCalleeRegs;
 
-  // Carried across rounds so graph reconstruction can patch instead of
-  // rebuild (paper §2). Valid whenever ReconstructIds is non-empty.
-  Liveness CarriedLV;
-  LiveRangeSet CarriedLRS;
-  InterferenceGraph CarriedIG;
-  std::vector<unsigned> ReconstructIds;
-  unsigned ReconstructOldVRegs = 0;
-
   // Liveness seed for the next coalescing round: the shared baseline at
-  // round 1 (copied — the cached original stays pristine), the
-  // spill-maintained solution at later rounds.
+  // round 1 (copied — the cached original stays pristine), the solution
+  // spill code insertion patched at every later round.
+  std::optional<Liveness> CarriedLV;
   const Liveness *SeedLV = Seeds ? Seeds->BaselineLiveness[Body] : nullptr;
-  bool CarriedLVValid = false;
-  if (SeedLV) {
+  if (SeedLV)
     CarriedLV = *SeedLV;
-    CarriedLVValid = true;
-  }
   // Round 1's recorded coalescing to replay, or else whether to record it.
   // Both need the baseline seed.
   const CoalesceOutcome *Memo =
@@ -94,50 +83,38 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
                           LiveRangeSet(), InterferenceGraph(),
                           Freq.entryFrequency(F), {}};
     Ctx.T = T;
-    if (!ReconstructIds.empty()) {
-      // Incremental path: nothing to coalesce, patch last round's state.
-      Telemetry::ScopedTimer Timer(T, telemetry::ReconstructPhase);
-      GraphReconstructor::apply(F, Freq, CarriedLV, CarriedLRS, CarriedIG,
-                                ReconstructIds, ReconstructOldVRegs, &Scratch);
-      Classes.grow(F.numVRegs());
-      Ctx.LV = std::move(CarriedLV);
-      Ctx.LRS = std::move(CarriedLRS);
-      Ctx.IG = std::move(CarriedIG);
-    } else {
-      // The coalescer's final pass builds the live-range set and graph the
-      // allocator needs, so no rebuild follows it.
-      {
-        Telemetry::ScopedTimer Timer(T, telemetry::CoalescePhase);
-        CoalesceRequest Req;
-        Req.Aggressive = Opts.AggressiveCoalescing;
-        Req.SeededLV = CarriedLVValid;
-        Req.Scratch = &Scratch;
-        Req.T = T;
-        if (CarriedLVValid) {
-          Ctx.LV = std::move(CarriedLV);
-          CarriedLVValid = false;
-        }
-        CoalesceOutcome Recorded;
-        if (Round == 1 && Record)
-          Req.MergeLog = &Recorded.Merges;
-        CoalesceStats CS =
-            Round == 1 && Memo
-                ? Coalescer::replay(F, Classes, MD, Freq, Ctx.LV, *Memo, Req,
-                                    Ctx.LRS, Ctx.IG)
-                : Coalescer::run(F, Classes, MD, Freq, Ctx.LV, Req, Ctx.LRS,
-                                 Ctx.IG);
-        if (Req.MergeLog && CS.Passes < Coalescer::MaxPasses) {
-          Recorded.Passes = CS.Passes;
-          Recorded.LivenessComputes = CS.LivenessComputes;
-          Seeds->Publish(Body, std::move(Recorded));
-        }
-        Out.CoalescedMoves += CS.CoalescedMoves;
-        LivenessComputes += CS.LivenessComputes;
-        CoalescePasses += CS.Passes;
+    // The coalescer's final pass builds the live-range set and graph the
+    // allocator needs, so no rebuild follows it.
+    {
+      Telemetry::ScopedTimer Timer(T, telemetry::CoalescePhase);
+      CoalesceRequest Req;
+      Req.Aggressive = Opts.AggressiveCoalescing;
+      Req.SeededLV = CarriedLV.has_value();
+      Req.Scratch = &Scratch;
+      Req.T = T;
+      if (CarriedLV) {
+        Ctx.LV = std::move(*CarriedLV);
+        CarriedLV.reset();
       }
-      Classes.grow(F.numVRegs());
+      CoalesceOutcome Recorded;
+      if (Round == 1 && Record)
+        Req.MergeLog = &Recorded.Merges;
+      CoalesceStats CS =
+          Round == 1 && Memo
+              ? Coalescer::replay(F, Classes, MD, Freq, Ctx.LV, *Memo, Req,
+                                  Ctx.LRS, Ctx.IG)
+              : Coalescer::run(F, Classes, MD, Freq, Ctx.LV, Req, Ctx.LRS,
+                               Ctx.IG);
+      if (Req.MergeLog && CS.Passes < Coalescer::MaxPasses) {
+        Recorded.Passes = CS.Passes;
+        Recorded.LivenessComputes = CS.LivenessComputes;
+        Seeds->Publish(Body, std::move(Recorded));
+      }
+      Out.CoalescedMoves += CS.CoalescedMoves;
+      LivenessComputes += CS.LivenessComputes;
+      CoalescePasses += CS.Passes;
     }
-    ReconstructIds.clear();
+    Classes.grow(F.numVRegs());
     Ctx.RefusedCalleeRegs = RefusedCalleeRegs;
     if (T) {
       T->noteMax(telemetry::AllocPeakGraphBytes,
@@ -181,40 +158,15 @@ AllocationEngine::allocateWith(RegAllocBase &Alloc, Function &F,
       }
       Out.SpilledRanges += static_cast<unsigned>(SpilledClasses.size());
 
-      // Graph reconstruction (§2): if the next round's coalescing phase
-      // would be a no-op (no copies remain: spill code adds none, but
-      // conservative coalescing may have kept some), patch this round's
-      // state instead of rebuilding from scratch.
-      bool Incremental = GraphReconstructor::hasNoCopies(F);
-      if (Incremental) {
-        ReconstructOldVRegs = F.numVRegs();
-        for (unsigned I = 0; I < Ctx.LRS.numRanges(); ++I)
-          if (SpillIndexOfRange[I] >= 0)
-            ReconstructIds.push_back(I);
-        CarriedLV = std::move(Ctx.LV);
-        CarriedLRS = std::move(Ctx.LRS);
-        CarriedIG = std::move(Ctx.IG);
-      } else {
-        // Copies remain, so the next round coalesces — but its liveness
-        // seed survives the spill rewrite exactly: spilled registers
-        // vanish from the code, and reload temporaries never live across
-        // block boundaries (the same argument GraphReconstructor uses).
-        CarriedLV = std::move(Ctx.LV);
-        for (const auto &Members : SpilledClasses)
-          for (VirtReg V : Members)
-            CarriedLV.eraseRegister(V);
-        CarriedLVValid = true;
-      }
-      // A non-incremental next round rebuilds the graph from scratch, so
-      // this round's graph is garbage — return its buffers to the arena.
-      if (!Incremental)
-        Ctx.IG.recycle(Scratch);
+      // The next round rebuilds the graph from scratch, so this round's
+      // graph is garbage — return its buffers to the arena. Its liveness
+      // survives, patched by the spill rewrite, as that round's seed.
+      Ctx.IG.recycle(Scratch);
+      CarriedLV = std::move(Ctx.LV);
       {
         Telemetry::ScopedTimer Timer(T, telemetry::SpillInsertPhase);
-        SpillCodeInserter::run(F, SpilledClasses);
+        SpillCodeInserter::run(F, SpilledClasses, &*CarriedLV);
       }
-      if (CarriedLVValid)
-        CarriedLV.growUniverse(F.numVRegs());
       continue;
     }
 

@@ -130,7 +130,7 @@ void scanBlock(const BasicBlock &BB, const BitVector &LiveOut,
 
 InterferenceGraph::InterferenceGraph(unsigned NumNodes, GraphRep Policy,
                                      AllocationScratch *Scratch)
-    : NumNodes(NumNodes), Policy(Policy) {
+    : NumNodes(NumNodes) {
   Dense = Policy == GraphRep::Dense ||
           (Policy == GraphRep::Auto && NumNodes <= DenseNodeThreshold);
   if (Scratch) {

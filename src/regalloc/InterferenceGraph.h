@@ -29,16 +29,16 @@
 /// Auto policy picks Dense up to DenseNodeThreshold nodes and Sparse above
 /// it, so per-function cost scales with V+E instead of V^2 on large
 /// functions. Both representations finalize into the *identical* flat
-/// adjacency (build() and the graph reconstructor finalize for you), so
-/// every consumer — Simplifier, Coalescer, GraphReconstructor,
-/// CBHAllocator, AllocationVerifier — is representation-agnostic and
-/// allocation results are bit-identical under every policy. neighbors()
-/// and degree() answer on a finalized graph only.
+/// adjacency (build() finalizes for you), so every consumer —
+/// Simplifier, Coalescer, CBHAllocator, AllocationVerifier — is
+/// representation-agnostic and allocation results are bit-identical under
+/// every policy. neighbors() and degree() answer on a finalized graph
+/// only.
 ///
 /// The edge rule (same bank, no self edge, Chaitin's copy exception below,
 /// every pair of results of one instruction) lives in one block scan. The
-/// row build and the per-edge path (scanBlockForEdges: sparse builds and
-/// the reconstructor's rescans) both consume that scan.
+/// row build and the per-edge path (scanBlockForEdges, for sparse builds)
+/// both consume that scan.
 ///
 /// The scan requires (and asserts) that every operand and live-out register
 /// is its range's class root, as the coalescer leaves them: a range is then
@@ -113,10 +113,6 @@ public:
   /// Total number of undirected edges. O(1): addEdge maintains the count.
   size_t numEdges() const { return NumEdges; }
 
-  /// The policy this graph was created with (Auto/Dense/Sparse); the graph
-  /// reconstructor propagates it so a forced representation survives spill
-  /// rounds.
-  GraphRep policy() const { return Policy; }
   /// The representation actually in use (never Auto).
   GraphRep activeRep() const {
     return Dense ? GraphRep::Dense : GraphRep::Sparse;
@@ -149,10 +145,9 @@ public:
                                  GraphRep Policy = GraphRep::Auto);
 
   /// Adds every interference edge arising within \p BB (given its live-out
-  /// set) to \p IG, one addEdge per pair. Idempotent; sparse builds use it,
-  /// and the incremental graph reconstruction uses it to rescan only the
-  /// blocks spill code touched; operands must be class roots. \p Scratch,
-  /// when given, supplies the scan buffers instead of per-call allocations.
+  /// set) to \p IG, one addEdge per pair. Idempotent; sparse builds use it;
+  /// operands must be class roots. \p Scratch, when given, supplies the
+  /// scan buffers instead of per-call allocations.
   static void scanBlockForEdges(const BasicBlock &BB,
                                 const BitVector &LiveOut,
                                 const LiveRangeSet &LRS,
@@ -204,7 +199,6 @@ private:
   std::unordered_set<uint64_t> EdgeSet; // sparse: dedup until finalize()
   std::vector<uint64_t> EdgeKeys; // sparse: EdgeSet's keys, insertion order
   size_t NumEdges = 0;
-  GraphRep Policy = GraphRep::Auto;
   bool Dense = true;
   bool Finalized = false;
 };

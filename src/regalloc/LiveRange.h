@@ -98,20 +98,6 @@ public:
   /// Appends a call site directly (scenario construction).
   void addCallSite(CallSite CS) { Calls.push_back(std::move(CS)); }
 
-  /// Appends one call site per call of \p F, numbered densely in block
-  /// order. measure() starts with it; graph reconstruction calls it on a
-  /// fresh set after spill code shifted instruction positions.
-  void enumerateCallSites(const Function &F, const FrequencyInfo &Freq);
-
-  /// Extends the register -> live-range mapping to \p NumVRegs entries
-  /// (new registers unmapped).
-  void resizeMapping(unsigned NumVRegs) { VRegToRange.resize(NumVRegs, -1); }
-
-  /// Points register \p R at live range \p RangeId (-1 = no range).
-  void mapRegister(VirtReg R, int RangeId) {
-    VRegToRange[R.Id] = RangeId;
-  }
-
   /// First step of a build: the register -> live-range map of \p F under
   /// \p Classes, one range per referenced class with Id, Root, Bank and
   /// NoSpill set, metrics zero and no call sites. A coalescing pass reads
@@ -129,6 +115,10 @@ public:
                             const VRegClasses &Classes);
 
 private:
+  /// Appends one call site per call of \p F, numbered densely in block
+  /// order. measure() starts with it.
+  void enumerateCallSites(const Function &F, const FrequencyInfo &Freq);
+
   std::vector<LiveRange> Ranges;
   std::vector<int> VRegToRange; // by vreg id
   std::vector<CallSite> Calls;

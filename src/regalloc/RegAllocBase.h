@@ -4,7 +4,7 @@
 /// The interface one coloring approach implements inside the shared
 /// framework: given a round's context (live ranges + interference graph),
 /// decide a storage location for every live range. The driver
-/// (AllocationEngine) handles spill-code insertion, graph reconstruction,
+/// (AllocationEngine) handles spill-code insertion, the rebuild after it,
 /// retries, overhead materialization, and cost accounting.
 ///
 //===----------------------------------------------------------------------===//

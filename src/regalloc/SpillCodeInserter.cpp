@@ -2,13 +2,16 @@
 
 #include "regalloc/SpillCodeInserter.h"
 
+#include "analysis/Liveness.h"
+
 #include <cassert>
 
 using namespace ccra;
 
 SpillCodeInserter::Stats
 SpillCodeInserter::run(Function &F,
-                       const std::vector<std::vector<VirtReg>> &SpilledClasses) {
+                       const std::vector<std::vector<VirtReg>> &SpilledClasses,
+                       Liveness *LV) {
   Stats S;
   S.RangesSpilled = static_cast<unsigned>(SpilledClasses.size());
   if (SpilledClasses.empty())
@@ -84,6 +87,12 @@ SpillCodeInserter::run(Function &F,
       }
     }
     Insts = std::move(Out);
+  }
+  if (LV) {
+    for (const auto &Members : SpilledClasses)
+      for (VirtReg R : Members)
+        LV->eraseRegister(R);
+    LV->growUniverse(F.numVRegs());
   }
   return S;
 }

@@ -3,7 +3,8 @@
 // Tier-1 coverage for the differential fuzzing subsystem:
 //
 //  - the committed seed corpus (fuzz/corpus/*.ccra) replays clean through
-//    the full oracle lattice — every past reproducer stays fixed;
+//    the full oracle lattice — every past reproducer stays fixed — and
+//    spills, so the component check's spill-liveness comparison runs;
 //  - FuzzGen is deterministic per seed and its modules survive a textual
 //    round trip;
 //  - a fresh slice of seeds passes the lattice (the in-tree slice of what
@@ -50,6 +51,7 @@ TEST(FuzzCorpus, SeedCorpusReplaysClean) {
   // The committed seed corpus is never empty: generated seeds plus any
   // minimized reproducers live there.
   EXPECT_FALSE(Entries.empty());
+  unsigned SpillRounds = 0;
   for (const CorpusEntry &Entry : Entries) {
     OracleOptions OO;
     // Reproducers carry their original register file in the header.
@@ -57,9 +59,13 @@ TEST(FuzzCorpus, SeedCorpusReplaysClean) {
     ASSERT_TRUE(configFromHeader(Entry, OO.Config, &ConfigErr))
         << Entry.Path << ": " << ConfigErr;
     OracleReport Report = runOracleLattice(*Entry.M, OO);
+    SpillRounds += Report.SpillLivenessChecks;
     for (const std::string &Line : Report.lines())
       ADD_FAILURE() << Entry.Path << ": " << Line;
   }
+  // The component check's spill-liveness comparison ran, so a corpus that
+  // stopped spilling cannot leave it vacuous.
+  EXPECT_GT(SpillRounds, 0u);
 }
 
 TEST(FuzzGenTest, DeterministicPerSeed) {

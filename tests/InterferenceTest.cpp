@@ -316,11 +316,9 @@ TEST(InterferenceGraphTest, SparseQueriesWorkBeforeAndAfterFinalize) {
 TEST(InterferenceGraphTest, AutoPolicyPicksRepresentationByNodeCount) {
   InterferenceGraph Small(16);
   EXPECT_EQ(Small.activeRep(), GraphRep::Dense);
-  EXPECT_EQ(Small.policy(), GraphRep::Auto);
   // Constructor-only: the sparse representation allocates no V^2 state.
   InterferenceGraph Large(InterferenceGraph::DenseNodeThreshold + 1);
   EXPECT_EQ(Large.activeRep(), GraphRep::Sparse);
-  EXPECT_EQ(Large.policy(), GraphRep::Auto);
   InterferenceGraph Forced(16, GraphRep::Sparse);
   EXPECT_EQ(Forced.activeRep(), GraphRep::Sparse);
 }

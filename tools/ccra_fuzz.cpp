@@ -309,7 +309,7 @@ int replayCorpus(const CliOptions &Cli) {
   if (!Errors.empty())
     return 2;
 
-  unsigned Failures = 0, Legs = 0, FromFrontend = 0;
+  unsigned Failures = 0, Legs = 0, SpillRounds = 0, FromFrontend = 0;
   for (const CorpusEntry &Entry : Entries) {
     OracleOptions OO;
     OO.ParallelJobs = Cli.JobsLeg;
@@ -325,6 +325,7 @@ int replayCorpus(const CliOptions &Cli) {
       ++FromFrontend;
     OracleReport Report = runOracleLattice(*Entry.M, OO);
     Legs += Report.LegsRun;
+    SpillRounds += Report.SpillLivenessChecks;
     std::string CodecWhy;
     bool CodecOk =
         checkCodecEquivalence(*Entry.M, OO.Config, OO.Mode, CodecWhy);
@@ -347,7 +348,8 @@ int replayCorpus(const CliOptions &Cli) {
   }
   std::cout << "ccra_fuzz replay: " << Entries.size() << " modules ("
             << FromFrontend << " frontend-lowered), " << Legs
-            << " lattice legs, " << Failures << " failures\n";
+            << " lattice legs, " << SpillRounds
+            << " spill-liveness rounds, " << Failures << " failures\n";
   return Failures ? 1 : 0;
 }
 
@@ -392,7 +394,7 @@ int main(int Argc, char **Argv) {
 
   FailureSink Sink{Cli};
   const std::vector<FuzzProfile> &Profiles = allFuzzProfiles();
-  unsigned Checked = 0, Legs = 0;
+  unsigned Checked = 0, Legs = 0, SpillRounds = 0;
   for (unsigned I = 0; I < Cli.Count; ++I) {
     if (OverBudget()) {
       if (!Cli.Quiet)
@@ -416,6 +418,7 @@ int main(int Argc, char **Argv) {
     OracleReport Report = runOracleLattice(*M, OO);
     ++Checked;
     Legs += Report.LegsRun;
+    SpillRounds += Report.SpillLivenessChecks;
     std::string Tag = std::string(fuzzProfileName(Params.Profile)) +
                       "-seed" + std::to_string(Params.Seed);
     // The codec contract rides along on every sweep module: it is cheap
@@ -441,6 +444,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::cout << "ccra_fuzz: " << Checked << " modules, " << Legs
-            << " lattice legs, " << Sink.Failures << " failures\n";
+            << " lattice legs, " << SpillRounds << " spill-liveness rounds, "
+            << Sink.Failures << " failures\n";
   return Sink.Failures ? 1 : 0;
 }
